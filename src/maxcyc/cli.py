@@ -19,12 +19,11 @@ from .core import (
     DEFAULT_ORDER_CAP,
     Group,
     is_cyclic,
-    normal_subgroups,
-    quotient_group,
+    labelled_normals,
 )
 from .constructors import named_normal, parse_spec, realize
 from .corpus import SUITES, default_corpus_text, parse_corpus, run_suites
-from .cyclic import eta, g_minus
+from .cyclic import eta, g_minus, quotient_eta
 from .errors import MaxcycError
 from .theorems import check_quot_conditions, compute_X, gk_graph
 
@@ -152,13 +151,11 @@ def cmd_eta(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_normals(args: argparse.Namespace, cfg: RunConfig) -> int:
     G = _realize(args, cfg)
-    rows = []
-    counts: dict[int, int] = {}
-    for N in normal_subgroups(G):
-        idx = counts.get(N.order, 0)
-        counts[N.order] = idx + 1
-        gens = [g.cycle_string() for g in N.generators] or ["()"]
-        rows.append({"order": N.order, "index": idx, "generators": gens})
+    rows = [
+        {"order": order, "index": idx,
+         "generators": [g.cycle_string() for g in N.generators] or ["()"]}
+        for order, idx, N in labelled_normals(G)
+    ]
     payload = {"order": G.order, "normal_subgroups": rows}
     lines = [f"{r['order']:>6}  {r['index']:>3}  {' '.join(r['generators'])}" for r in rows]
     lines.insert(0, f"{'order':>6}  {'idx':>3}  generators")
@@ -199,7 +196,7 @@ def cmd_xsub(args: argparse.Namespace, cfg: RunConfig) -> int:
     G = _realize(args, cfg)
     X = compute_X(G)
     e_g = eta(G).eta
-    e_q = eta(quotient_group(G, X)[0]).eta
+    e_q = quotient_eta(G, X)
     gens = [g.cycle_string() for g in X.generators] or ["()"]
     payload = {
         "x_order": X.order,

@@ -2,8 +2,8 @@
 
 Every group here carries its full element table, so each predicate used by
 the verification layer (normality, conjugacy, coset structure) is decided by
-direct enumeration.  Operations are pure; the module-level ``lru_cache``
-memoization keys on object identity and never changes observable results.
+direct enumeration.  Operations are pure; :func:`memo` keeps derived data
+in the group it describes and never changes observable results.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import wraps
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
@@ -25,13 +25,14 @@ DEFAULT_DEGREE_CAP = 128
 class Group:
     """A finite permutation group with its full element table.
 
-    Instances are immutable.  ``element_list`` enumerates the closure
-    breadth-first from the identity with generators applied in the given
-    order, so iteration order is reproducible across runs.  Construct
-    through :func:`enumerate_elements` or :func:`subgroup_generated`.
+    Instances are immutable except for the :func:`memo` table ``derived``.
+    ``element_list`` enumerates the closure breadth-first from the identity
+    with generators applied in the given order, so iteration order is
+    reproducible across runs.  Construct through :func:`enumerate_elements`
+    or :func:`subgroup_generated`.
     """
 
-    __slots__ = ("degree", "generators", "elements", "element_list")
+    __slots__ = ("degree", "generators", "elements", "element_list", "derived")
 
     def __init__(
         self,
@@ -44,6 +45,7 @@ class Group:
         self.generators = generators
         self.elements = elements
         self.element_list = element_list
+        self.derived: dict[tuple, object] = {}
 
     @property
     def order(self) -> int:
@@ -68,6 +70,19 @@ class Group:
 
     def __repr__(self) -> str:
         return f"<Group degree={self.degree} order={self.order}>"
+
+
+def memo(fn: Callable) -> Callable:
+    """Memoize ``fn(G, *args)`` in ``G.derived``, so it lives as long as G."""
+
+    @wraps(fn)
+    def cached(G: Group, *args):
+        key = (fn, *args)
+        if key not in G.derived:
+            G.derived[key] = fn(G, *args)
+        return G.derived[key]
+
+    return cached
 
 
 def _close(
@@ -154,14 +169,13 @@ def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
 
 @dataclass(eq=False)
 class ElementClassPartition:
-    """Conjugacy classes of group elements, with their minimal representatives."""
+    """Conjugacy classes of group elements, ordered by minimum."""
 
     classes: tuple[frozenset[Permutation], ...]
-    representatives: tuple[Permutation, ...]
     index_of: dict[Permutation, int]
 
 
-@lru_cache(maxsize=None)
+@memo
 def conjugacy_classes(G: Group) -> ElementClassPartition:
     """Orbit partition of G under conjugation; classes ordered by minimum."""
     index_of: dict[Permutation, int] = {}
@@ -183,8 +197,7 @@ def conjugacy_classes(G: Group) -> ElementClassPartition:
         classes.append(fs)
         for y in fs:
             index_of[y] = idx
-    reps = tuple(min(c) for c in classes)
-    return ElementClassPartition(tuple(classes), reps, index_of)
+    return ElementClassPartition(tuple(classes), index_of)
 
 
 def is_normal(G: Group, H: Group) -> bool:
@@ -224,10 +237,9 @@ class CosetTable:
     cosets: tuple[frozenset[Permutation], ...]
     index: int
     point_of: dict[Permutation, int]
-    representatives: tuple[Permutation, ...]
 
 
-@lru_cache(maxsize=None)
+@memo
 def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
     """G/N realized faithfully by the regular action on the cosets of N."""
     if not is_normal(G, N):
@@ -255,10 +267,10 @@ def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
         raise InternalCheckError(
             f"regular action of quotient has order {Q.order}, expected {index}"
         )
-    return Q, CosetTable(tuple(cosets), index, point_of, reps)
+    return Q, CosetTable(tuple(cosets), index, point_of)
 
 
-@lru_cache(maxsize=None)
+@memo
 def center(G: Group) -> Group:
     """The subgroup of elements commuting with every generator."""
     members = [
@@ -267,7 +279,7 @@ def center(G: Group) -> Group:
     return group_from_elements(G.degree, members)
 
 
-@lru_cache(maxsize=None)
+@memo
 def derived_subgroup(G: Group) -> Group:
     """Normal closure of the commutators of generator pairs."""
     comms = {
@@ -278,7 +290,7 @@ def derived_subgroup(G: Group) -> Group:
     return normal_closure(G, comms)
 
 
-@lru_cache(maxsize=None)
+@memo
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
     """Every normal subgroup of G, sorted by order then canonical key.
 
@@ -317,6 +329,18 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     return tuple(groups)
 
 
+def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
+    """(order, index among that order, subgroup) for each normal subgroup:
+    the ``[order,index]`` labels of :func:`normal_subgroups`."""
+    out = []
+    counts: dict[int, int] = {}
+    for N in normal_subgroups(G):
+        idx = counts.get(N.order, 0)
+        counts[N.order] = idx + 1
+        out.append((N.order, idx, N))
+    return out
+
+
 def is_simple_nonabelian_60(G: Group) -> bool:
     """Order 60 with no normal subgroups besides 1 and G.
 
@@ -334,7 +358,7 @@ def point_stabilizer(G: Group, point: int) -> Group:
     return group_from_elements(G.degree, members)
 
 
-@lru_cache(maxsize=None)
+@memo
 def exponent(G: Group) -> int:
     """lcm of the element orders."""
     return math.lcm(*(perm_order(x) for x in G.element_list))

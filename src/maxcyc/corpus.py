@@ -27,12 +27,20 @@ from .core import (
     is_cyclic,
     is_p_group,
     is_solvable,
+    labelled_normals,
     normal_subgroups,
     point_stabilizer,
-    quotient_group,
     subgroup_generated,
 )
-from .cyclic import eta, eta_star, g_minus, g_minus_via_powers, g_power_set
+from .cyclic import (
+    eta,
+    eta_preserving_normals,
+    eta_star,
+    g_minus,
+    g_minus_via_powers,
+    g_power_set,
+    quotient_eta,
+)
 from .errors import CorpusError, InternalCheckError, MaxcycError, NotExponentP, NotFrobenius
 from .numutil import prime_factors
 from .perm import perm_order
@@ -59,7 +67,15 @@ from .theorems import (
     quot_report_checks,
 )
 
-_SELECTOR_RE = re.compile(r"^([a-z_]+)\[([0-9,]+)\]$")
+_SELECTOR_RE = re.compile(r"^([a-z_]+)\[([0-9]+(?:,[0-9]+)*)\]$")
+
+# The expectation keys the suites read (``tag`` aside): plain keys, and
+# selector keys with the number of integers in their brackets.
+PLAIN_KEYS = frozenset({
+    "eta", "l", "gminus", "maxcyc", "normals", "frobenius", "frob_gap",
+    "classify", "x_order", "x_cyclic", "derived_hyp", "gk_edges", "gk_comps",
+})
+SELECTOR_KEYS = {"quot_eta": 2, "quot_union": 2, "eta_star": 2, "in_derived": 2, "join_eta": 4}
 
 
 @dataclass(frozen=True)
@@ -99,6 +115,13 @@ def _split_fields(line: str) -> list[str]:
     return [f.strip() for f in fields]
 
 
+def _known_key(key: str) -> bool:
+    m = _SELECTOR_RE.match(key)
+    if m is None:
+        return key in PLAIN_KEYS
+    return SELECTOR_KEYS.get(m.group(1)) == m.group(2).count(",") + 1
+
+
 def parse_corpus(text: str) -> list[CorpusEntry]:
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -120,8 +143,10 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             key, value = key.strip(), value.strip()
             if key == "tag":
                 tag = value
-            else:
+            elif _known_key(key):
                 expect[key] = value
+            else:
+                raise CorpusError(line_no, f"unknown key {key!r}")
         try:
             parse_spec(spec_text)
         except MaxcycError as exc:
@@ -153,17 +178,6 @@ def realize_entry(
     spec = parse_spec(entry.spec_text)
     return Instance(entry, spec, realize(spec, order_cap=order_cap, degree_cap=degree_cap),
                     order_cap, degree_cap)
-
-
-def _labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
-    """(order, index-within-order, subgroup) in deterministic order."""
-    out = []
-    counts: dict[int, int] = {}
-    for N in normal_subgroups(G):
-        idx = counts.get(N.order, 0)
-        counts[N.order] = idx + 1
-        out.append((N.order, idx, N))
-    return out
 
 
 def _flatten(parts: Iterable[tuple[str, VerifyReport]]) -> list[Check]:
@@ -234,7 +248,7 @@ def run_gminus_subgroup(inst: Instance) -> VerifyReport:
 def run_gminus_containment(inst: Instance) -> VerifyReport:
     G = inst.group
     parts = []
-    for order, idx, N in _labelled_normals(G):
+    for order, idx, N in labelled_normals(G):
         parts.append((f"N[{order},{idx}]", check_gminus_containment(G, N)))
     return _merge("gminus-containment", inst.entry.spec_text, parts)
 
@@ -335,7 +349,7 @@ def run_frobenius(inst: Instance) -> VerifyReport | None:
 def run_centre(inst: Instance) -> VerifyReport:
     G = inst.group
     parts = []
-    for order, idx, N in _labelled_normals(G):
+    for order, idx, N in labelled_normals(G):
         parts.append((f"N[{order},{idx}]", check_centre_bounds(G, N)))
     checks = _flatten(parts)
     for selector, value in inst.entry.selected("eta_star"):
@@ -348,19 +362,17 @@ def run_centre(inst: Instance) -> VerifyReport:
 def run_quot(inst: Instance) -> VerifyReport:
     G = inst.group
     checks: list[Check] = []
-    reports: dict[tuple[int, int], object] = {}
-    for order, idx, N in _labelled_normals(G):
+    for order, idx, N in labelled_normals(G):
         if N.order == G.order:
             continue
         rep = check_quot_conditions(G, N)
-        reports[(order, idx)] = rep
         checks.extend(quot_report_checks(G, N, rep, f"N[{order},{idx}]"))
     for selector, value in inst.entry.selected("quot_eta"):
-        rep = reports[selector]
+        rep = check_quot_conditions(G, named_normal(G, *selector))
         checks.append(_int_check(f"quot_eta[{selector[0]},{selector[1]}]",
                                  value, rep.eta_q))
     for selector, value in inst.entry.selected("quot_union"):
-        rep = reports[selector]
+        rep = check_quot_conditions(G, named_normal(G, *selector))
         checks.append(Check(f"quot_union[{selector[0]},{selector[1]}]",
                             bool(int(value)) == rep.gminus_coset_union,
                             bool(int(value)), rep.gminus_coset_union))
@@ -372,25 +384,20 @@ def run_products_join(inst: Instance) -> VerifyReport | None:
     checks: list[Check] = []
     p = is_p_group(G)
     if p is not None and not is_cyclic(G):
-        target = eta(G).eta
-        qualifying = [
-            (order, idx, N)
-            for order, idx, N in _labelled_normals(G)
-            if N.order < G.order and eta(quotient_group(G, N)[0]).eta == target
-        ]
-        for o1, i1, N in qualifying:
-            for o2, i2, M in qualifying:
-                rep = check_quotient_join(G, N, M)
-                for c in rep.checks:
-                    checks.append(Check(f"N[{o1},{i1}]vM[{o2},{i2}].{c.name}",
-                                        c.passed, c.expected, c.actual))
+        preserving = eta_preserving_normals(G)
+        qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
+        checks = _flatten(
+            (f"N[{o1},{i1}]vM[{o2},{i2}]", check_quotient_join(G, N, M))
+            for o1, i1, N in qualifying
+            for o2, i2, M in qualifying
+        )
     for selector, value in inst.entry.selected("join_eta"):
         o1, i1, o2, i2 = selector
         N = named_normal(G, o1, i1)
         M = named_normal(G, o2, i2)
         J = subgroup_generated(G, N.elements | M.elements)
-        e_join = eta(quotient_group(G, J)[0]).eta
-        checks.append(_int_check(f"join_eta[{o1},{i1},{o2},{i2}]", value, e_join))
+        checks.append(_int_check(f"join_eta[{o1},{i1},{o2},{i2}]", value,
+                                 quotient_eta(G, J)))
     if not checks:
         return None
     return make_report("products-join", inst.entry.spec_text, checks)
@@ -407,12 +414,12 @@ def run_xsub(inst: Instance) -> VerifyReport | None:
         return make_report("xsub", inst.entry.spec_text,
                            [Check("compute_X", False, "well-defined join", str(exc))])
     target = eta(G).eta
+    preserving = eta_preserving_normals(G)
     scan_ok = all(
-        (eta(quotient_group(G, M)[0]).eta == target) == (M.elements <= X.elements)
-        for M in normal_subgroups(G)
+        (M in preserving) == (M.elements <= X.elements) for M in normal_subgroups(G)
     )
-    checks.append(Check("eta_preserved", eta(quotient_group(G, X)[0]).eta == target,
-                        target, eta(quotient_group(G, X)[0]).eta))
+    e_x = quotient_eta(G, X)
+    checks.append(Check("eta_preserved", e_x == target, target, e_x))
     checks.append(Check("maximality_scan", scan_ok,
                         "M qualifies <=> M <= X", scan_ok))
     e = inst.entry.expect
@@ -427,7 +434,7 @@ def run_xsub(inst: Instance) -> VerifyReport | None:
 def run_derived(inst: Instance) -> VerifyReport:
     G = inst.group
     parts = []
-    for order, idx, N in _labelled_normals(G):
+    for order, idx, N in labelled_normals(G):
         if N.order == G.order:
             continue
         parts.append((f"N[{order},{idx}]", check_derived_criterion(G, N)))
@@ -457,25 +464,18 @@ def run_eitheror(inst: Instance) -> VerifyReport | None:
     G = inst.group
     if is_p_group(G) is None or is_cyclic(G):
         return None
-    target = eta(G).eta
-    labelled = _labelled_normals(G)
-    qualifying = [
-        (order, idx, N)
-        for order, idx, N in labelled
-        if 1 < N.order < G.order and eta(quotient_group(G, N)[0]).eta == target
-    ]
+    preserving = eta_preserving_normals(G)
+    labelled = labelled_normals(G)
+    qualifying = [(o, i, N) for o, i, N in labelled if N.order > 1 and N in preserving]
     if not qualifying:
         return make_report("eitheror", inst.entry.spec_text,
                            [Check("vacuous (no eta-preserving nontrivial N)",
                                   True, "skip", "skip")])
-    checks: list[Check] = []
-    for o1, i1, N in qualifying:
-        for o2, i2, M in labelled:
-            rep = check_eitheror(G, N, M)
-            for c in rep.checks:
-                checks.append(Check(f"N[{o1},{i1}]vM[{o2},{i2}].{c.name}",
-                                    c.passed, c.expected, c.actual))
-    return make_report("eitheror", inst.entry.spec_text, checks)
+    return _merge("eitheror", inst.entry.spec_text, (
+        (f"N[{o1},{i1}]vM[{o2},{i2}]", check_eitheror(G, N, M))
+        for o1, i1, N in qualifying
+        for o2, i2, M in labelled
+    ))
 
 
 SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
@@ -498,11 +498,11 @@ SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
 }
 
 
-def _run_task(task: tuple[str, CorpusEntry, int, int]) -> VerifyReport | None:
-    """Worker entry: run one suite on one corpus record (used by --jobs)."""
-    suite, entry, order_cap, degree_cap = task
+def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyReport | None]:
+    """Realize one corpus record once and run every named suite on it."""
+    suite_names, entry, order_cap, degree_cap = task
     inst = realize_entry(entry, order_cap, degree_cap)
-    return SUITES[suite](inst)
+    return [SUITES[name](inst) for name in suite_names]
 
 
 def run_suites(
@@ -515,32 +515,17 @@ def run_suites(
 ) -> list[VerifyReport]:
     """Run the named suites over the corpus, reports in (suite, entry) order.
 
-    With jobs > 1 the (suite, entry) tasks run in a process pool; reports
-    are still returned in task order, so output is identical to a serial
-    run.
+    Each entry is one task that realizes its group once and runs every suite
+    on it, in a process pool when jobs > 1; transposing the per-entry results
+    makes the output identical either way.
     """
     for name in suite_names:
         if name not in SUITES:
             raise MaxcycError(f"unknown suite {name!r}")
+    tasks = [(suite_names, entry, order_cap, degree_cap) for entry in entries]
     if jobs > 1:
-        tasks = [
-            (name, entry, order_cap, degree_cap)
-            for name in suite_names
-            for entry in entries
-        ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_run_task, tasks))
-        return [r for r in results if r is not None]
-    instances: dict[int, Instance] = {}
-    reports = []
-    for name in suite_names:
-        fn = SUITES[name]
-        for entry in entries:
-            inst = instances.get(entry.line_no)
-            if inst is None:
-                inst = realize_entry(entry, order_cap, degree_cap)
-                instances[entry.line_no] = inst
-            report = fn(inst)
-            if report is not None:
-                reports.append(report)
-    return reports
+            per_entry = list(pool.map(_run_entry, tasks))
+    else:
+        per_entry = list(map(_run_entry, tasks))
+    return [r for per_suite in zip(*per_entry) for r in per_suite if r is not None]

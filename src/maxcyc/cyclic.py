@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
-from .core import Group, is_normal
+from .core import Group, is_normal, memo, normal_subgroups, quotient_group
 from .errors import InternalCheckError, NotNormal
 from .numutil import is_prime, prime_factors
 from .perm import Permutation, perm_order
@@ -45,9 +44,6 @@ class CyclicSubgroup:
             self._sort_key = (self.order, tuple(sorted(p.images for p in self.elements)))
         return self._sort_key
 
-    def generators(self) -> list[Permutation]:
-        return [x for x in self.elements if perm_order(x) == self.order]
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CyclicSubgroup) and self.elements == other.elements
 
@@ -70,7 +66,7 @@ def cyclic_subgroup(g: Permutation) -> CyclicSubgroup:
     return CyclicSubgroup(frozenset(powers), n, min(gens))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _cyclic_index(G: Group) -> tuple[
     dict[frozenset[Permutation], CyclicSubgroup],
     dict[Permutation, frozenset[Permutation]],
@@ -95,7 +91,7 @@ def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(sorted(subs.values(), key=CyclicSubgroup.sort_key))
 
 
-@lru_cache(maxsize=None)
+@memo
 def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
     """{ g**q : g in G, q a prime dividing the order of g }."""
     out = set()
@@ -105,7 +101,7 @@ def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     """The inclusion-maximal cyclic subgroups of G.
 
@@ -136,7 +132,7 @@ def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(sorted(maximal, key=CyclicSubgroup.sort_key))
 
 
-@lru_cache(maxsize=None)
+@memo
 def g_minus(G: Group) -> frozenset[Permutation]:
     """Elements whose generated subgroup is not maximal cyclic.
 
@@ -161,9 +157,6 @@ class SubgroupClassSet:
 
     classes: tuple[tuple[CyclicSubgroup, ...], ...]
     representatives: tuple[CyclicSubgroup, ...]
-
-    def class_orders(self) -> tuple[int, ...]:
-        return tuple(rep.order for rep in self.representatives)
 
 
 def conjugacy_classes_of_subgroups(
@@ -213,7 +206,7 @@ class EtaReport:
     gminus_size: int
 
 
-@lru_cache(maxsize=None)
+@memo
 def eta(G: Group) -> EtaReport:
     """Count conjugacy classes of maximal cyclic subgroups (and of all
     cyclic subgroups, as l_value)."""
@@ -227,6 +220,22 @@ def eta(G: Group) -> EtaReport:
         class_reps=reps,
         l_value=len(all_classes.classes),
         gminus_size=len(g_minus(G)),
+    )
+
+
+def quotient_eta(G: Group, N: Group) -> int:
+    """eta(G/N) for N normal in G."""
+    return eta(quotient_group(G, N)[0]).eta
+
+
+@memo
+def eta_preserving_normals(G: Group) -> tuple[Group, ...]:
+    """The proper normal subgroups N of G with eta(G/N) = eta(G), in the
+    order of :func:`maxcyc.core.normal_subgroups`."""
+    target = eta(G).eta
+    return tuple(
+        N for N in normal_subgroups(G)
+        if N.order < G.order and quotient_eta(G, N) == target
     )
 
 

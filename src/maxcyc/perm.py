@@ -126,10 +126,6 @@ class Permutation:
             return "()"
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
-    def order(self) -> int:
-        lengths = [len(c) for c in self.cycles()]
-        return math.lcm(*lengths) if lengths else 1
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 

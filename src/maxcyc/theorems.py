@@ -24,7 +24,7 @@ from .core import (
     is_normal,
     is_p_group,
     is_simple_nonabelian_60,
-    normal_subgroups,
+    memo,
     quotient_group,
     subgroup_generated,
 )
@@ -33,9 +33,11 @@ from .cyclic import (
     _cyclic_index,
     eta,
     eta_p,
+    eta_preserving_normals,
     eta_star,
     g_minus,
     maximal_cyclic_subgroups,
+    quotient_eta,
 )
 from .errors import (
     ClassificationFailed,
@@ -55,6 +57,13 @@ from .perm import Permutation, perm_order
 
 def _prime_power(n: int) -> bool:
     return len(prime_factors(n)) <= 1
+
+
+def _require_noncyclic_p_group(G: Group, caller: str) -> None:
+    if not is_p_group(G):
+        raise NotPGroup(f"{caller} requires a p-group")
+    if is_cyclic(G):
+        raise GroupIsCyclic(f"{caller} requires a noncyclic group")
 
 
 # ---------------------------------------------------------------------------
@@ -113,15 +122,6 @@ class PrimeOrderClass:
     p: int | None = None
     q: int | None = None
 
-    def describe(self) -> str:
-        if self.kind == "exponent_p":
-            return f"exponent-{self.p} {self.p}-group"
-        if self.kind == "frobenius_pq":
-            return f"Frobenius: exponent-{self.p} kernel, complement of order {self.q}"
-        if self.kind == "a5":
-            return "alternating group on 5 points"
-        return "has an element of composite order"
-
 
 @dataclass(frozen=True)
 class GKGraph:
@@ -171,13 +171,7 @@ class QuotCheckReport:
 # Quotient conditions
 # ---------------------------------------------------------------------------
 
-def _generator_class_indices(G: Group) -> tuple[dict, dict]:
-    """Element -> conjugacy class index, and cyclic key -> generator classes."""
-    part = conjugacy_classes(G)
-    _, elem_key = _cyclic_index(G)
-    return part.index_of, elem_key
-
-
+@memo
 def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     """Evaluate when eta survives the quotient by N.
 
@@ -213,7 +207,8 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         diff = quotient_gminus_points ^ covered_points
         witnesses["cond_b"] = tuple(str(i) for i in sorted(diff)[:3])
 
-    class_index, elem_key = _generator_class_indices(G)
+    class_index = conjugacy_classes(G).index_of
+    _, elem_key = _cyclic_index(G)
     gen_classes: dict[frozenset, frozenset[int]] = {}
 
     def generator_classes_of(x: Permutation) -> frozenset[int]:
@@ -321,20 +316,14 @@ def compute_X(G: Group) -> Group:
     re-checks that X itself qualifies and that it contains each qualifying
     subgroup.
     """
-    if not is_p_group(G):
-        raise NotPGroup("compute_X requires a p-group")
-    if is_cyclic(G):
-        raise GroupIsCyclic("compute_X requires a noncyclic group")
+    _require_noncyclic_p_group(G, "compute_X")
     target = eta(G).eta
-    qualifying = [
-        M for M in normal_subgroups(G)
-        if M.order < G.order and eta(quotient_group(G, M)[0]).eta == target
-    ]
+    qualifying = eta_preserving_normals(G)
     union: set[Permutation] = {G.identity}
     for M in qualifying:
         union |= M.elements
     X = group_from_elements(G.degree, subgroup_generated(G, union).elements)
-    if eta(quotient_group(G, X)[0]).eta != target:
+    if quotient_eta(G, X) != target:
         raise InternalCheckError("join of eta-preserving normals does not preserve eta")
     if not all(M.elements <= X.elements for M in qualifying):
         raise InternalCheckError("a qualifying normal subgroup escapes the join")
@@ -636,7 +625,7 @@ def check_derived_criterion(G: Group, N: Group) -> VerifyReport:
         raise NotNormal("check_derived_criterion requires N normal")
     instance = f"order {G.order}, N order {N.order}"
     e_g = eta(G).eta
-    e_q = eta(quotient_group(G, N)[0]).eta
+    e_q = quotient_eta(G, N)
     if e_q != e_g:
         return make_report("derived", instance,
                            [Check("vacuous (eta not preserved)", True, "skip",
@@ -673,15 +662,12 @@ def check_eitheror(G: Group, N: Group, M: Group) -> VerifyReport:
     """For a noncyclic p-group with eta(G/N) = eta(G) and N nontrivial:
     every normal M satisfies N <= M or M <= G^-; a normal maximal cyclic
     subgroup, when present, must contain N."""
-    if not is_p_group(G):
-        raise NotPGroup("check_eitheror requires a p-group")
-    if is_cyclic(G):
-        raise GroupIsCyclic("check_eitheror requires a noncyclic group")
+    _require_noncyclic_p_group(G, "check_eitheror")
     if N.order == 1:
         raise HypothesisFailed("N must be nontrivial")
     if not is_normal(G, N) or not is_normal(G, M):
         raise NotNormal("N and M must be normal")
-    if eta(quotient_group(G, N)[0]).eta != eta(G).eta:
+    if quotient_eta(G, N) != eta(G).eta:
         raise HypothesisFailed("eta(G/N) != eta(G)")
     gm = g_minus(G)
     dichotomy = N.elements <= M.elements or M.elements <= gm
@@ -711,18 +697,15 @@ def check_eitheror(G: Group, N: Group, M: Group) -> VerifyReport:
 def check_quotient_join(G: Group, N: Group, M: Group) -> VerifyReport:
     """For a noncyclic p-group, two eta-preserving normal subgroups have an
     eta-preserving join."""
-    if not is_p_group(G):
-        raise NotPGroup("check_quotient_join requires a p-group")
-    if is_cyclic(G):
-        raise GroupIsCyclic("check_quotient_join requires a noncyclic group")
+    _require_noncyclic_p_group(G, "check_quotient_join")
     e_g = eta(G).eta
     for s in (N, M):
         if not is_normal(G, s):
             raise NotNormal("N and M must be normal")
-        if eta(quotient_group(G, s)[0]).eta != e_g:
+        if quotient_eta(G, s) != e_g:
             raise HypothesisFailed("eta(G/N) = eta(G/M) = eta(G) required")
     join = subgroup_generated(G, N.elements | M.elements)
-    e_join = eta(quotient_group(G, join)[0]).eta
+    e_join = quotient_eta(G, join)
     return make_report(
         "products-join",
         f"order {G.order}, |N|={N.order}, |M|={M.order}",

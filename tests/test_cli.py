@@ -1,6 +1,10 @@
 import json
 
+import pytest
+
 from maxcyc.cli import main
+from maxcyc.corpus import PLAIN_KEYS, SELECTOR_KEYS, default_corpus_text, parse_corpus
+from maxcyc.errors import CorpusError
 
 
 def run(capsys, *argv):
@@ -162,9 +166,62 @@ def test_verify_corpus_env_var(tmp_path, capsys, monkeypatch):
     assert len(out.strip().splitlines()) == 1
 
 
-def test_verify_jobs_matches_serial(capsys):
-    _, serial, _ = run(capsys, "verify", "--suite", "values", "--suite", "gk-graph",
-                       "--format", "json")
-    _, parallel, _ = run(capsys, "verify", "--suite", "values", "--suite", "gk-graph",
-                         "--format", "json", "--jobs", "2")
-    assert serial == parallel
+SMALL_CORPUS = """\
+C(2) x C(3) ; eta=1
+D(30) ; eta=2 ; quot_eta[5,0]=2 ; quot_union[5,0]=0 ; join_eta[3,0,5,0]=1
+EA(3,2) ; eta=4 ; classify=p:3 ; x_order=1
+AGL1(7,3) ; eta=2 ; frobenius=7:eq
+"""
+
+
+def test_verify_jobs_matches_serial(tmp_path, capsys):
+    good = tmp_path / "good.corpus"
+    good.write_text(SMALL_CORPUS, encoding="utf-8")
+    failing = tmp_path / "failing.corpus"
+    failing.write_text(SMALL_CORPUS.replace("eta=4", "eta=5"), encoding="utf-8")
+    cases = [
+        (["--suite", "values", "--suite", "gk-graph", "--format", "json"], 0),
+        (["--corpus", str(good)], 0),
+        (["--corpus", str(failing)], 1),
+    ]
+    for args, want in cases:
+        code, serial, _ = run(capsys, "verify", *args)
+        assert code == want
+        assert run(capsys, "verify", *args, "--jobs", "2")[:2] == (code, serial)
+    assert "FAIL values EA(3,2)" in serial
+
+
+def test_verify_unresolvable_selector_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "selector.corpus"
+    for record in ("D(30) ; quot_eta[7,0]=2", "D(30) ; quot_union[30,0]=1"):
+        corpus.write_text(record + "\n", encoding="utf-8")
+        for jobs in ("1", "2"):
+            code, _, err = run(capsys, "verify", "--corpus", str(corpus),
+                               "--suite", "quot", "--jobs", jobs)
+            assert code == 2
+            assert err.startswith("maxcyc: error: ")
+
+
+@pytest.mark.parametrize("record", [
+    "C(6) ; etaa=3",
+    "C(6) ; quot_eat[3,0]=9",
+    "C(6) ; eta[1]=1",
+    "C(6) ; quot_eta=1",
+    "C(6) ; join_eta[3,0]=1",
+    "C(6) ; quot_eta[3,,0]=1",
+])
+def test_unknown_corpus_key_is_rejected(tmp_path, capsys, record):
+    with pytest.raises(CorpusError, match="line 2: unknown key"):
+        parse_corpus("C(2) ; eta=1\n" + record + "\n")
+    corpus = tmp_path / "keys.corpus"
+    corpus.write_text("C(2) ; eta=1\n" + record + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus))
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err
+
+
+def test_bundled_corpus_uses_exactly_the_key_vocabulary():
+    entries = parse_corpus(default_corpus_text())
+    used = {key.partition("[")[0] for e in entries for key in e.expect}
+    assert used == PLAIN_KEYS | SELECTOR_KEYS.keys()

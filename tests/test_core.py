@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 
 from maxcyc import (
     CapExceeded,
+    Group,
     NotNormal,
     NotSubgroup,
     Permutation,
@@ -9,10 +12,12 @@ from maxcyc import (
     conjugacy_classes,
     derived_subgroup,
     enumerate_elements,
+    eta,
     is_normal,
     is_simple_nonabelian_60,
     normal_closure,
     normal_subgroups,
+    perm_order,
     quotient_group,
     realize_text,
     subgroup_generated,
@@ -92,8 +97,8 @@ def test_subgroup_generated():
     s3 = realize_text("S(3)")
     triv = subgroup_generated(s3, [s3.identity])
     assert triv.order == 1
-    three = next(x for x in s3 if x.order() == 3)
-    two = next(x for x in s3 if x.order() == 2)
+    three = next(x for x in s3 if perm_order(x) == 3)
+    two = next(x for x in s3 if perm_order(x) == 2)
     assert subgroup_generated(s3, [three]).order == 3
     assert subgroup_generated(s3, [three, two]).order == 6
     with pytest.raises(ValueError):
@@ -102,10 +107,10 @@ def test_subgroup_generated():
 
 def test_is_normal():
     d30 = realize_text("D(30)")
-    c15 = subgroup_generated(d30, [next(x for x in d30 if x.order() == 15)])
+    c15 = subgroup_generated(d30, [next(x for x in d30 if perm_order(x) == 15)])
     assert is_normal(d30, c15)
     s3 = realize_text("S(3)")
-    c2 = subgroup_generated(s3, [next(x for x in s3 if x.order() == 2)])
+    c2 = subgroup_generated(s3, [next(x for x in s3 if perm_order(x) == 2)])
     assert not is_normal(s3, c2)
     assert is_normal(s3, subgroup_generated(s3, [s3.identity]))
     with pytest.raises(NotSubgroup):
@@ -114,11 +119,11 @@ def test_is_normal():
 
 def test_normal_closure():
     s3 = realize_text("S(3)")
-    three = next(x for x in s3 if x.order() == 3)
+    three = next(x for x in s3 if perm_order(x) == 3)
     assert normal_closure(s3, [three]).order == 3
     assert normal_closure(s3, [s3.identity]).order == 1
     d30 = realize_text("D(30)")
-    refl = next(x for x in d30 if x.order() == 2)
+    refl = next(x for x in d30 if perm_order(x) == 2)
     assert normal_closure(d30, [refl]).order == 30
 
 
@@ -141,7 +146,7 @@ def test_quotient_basics():
     assert full.order == d30.order
 
     s3 = realize_text("S(3)")
-    c2 = subgroup_generated(s3, [next(x for x in s3 if x.order() == 2)])
+    c2 = subgroup_generated(s3, [next(x for x in s3 if perm_order(x) == 2)])
     with pytest.raises(NotNormal):
         quotient_group(s3, c2)
 
@@ -167,7 +172,7 @@ def test_quotient_by_trivial_preserves_order_and_eta():
 
 def test_closures_contain_their_seeds():
     G = realize_text("S(4)")
-    seeds = [list(G.element_list)[5:8], [next(x for x in G if x.order() == 4)]]
+    seeds = [list(G.element_list)[5:8], [next(x for x in G if perm_order(x) == 4)]]
     for seed in seeds:
         H = subgroup_generated(G, seed)
         assert set(seed) <= H.elements
@@ -248,3 +253,21 @@ def test_structure_predicates():
     assert not is_solvable(realize_text("A(5)"))
     assert exponent(realize_text("Heis(3)")) == 3
     assert exponent(realize_text("S(3)")) == 6
+
+
+def _derive_all(spec: str) -> frozenset:
+    """Fill a fresh group's derived data; return its element set only."""
+    G = realize_text(spec)
+    eta(G)
+    for N in normal_subgroups(G):
+        quotient_group(G, N)
+    return G.elements
+
+
+def test_derived_data_is_freed_with_its_group():
+    elements = _derive_all("Perm(9; (0 1 2 3 4 5 6 7 8))")
+    gc.collect()
+    assert not [
+        obj for obj in gc.get_objects()
+        if isinstance(obj, Group) and obj.elements == elements
+    ]

@@ -12,6 +12,7 @@ from maxcyc import (
     eta_star,
     named_normal,
     normal_subgroups,
+    perm_order,
     quotient_group,
     realize_text,
     subgroup_generated,
@@ -94,7 +95,7 @@ def test_quot_requires_proper_normal():
     d30 = realize_text("D(30)")
     with pytest.raises(NotNormal):
         check_quot_conditions(d30, subgroup_generated(d30, [
-            next(x for x in d30 if x.order() == 2)
+            next(x for x in d30 if perm_order(x) == 2)
         ]))
 
 
