@@ -290,41 +290,86 @@ def derived_subgroup(G: Group) -> Group:
     return normal_closure(G, comms)
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @memo
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
     """Every normal subgroup of G, sorted by order then canonical key.
 
-    A normal subgroup is exactly a join of the subgroups generated by the
-    conjugacy classes it contains, so the list is the join-closure of those
-    class closures together with the trivial subgroup.
+    A normal subgroup is a union of conjugacy classes, and exactly a join of
+    the class atoms <C_a> it contains.  The lattice is therefore built on
+    bitmasks of class indices: closing a mask S under S <- S | S*C_a turns
+    a normal N into N<C_a>, and the set of classes met by C_i*C_a is read
+    off one representative times the smaller class, computed once per pair.
+    Each normal subgroup is materialized as a Group only at the end.
     """
     part = conjugacy_classes(G)
-    atom_sets: dict[frozenset[Permutation], None] = {}
-    for cls in part.classes:
-        closed = frozenset(_close(G.degree, sorted(cls), G.order)[1])
-        atom_sets.setdefault(closed, None)
-    atoms = [(s, tuple(_reduced_generators(G.degree, s))) for s in atom_sets]
+    classes, index_of = part.classes, part.index_of
+    reps = [min(c) for c in classes]
+    rows: dict[int, dict[int, int]] = {}
 
-    trivial = frozenset([G.identity])
-    known: dict[frozenset[Permutation], tuple[Permutation, ...]] = {trivial: ()}
-    for s, gens in atoms:
-        known.setdefault(s, gens)
-    work = list(known.items())
+    def product(i: int, a: int) -> int:
+        """Bitmask of the classes that C_i * C_a meets."""
+        ci, ca = classes[i], classes[a]
+        if len(ci) <= len(ca):
+            met = {index_of[x * reps[a]] for x in ci}
+        else:
+            met = {index_of[reps[i] * y] for y in ca}
+        return sum(1 << j for j in met)
+
+    def close(mask: int, a: int) -> int:
+        """Closure of the class set `mask` under right multiplication by C_a."""
+        row = rows.setdefault(a, {})
+        frontier = mask
+        while frontier:
+            met = 0
+            for i in _bits(frontier):
+                if i not in row:
+                    row[i] = product(i, a)
+                met |= row[i]
+            frontier = met & ~mask
+            mask |= frontier
+        return mask
+
+    # One atom per class, skipping classes of generating powers of an earlier
+    # representative: they generate the same normal subgroup.
+    atoms: dict[int, int] = {}
+    covered = {0}
+    for a, r in enumerate(reps):
+        if a in covered:
+            continue
+        n = perm_order(r)
+        x = r
+        for m in range(1, n):
+            if math.gcd(m, n) == 1:
+                covered.add(index_of[x])
+            x = x * r
+        atoms.setdefault(close(1, a), a)
+
+    known = {1, *atoms}
+    work = list(known)
     while work:
-        s, sgens = work.pop()
-        for a, agens in atoms:
-            if a <= s:
+        s = work.pop()
+        for amask, a in atoms.items():
+            if amask & ~s == 0:
                 continue
-            joined = frozenset(_close(G.degree, list(sgens) + list(agens), G.order)[1])
+            joined = close(s, a)
             if joined not in known:
-                jgens = tuple(_reduced_generators(G.degree, joined))
-                known[joined] = jgens
-                work.append((joined, jgens))
+                known.add(joined)
+                work.append(joined)
 
     groups = []
-    for s, gens in known.items():
-        ordered, _ = _close(G.degree, list(gens), G.order)
-        groups.append(Group(G.degree, gens, s, tuple(ordered)))
+    for mask in known:
+        elements = frozenset().union(*(classes[i] for i in _bits(mask)))
+        gens = tuple(_reduced_generators(G.degree, elements))
+        ordered, _ = _close(G.degree, gens, G.order)
+        groups.append(Group(G.degree, gens, elements, tuple(ordered)))
     groups.sort(key=lambda H: (H.order, H.key()))
     return tuple(groups)
 

@@ -499,10 +499,16 @@ SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
 
 
 def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyReport | None]:
-    """Realize one corpus record once and run every named suite on it."""
+    """Realize one corpus record once and run every named suite on it.
+
+    An error from either step is re-raised naming the record's line.
+    """
     suite_names, entry, order_cap, degree_cap = task
-    inst = realize_entry(entry, order_cap, degree_cap)
-    return [SUITES[name](inst) for name in suite_names]
+    try:
+        inst = realize_entry(entry, order_cap, degree_cap)
+        return [SUITES[name](inst) for name in suite_names]
+    except MaxcycError as exc:
+        raise CorpusError(entry.line_no, str(exc)) from exc
 
 
 def run_suites(

@@ -207,10 +207,16 @@ class EtaReport:
 
 
 @memo
+def maximal_cyclic_classes(G: Group) -> SubgroupClassSet:
+    """Conjugacy classes of the maximal cyclic subgroups of G."""
+    return conjugacy_classes_of_subgroups(G, maximal_cyclic_subgroups(G))
+
+
+@memo
 def eta(G: Group) -> EtaReport:
     """Count conjugacy classes of maximal cyclic subgroups (and of all
     cyclic subgroups, as l_value)."""
-    max_classes = conjugacy_classes_of_subgroups(G, maximal_cyclic_subgroups(G))
+    max_classes = maximal_cyclic_classes(G)
     all_classes = conjugacy_classes_of_subgroups(G, cyclic_subgroups(G))
     reps = tuple(
         (cls[0].order, len(cls)) for cls in max_classes.classes
@@ -243,15 +249,14 @@ def eta_p(K: Group, p: int) -> int:
     """Classes of maximal cyclic subgroups of K whose order p divides."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    classes = conjugacy_classes_of_subgroups(K, maximal_cyclic_subgroups(K))
-    return sum(1 for rep in classes.representatives if rep.order % p == 0)
+    return sum(1 for rep in maximal_cyclic_classes(K).representatives if rep.order % p == 0)
 
 
 def eta_star(G: Group, N: Group) -> int:
     """G-orbits on the N-conjugacy classes of maximal cyclic subgroups of N."""
     if not is_normal(G, N):
         raise NotNormal("eta_star requires N normal in G")
-    n_classes = conjugacy_classes_of_subgroups(N, maximal_cyclic_subgroups(N))
+    n_classes = maximal_cyclic_classes(N)
     class_of: dict[frozenset[Permutation], int] = {}
     for i, cls in enumerate(n_classes.classes):
         for s in cls:

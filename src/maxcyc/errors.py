@@ -75,10 +75,17 @@ class ParseError(MaxcycError):
             f"parse error at index {position}: expected {' | '.join(self.expected)}{what}"
         )
 
+    def __reduce__(self):
+        return type(self), (self.position, self.expected, self.found)
+
 
 class CorpusError(MaxcycError):
     """A corpus file is malformed.  Carries the offending line number."""
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
+        self.message = message
         super().__init__(f"corpus line {line_no}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line_no, self.message)

@@ -2,8 +2,8 @@
 
 The subgroup oracle enumerates *every* subgroup by repeatedly extending
 known subgroups with cyclic subgroups over an integer multiplication
-table; it shares no code with the production join-closure algorithm in
-maxcyc.core.normal_subgroups.
+table; it shares no code with maxcyc.core.normal_subgroups, which builds
+the normal-subgroup lattice from conjugacy-class products.
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 import json
+import pickle
 
 import pytest
 
 from maxcyc.cli import main
 from maxcyc.corpus import PLAIN_KEYS, SELECTOR_KEYS, default_corpus_text, parse_corpus
-from maxcyc.errors import CorpusError
+from maxcyc.errors import CorpusError, ParseError
 
 
 def run(capsys, *argv):
@@ -200,6 +201,66 @@ def test_verify_unresolvable_selector_exits_2(tmp_path, capsys):
                                "--suite", "quot", "--jobs", jobs)
             assert code == 2
             assert err.startswith("maxcyc: error: ")
+
+
+def test_errors_survive_pickling():
+    for exc in (CorpusError(3, "bad record"), ParseError(4, ("'('", "int"), "x")):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert str(back) == str(exc)
+        assert vars(back) == vars(exc)
+
+
+@pytest.mark.parametrize("record", ["D(30) ; quot_eta[7,0]=2", "C(100000)"])
+def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
+    corpus = tmp_path / "late.corpus"
+    corpus.write_text("C(2) ; eta=1\n" + record + "\n", encoding="utf-8")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("maxcyc: error: corpus line 2: ")
+
+
+EXIT_CODE_CORPORA = {
+    "good": "C(6) ; eta=1\n",
+    "failing": "C(6) ; eta=3\n",
+    "selector": "D(30) ; quot_eta[7,0]=2\n",
+}
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["eta", "C(12)"], 0),
+    (["normals", "D(30)", "--format", "json"], 0),
+    (["verify", "--corpus", "{good}"], 0),
+    (["verify", "--corpus", "{failing}"], 1),
+    (["verify", "--corpus", "{failing}", "--jobs", "2"], 1),
+    (["eta"], 2),
+    (["frobnicate", "C(6)"], 2),
+    (["verify", "--jobs", "0"], 2),
+    (["eta", "C(6"], 2),
+    (["verify", "--corpus", "{missing}"], 2),
+    (["eta", "S(4)", "--order-cap", "10"], 2),
+    (["eta", "C(200)", "--degree-cap", "100"], 2),
+    (["quot", "D(30)", "--order", "7"], 2),
+    (["verify", "--corpus", "{selector}"], 2),
+])
+def test_exit_code_table(tmp_path, capsys, argv, want):
+    paths = {name: tmp_path / f"{name}.corpus" for name in (*EXIT_CODE_CORPORA, "missing")}
+    for name, text in EXIT_CODE_CORPORA.items():
+        paths[name].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+
+    def attempt():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    first = attempt()
+    assert first[0] == want
+    assert attempt() == first
 
 
 @pytest.mark.parametrize("record", [

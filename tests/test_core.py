@@ -211,6 +211,13 @@ def test_normal_subgroups_expected_orders(text, orders):
     assert [N.order for N in normal_subgroups(G)] == orders
 
 
+@pytest.mark.parametrize(
+    "text, count", [("EA(2,4) x C(4)", 681), ("A(7)", 2), ("S(7)", 3)]
+)
+def test_normal_subgroup_counts(text, count):
+    assert len(normal_subgroups(realize_text(text))) == count
+
+
 @pytest.mark.parametrize("text", ["S(3)", "D(30)", "EA(3,2)", "Q(8)", "S(4)", "Dic12"])
 def test_normal_subgroups_match_exhaustive_oracle(text):
     G = realize_text(text)

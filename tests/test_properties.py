@@ -19,7 +19,9 @@ from maxcyc import (
     quotient_group,
     render,
 )
-from maxcyc.core import is_p_group
+from maxcyc.core import _reduced_generators, is_p_group
+
+from oracles import normal_subgroup_element_sets
 
 
 def perms(degree):
@@ -103,6 +105,16 @@ def test_quotient_eta_monotone_and_star_bound(G):
     for N in normal_subgroups(G):
         assert eta(quotient_group(G, N)[0]).eta <= e_g
         assert eta_star(G, N) <= e_g
+
+
+@given(small_groups())
+@group_settings
+def test_normal_subgroups_match_oracle(G):
+    assume(G.order <= 120)
+    normals = normal_subgroups(G)
+    assert {N.elements for N in normals} == normal_subgroup_element_sets(G)
+    for N in normals:
+        assert N.generators == tuple(_reduced_generators(G.degree, N.elements))
 
 
 @given(small_groups())
