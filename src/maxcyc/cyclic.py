@@ -5,11 +5,19 @@ subgroups, and the counting invariants eta, eta_p, eta_star and l, plus
 the element sets G^- (non-generators of maximal cyclic subgroups) and
 G^{p} (p-th powers).
 
-Maximality is computed twice, by independent routes: a set-containment
-scan over all cyclic subgroups, and the prime-power characterization
-``G^- = {g**q : q prime, q | order(g)}``.  The two must agree; any
-disagreement raises InternalCheckError immediately, so the identity is a
-permanent self-test rather than an assumption.
+All of it reads one index per group (:func:`_cyclic_index`): every cyclic
+subgroup, built once from a power list, and the map from each element to
+the subgroup it generates.  The conjugacy-class walks look each conjugate
+up in that map.
+
+Maximality is computed twice, by independent routes: a containment scan
+that asks, for each cyclic subgroup, whether its generator lies in a
+larger one, and the prime-power characterization
+``G^- = {g**q : q prime, q | order(g)}``, which takes orders from cycle
+lengths and powers from permutation arithmetic and never reads the index.
+The two must agree on every call; any disagreement raises
+InternalCheckError immediately, so the identity is a permanent self-test
+rather than an assumption.
 """
 
 from __future__ import annotations
@@ -54,35 +62,35 @@ class CyclicSubgroup:
         return f"<cyclic order={self.order} gen={self.canonical_generator.cycle_string()}>"
 
 
-def cyclic_subgroup(g: Permutation) -> CyclicSubgroup:
-    """The subgroup generated by one permutation."""
-    n = perm_order(g)
-    powers = [Permutation.identity(g.degree)]
-    x = g
-    while not x.is_identity():
-        powers.append(x)
-        x = x * g
-    gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1] or [powers[0]]
-    return CyclicSubgroup(frozenset(powers), n, min(gens))
-
-
 @memo
 def _cyclic_index(G: Group) -> tuple[
     dict[frozenset[Permutation], CyclicSubgroup],
-    dict[Permutation, frozenset[Permutation]],
+    dict[Permutation, CyclicSubgroup],
 ]:
-    """All cyclic subgroups of G, plus the map from element to <element>."""
+    """All cyclic subgroups of G, plus the map from element to <element>.
+
+    Each subgroup is built from the power list of the first element met
+    that generates no subgroup seen so far; its generators are the powers
+    g**k with gcd(k, n) = 1.
+    """
+    ident = G.identity
     subs: dict[frozenset[Permutation], CyclicSubgroup] = {}
-    elem_key: dict[Permutation, frozenset[Permutation]] = {}
+    sub_of: dict[Permutation, CyclicSubgroup] = {}
     for g in G.element_list:
-        if g in elem_key:
+        if g in sub_of:
             continue
-        cs = cyclic_subgroup(g)
-        subs.setdefault(cs.elements, cs)
-        for x in cs.elements:
-            if perm_order(x) == cs.order:
-                elem_key[x] = cs.elements
-    return subs, elem_key
+        powers = [ident]
+        x = g
+        while x != ident:
+            powers.append(x)
+            x = x * g
+        n = len(powers)
+        gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1]
+        cs = CyclicSubgroup(frozenset(powers), n, min(gens))
+        subs[cs.elements] = cs
+        for x in gens:
+            sub_of[x] = cs
+    return subs, sub_of
 
 
 def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
@@ -105,25 +113,23 @@ def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
 def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     """The inclusion-maximal cyclic subgroups of G.
 
-    Computed by a strict-containment scan with an order-divisibility
-    pre-filter, then cross-checked against the complement of
-    :func:`g_minus_via_powers` (an element generates a maximal cyclic
-    subgroup exactly when it is not a proper prime-index power).
+    Computed by a containment scan: a cyclic s lies in t exactly when its
+    generator does, so s is maximal when no cyclic subgroup containing
+    ``s.canonical_generator`` is larger than s.  The result is then
+    cross-checked against the complement of :func:`g_minus_via_powers` (an
+    element generates a maximal cyclic subgroup exactly when it is not a
+    proper prime-index power).
     """
-    subs, elem_key = _cyclic_index(G)
-    all_subs = list(subs.values())
-    maximal = [
-        s
-        for s in all_subs
-        if not any(
-            t.order > s.order and t.order % s.order == 0 and s.elements < t.elements
-            for t in all_subs
-        )
-    ]
+    subs, sub_of = _cyclic_index(G)
+    largest: dict[Permutation, int] = {}
+    for t in subs.values():
+        for x in t.elements:
+            if largest.get(x, 0) < t.order:
+                largest[x] = t.order
+    maximal = [s for s in subs.values() if largest[s.canonical_generator] == s.order]
     scan_keys = {s.elements for s in maximal}
-    pow_keys = {
-        elem_key[g] for g in G.element_list if g not in g_minus_via_powers(G)
-    }
+    minus = g_minus_via_powers(G)
+    pow_keys = {sub_of[g].elements for g in G.element_list if g not in minus}
     if scan_keys != pow_keys:
         raise InternalCheckError(
             "maximal-cyclic routes disagree: containment scan found "
@@ -139,9 +145,9 @@ def g_minus(G: Group) -> frozenset[Permutation]:
     In a nontrivial group the identity always belongs here; in the trivial
     group the trivial subgroup counts as maximal cyclic, so the set is empty.
     """
-    _, elem_key = _cyclic_index(G)
+    _, sub_of = _cyclic_index(G)
     max_keys = {s.elements for s in maximal_cyclic_subgroups(G)}
-    return frozenset(g for g in G.element_list if elem_key[g] not in max_keys)
+    return frozenset(g for g in G.element_list if sub_of[g].elements not in max_keys)
 
 
 def g_power_set(G: Group, p: int) -> frozenset[Permutation]:
@@ -166,8 +172,10 @@ def conjugacy_classes_of_subgroups(
 
     The orbit walk runs over canonical element-set keys and may pass
     through subgroups outside `subs`; each class is the orbit intersected
-    with the input set.
+    with the input set.  The subgroup of each conjugate is looked up in the
+    cyclic index of G.
     """
+    _, sub_of = _cyclic_index(G)
     pool = {s.elements: s for s in subs}
     for s in pool.values():
         if not s.elements <= G.elements:
@@ -182,7 +190,7 @@ def conjugacy_classes_of_subgroups(
         while stack:
             gen = stack.pop()
             for g in G.generators:
-                image = cyclic_subgroup(gen.conjugate_by(g))
+                image = sub_of[gen.conjugate_by(g)]
                 if image.elements not in orbit:
                     orbit.add(image.elements)
                     stack.append(image.canonical_generator)
@@ -257,6 +265,7 @@ def eta_star(G: Group, N: Group) -> int:
     if not is_normal(G, N):
         raise NotNormal("eta_star requires N normal in G")
     n_classes = maximal_cyclic_classes(N)
+    _, sub_of = _cyclic_index(N)
     class_of: dict[frozenset[Permutation], int] = {}
     for i, cls in enumerate(n_classes.classes):
         for s in cls:
@@ -272,8 +281,8 @@ def eta_star(G: Group, N: Group) -> int:
         while stack:
             gen = stack.pop()
             for g in G.generators:
-                image = cyclic_subgroup(gen.conjugate_by(g))
-                j = class_of.get(image.elements)
+                image = sub_of.get(gen.conjugate_by(g))
+                j = None if image is None else class_of.get(image.elements)
                 if j is None:
                     raise InternalCheckError(
                         "conjugate of an N-maximal cyclic subgroup left N"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 
@@ -67,6 +68,9 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         a, b = self.images, other.images
+        if len(b) > 1:
+            return Permutation._unchecked(itemgetter(*b)(a))
+        # itemgetter with one key returns a bare item, not a tuple
         return Permutation._unchecked(tuple(a[v] for v in b))
 
     def inverse(self) -> "Permutation":
@@ -79,14 +83,17 @@ class Permutation:
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
             return self.inverse() ** (-n)
-        result = Permutation.identity(self.degree)
+        if n == 0:
+            return Permutation.identity(self.degree)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def conjugate_by(self, g: "Permutation") -> "Permutation":
         """g * self * g^-1, computed in one pass."""

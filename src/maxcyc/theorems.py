@@ -208,11 +208,11 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         witnesses["cond_b"] = tuple(str(i) for i in sorted(diff)[:3])
 
     class_index = conjugacy_classes(G).index_of
-    _, elem_key = _cyclic_index(G)
+    _, sub_of = _cyclic_index(G)
     gen_classes: dict[frozenset, frozenset[int]] = {}
 
     def generator_classes_of(x: Permutation) -> frozenset[int]:
-        key = elem_key[x]
+        key = sub_of[x].elements
         got = gen_classes.get(key)
         if got is None:
             n = len(key)

@@ -3,7 +3,8 @@
 The subgroup oracle enumerates *every* subgroup by repeatedly extending
 known subgroups with cyclic subgroups over an integer multiplication
 table; it shares no code with maxcyc.core.normal_subgroups, which builds
-the normal-subgroup lattice from conjugacy-class products.
+the normal-subgroup lattice from conjugacy-class products.  The eta
+oracle likewise shares no code with maxcyc.cyclic.
 """
 
 from __future__ import annotations
@@ -63,3 +64,54 @@ def normal_subgroup_element_sets(G: Group) -> set[frozenset]:
         ):
             out.add(members)
     return out
+
+
+def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, set[frozenset]]:
+    """Brute-force (eta, class_reps, l_value, gminus_size, maximal element
+    sets), sharing no code with maxcyc.cyclic.
+
+    Works on the integer multiplication table: the cyclic subgroup of every
+    element is its power orbit, maximality is containment in no larger
+    one, and two subgroups are conjugate when some element of G (not only
+    a generator) maps one onto the other.  Classes are listed in the order
+    of their smallest (order, sorted image tuples) member, as in eta.
+    """
+    elems = sorted(G.element_list)
+    assert elems[0].is_identity()
+    index = {e: i for i, e in enumerate(elems)}
+    mult = [[index[a * b] for b in elems] for a in elems]
+    inv = [row.index(0) for row in mult]
+
+    def power_orbit(i: int) -> frozenset[int]:
+        found = [0]
+        x = i
+        while x != 0:
+            found.append(x)
+            x = mult[x][i]
+        return frozenset(found)
+
+    cyclic_of = [power_orbit(i) for i in range(len(elems))]
+    subgroups = set(cyclic_of)
+    maximal = {s for s in subgroups if not any(s < t for t in subgroups)}
+
+    def conjugate(s: frozenset[int], g: int) -> frozenset[int]:
+        return frozenset(mult[mult[g][x]][inv[g]] for x in s)
+
+    def sort_key(s: frozenset[int]) -> tuple:
+        return (len(s), tuple(sorted(elems[i].images for i in s)))
+
+    def classes(subs: set[frozenset[int]]) -> list[list[frozenset[int]]]:
+        out = []
+        left = set(subs)
+        while left:
+            s = min(left, key=sort_key)
+            orbit = {conjugate(s, g) for g in range(len(elems))}
+            out.append(sorted(orbit, key=sort_key))
+            left -= orbit
+        return out
+
+    max_classes = classes(maximal)
+    class_reps = tuple((len(cls[0]), len(cls)) for cls in max_classes)
+    gminus_size = sum(1 for s in cyclic_of if s not in maximal)
+    maximal_sets = {frozenset(elems[i] for i in s) for s in maximal}
+    return len(max_classes), class_reps, len(classes(subgroups)), gminus_size, maximal_sets

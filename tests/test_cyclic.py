@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
 
+import maxcyc.cyclic
 from maxcyc import (
+    InternalCheckError,
     NotNormal,
     conjugacy_classes_of_subgroups,
     cyclic_subgroups,
@@ -193,3 +197,30 @@ def test_eta_star_counts_fused_classes():
     n_classes = conjugacy_classes_of_subgroups(N, maximal_cyclic_subgroups(N))
     assert len(n_classes.classes) == 4
     assert eta_star(sg, N) == 2
+
+
+def test_maximality_cross_check_fires(monkeypatch):
+    real = maxcyc.cyclic.g_minus_via_powers
+    monkeypatch.setattr(
+        maxcyc.cyclic, "g_minus_via_powers", lambda G: real(G) - {G.identity}
+    )
+    with pytest.raises(InternalCheckError):
+        maximal_cyclic_subgroups(realize_text("S(3)"))
+
+
+# (eta, l, |G^-|, {(subgroup order, class size): number of classes}),
+# as recorded in bench/references.json.
+CAP_SCALE = {
+    "S(7)": (
+        6, 15, 1506,
+        {(4, 315): 1, (6, 210): 1, (6, 420): 1, (7, 120): 1, (10, 126): 1, (12, 105): 1},
+    ),
+    "W(5)": (161, 163, 5, {(5, 5): 156, (5, 625): 1, (25, 125): 4}),
+    "AGL1(127,126)": (2, 13, 11304, {(126, 127): 1, (127, 1): 1}),
+}
+
+
+@pytest.mark.parametrize("text", sorted(CAP_SCALE))
+def test_eta_at_cap_scale(text):
+    rep = eta(realize_text(text))
+    assert (rep.eta, rep.l_value, rep.gminus_size, Counter(rep.class_reps)) == CAP_SCALE[text]

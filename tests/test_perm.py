@@ -69,3 +69,45 @@ def test_identity_is_lexicographic_minimum():
 
     perms = [Permutation(p) for p in itertools.permutations(range(4))]
     assert min(perms) == Permutation.identity(4)
+
+
+def _compose(a, b):
+    """Reference product in function notation: i -> a(b(i))."""
+    return tuple(a[b[i]] for i in range(len(b)))
+
+
+def _power(a, n):
+    """Reference power: walk each point's cycle n steps (mod its length)."""
+    out = []
+    for i in range(len(a)):
+        cycle = [i]
+        while a[cycle[-1]] != i:
+            cycle.append(a[cycle[-1]])
+        out.append(cycle[n % len(cycle)])
+    return tuple(out)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 7, 127])
+def test_kernels_match_reference_composition(degree):
+    import random
+
+    rng = random.Random(degree)
+    perms = [Permutation.identity(degree)]
+    for _ in range(4):
+        imgs = list(range(degree))
+        rng.shuffle(imgs)
+        perms.append(Permutation(imgs))
+    for a in perms:
+        n = perm_order(a)
+        for b in perms:
+            for got, want in (
+                (a * b, _compose(a.images, b.images)),
+                (b.conjugate_by(a), _compose(_compose(a.images, b.images), _power(a.images, -1))),
+            ):
+                assert type(got.images) is tuple
+                assert got.images == want
+                assert got == Permutation(want) and hash(got) == hash(Permutation(want))
+        for k in (0, 1, 2, 3, -1, -2, -3, n, n + 1, -n - 1, 2 * n + 3, 1000):
+            got = a ** k
+            assert type(got.images) is tuple
+            assert got.images == _power(a.images, k)

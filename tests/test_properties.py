@@ -21,7 +21,7 @@ from maxcyc import (
 )
 from maxcyc.core import _reduced_generators, is_p_group
 
-from oracles import normal_subgroup_element_sets
+from oracles import eta_oracle, normal_subgroup_element_sets
 
 
 def perms(degree):
@@ -115,6 +115,17 @@ def test_normal_subgroups_match_oracle(G):
     assert {N.elements for N in normals} == normal_subgroup_element_sets(G)
     for N in normals:
         assert N.generators == tuple(_reduced_generators(G.degree, N.elements))
+
+
+@given(small_groups())
+@group_settings
+def test_eta_matches_oracle(G):
+    eta_value, class_reps, l_value, gminus_size, maximal_sets = eta_oracle(G)
+    rep = eta(G)
+    assert (rep.eta, rep.class_reps, rep.l_value, rep.gminus_size) == (
+        eta_value, class_reps, l_value, gminus_size
+    )
+    assert {s.elements for s in maximal_cyclic_subgroups(G)} == maximal_sets
 
 
 @given(small_groups())
