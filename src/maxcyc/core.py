@@ -9,9 +9,9 @@ in the group it describes and never changes observable results.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import wraps
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
@@ -91,17 +91,18 @@ def _close(
     """Breadth-first closure of the seed under composition.
 
     Returns (discovery-ordered list, element set).  Raises CapExceeded as
-    soon as the closure is known to be larger than order_cap.
+    soon as the closure is known to be larger than order_cap.  The closure
+    runs on image tuples, x*g being ``itemgetter(*g.images)(x.images)``;
+    each element becomes a Permutation once.
     """
-    ident = Permutation.identity(degree)
+    ident = tuple(range(degree))
     found = {ident}
     ordered = [ident]
-    gens = [g for g in seed if not g.is_identity()]
-    queue = deque([ident])
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = x * g
+    # a non-identity g moves two points or more, so its getter returns tuples
+    movers = [itemgetter(*g.images) for g in seed if not g.is_identity()]
+    for x in ordered:  # the list grows while it is read: breadth-first order
+        for move in movers:
+            y = move(x)
             if y not in found:
                 if len(found) >= order_cap:
                     raise CapExceeded(
@@ -109,8 +110,8 @@ def _close(
                     )
                 found.add(y)
                 ordered.append(y)
-                queue.append(y)
-    return ordered, found
+    perms = [Permutation._unchecked(y) for y in ordered]
+    return perms, set(perms)
 
 
 def enumerate_elements(
@@ -134,27 +135,53 @@ def enumerate_elements(
 
 
 def _reduced_generators(degree: int, elements: Iterable[Permutation]) -> list[Permutation]:
-    """Greedy small generating set, deterministic under the element order."""
-    target = set(elements)
+    """Greedy small generating set, deterministic under the element order.
+
+    The closure grows incrementally, on image tuples: a new generator x
+    multiplies only the elements already reached, and only the elements
+    that adds are closed under all generators.  Raises ValueError when the
+    closure leaves the element set.
+    """
+    target = {p.images: p for p in elements}
     gens: list[Permutation] = []
-    have: set[Permutation] = {Permutation.identity(degree)}
+    movers: list[Callable] = []
+    have = {tuple(range(degree))}
+    reached = list(have)
     for x in sorted(target):
-        if x not in have:
-            gens.append(x)
-            have = _close(degree, gens, len(target))[1]
-            if len(have) == len(target):
-                break
+        if x in have:
+            continue
+        gens.append(target[x])
+        movers.append(itemgetter(*x))  # x is not the identity, which is in have
+        fresh = [y for h in reached if (y := movers[-1](h)) not in have]
+        have.update(fresh)
+        for z in fresh:  # the list grows while it is read: breadth-first order
+            if z not in target:
+                raise ValueError("element set is not closed under composition")
+            for move in movers:
+                if (y := move(z)) not in have:
+                    have.add(y)
+                    fresh.append(y)
+        reached += fresh
+        if len(have) == len(target):
+            break
     return gens
 
 
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
-    """Wrap an already-closed element set as a Group with small generators."""
-    els = frozenset(elements)
-    gens = _reduced_generators(degree, els)
-    ordered, found = _close(degree, gens, len(els))
-    if len(found) != len(els):
+    """Wrap an already-closed element set as a Group with small generators.
+
+    The Group lists the given element objects, not the copies that
+    :func:`_close` makes: the normal subgroups of a large lattice hold
+    millions of elements between them.
+    """
+    own = {p.images: p for p in elements}
+    gens = _reduced_generators(degree, own.values())
+    ordered, _ = _close(degree, gens, len(own))
+    if len(ordered) != len(own):
         raise ValueError("element set is not closed under composition")
-    return Group(degree, tuple(gens), frozenset(found), tuple(ordered))
+    return Group(
+        degree, tuple(gens), frozenset(own.values()), tuple(own[p.images] for p in ordered)
+    )
 
 
 def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
@@ -307,7 +334,17 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     bitmasks of class indices: closing a mask S under S <- S | S*C_a turns
     a normal N into N<C_a>, and the set of classes met by C_i*C_a is read
     off one representative times the smaller class, computed once per pair.
-    Each normal subgroup is materialized as a Group only at the end.
+
+    The normals are the closed sets of atoms, enumerated once each by Fast
+    Close-by-One (Outrata and Vychodil, 2012).  Atom j stands for its first
+    class a_j, and a normal contains atom j exactly when it contains class
+    a_j, so the atoms of a mask are the mask itself restricted to those
+    classes.  From a normal B reached by adding atom y, each atom j > y
+    outside B gives D = B<C_{a_j}>, accepted only when D has no atom below
+    j that B lacks.  A rejected D is handed down as the failure at j: a
+    descendant that lacks one of its atoms below j would be rejected at j
+    too, so it skips j without a closure.  Each normal subgroup is
+    materialized as a Group only at the end.
     """
     part = conjugacy_classes(G)
     classes, index_of = part.classes, part.index_of
@@ -323,11 +360,12 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
             met = {index_of[reps[i] * y] for y in ca}
         return sum(1 << j for j in met)
 
-    def close(mask: int, a: int) -> int:
-        """Closure of the class set `mask` under right multiplication by C_a."""
+    def close(mask: int, a: int, stop: int = 0) -> int:
+        """Closure of the class set `mask` under right multiplication by
+        C_a, cut short once it meets a class in `stop`."""
         row = rows.setdefault(a, {})
         frontier = mask
-        while frontier:
+        while frontier and not mask & stop:
             met = 0
             for i in _bits(frontier):
                 if i not in row:
@@ -338,7 +376,8 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
         return mask
 
     # One atom per class, skipping classes of generating powers of an earlier
-    # representative: they generate the same normal subgroup.
+    # representative: they generate the same normal subgroup.  A closure that
+    # reaches the first class of a known atom holding C_a has found that atom.
     atoms: dict[int, int] = {}
     covered = {0}
     for a, r in enumerate(reps):
@@ -350,28 +389,54 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
             if math.gcd(m, n) == 1:
                 covered.add(index_of[x])
             x = x * r
-        atoms.setdefault(close(1, a), a)
+        holders = sum(1 << first for amask, first in atoms.items() if amask >> a & 1)
+        amask = close(1, a, holders)
+        if not amask & holders:
+            atoms[amask] = a
 
-    known = {1, *atoms}
-    work = list(known)
-    while work:
-        s = work.pop()
-        for amask, a in atoms.items():
-            if amask & ~s == 0:
+    firsts = list(atoms.values())
+    firsts_mask = sum(1 << a for a in firsts)
+    firsts_below = [firsts_mask & ((1 << a) - 1) for a in firsts]
+    found: list[int] = []
+
+    def generate(B: int, y: int, failed: list[int]) -> None:
+        found.append(B)
+        failed = failed[:]
+        children = []
+        for j in range(y + 1, len(firsts)):
+            a = firsts[j]
+            if B >> a & 1:
                 continue
-            joined = close(s, a)
-            if joined not in known:
-                known.add(joined)
-                work.append(joined)
+            below = firsts_below[j] & ~B
+            if failed[j] & below:
+                continue
+            D = close(B, a)
+            if D & below:
+                failed[j] = D
+            else:
+                children.append((D, j))
+        for D, j in children:
+            generate(D, j, failed)
 
-    groups = []
-    for mask in known:
-        elements = frozenset().union(*(classes[i] for i in _bits(mask)))
-        gens = tuple(_reduced_generators(G.degree, elements))
-        ordered, _ = _close(G.degree, gens, G.order)
-        groups.append(Group(G.degree, gens, elements, tuple(ordered)))
+    generate(1, -1, [0] * len(firsts))
+
+    groups = [
+        group_from_elements(G.degree, (x for i in _bits(mask) for x in classes[i]))
+        for mask in found
+    ]
     groups.sort(key=lambda H: (H.order, H.key()))
     return tuple(groups)
+
+
+def lattice_member(G: Group, elements: frozenset[Permutation]) -> Group:
+    """The member of :func:`normal_subgroups` with the given element set,
+    so that data memoized on it is shared."""
+    for N in normal_subgroups(G):
+        if N.elements == elements:
+            return N
+    raise InternalCheckError(
+        f"no normal subgroup of order {len(elements)} has this element set"
+    )
 
 
 def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:

@@ -13,7 +13,6 @@ passes its suite exactly when the Frobenius verification rejects it.
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable
@@ -28,6 +27,7 @@ from .core import (
     is_p_group,
     is_solvable,
     labelled_normals,
+    lattice_member,
     normal_subgroups,
     point_stabilizer,
     subgroup_generated,
@@ -395,7 +395,7 @@ def run_products_join(inst: Instance) -> VerifyReport | None:
         o1, i1, o2, i2 = selector
         N = named_normal(G, o1, i1)
         M = named_normal(G, o2, i2)
-        J = subgroup_generated(G, N.elements | M.elements)
+        J = lattice_member(G, subgroup_generated(G, N.elements | M.elements).elements)
         checks.append(_int_check(f"join_eta[{o1},{i1},{o2},{i2}]", value,
                                  quotient_eta(G, J)))
     if not checks:
@@ -530,6 +530,10 @@ def run_suites(
             raise MaxcycError(f"unknown suite {name!r}")
     tasks = [(suite_names, entry, order_cap, degree_cap) for entry in entries]
     if jobs > 1:
+        # Imported here: only --jobs needs it, and every CLI process would
+        # pay for the import.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_entry = list(pool.map(_run_entry, tasks))
     else:

@@ -18,12 +18,12 @@ from .core import (
     conjugacy_classes,
     derived_subgroup,
     exponent,
-    group_from_elements,
     is_cyclic,
     is_nilpotent,
     is_normal,
     is_p_group,
     is_simple_nonabelian_60,
+    lattice_member,
     memo,
     quotient_group,
     subgroup_generated,
@@ -212,14 +212,13 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     gen_classes: dict[frozenset, frozenset[int]] = {}
 
     def generator_classes_of(x: Permutation) -> frozenset[int]:
-        key = sub_of[x].elements
-        got = gen_classes.get(key)
+        sub = sub_of[x]
+        got = gen_classes.get(sub.elements)
         if got is None:
-            n = len(key)
             got = frozenset(
-                class_index[y] for y in key if perm_order(y) == n
+                class_index[y] for y in sub.elements if sub_of[y] is sub
             )
-            gen_classes[key] = got
+            gen_classes[sub.elements] = got
         return got
 
     cond_c = True
@@ -312,7 +311,9 @@ def quot_report_checks(G: Group, N: Group, rep: QuotCheckReport, label: str) -> 
 def compute_X(G: Group) -> Group:
     """Largest normal subgroup X of a noncyclic p-group with eta(G/X) = eta(G).
 
-    X is the join of every normal M with eta(G/M) = eta(G); the function
+    X is the join of every normal M with eta(G/M) = eta(G), taken as the
+    member of :func:`maxcyc.core.normal_subgroups` with that element set,
+    so its quotient is the one already built for the scan; the function
     re-checks that X itself qualifies and that it contains each qualifying
     subgroup.
     """
@@ -322,7 +323,7 @@ def compute_X(G: Group) -> Group:
     union: set[Permutation] = {G.identity}
     for M in qualifying:
         union |= M.elements
-    X = group_from_elements(G.degree, subgroup_generated(G, union).elements)
+    X = lattice_member(G, subgroup_generated(G, union).elements)
     if quotient_eta(G, X) != target:
         raise InternalCheckError("join of eta-preserving normals does not preserve eta")
     if not all(M.elements <= X.elements for M in qualifying):
@@ -704,7 +705,7 @@ def check_quotient_join(G: Group, N: Group, M: Group) -> VerifyReport:
             raise NotNormal("N and M must be normal")
         if quotient_eta(G, s) != e_g:
             raise HypothesisFailed("eta(G/N) = eta(G/M) = eta(G) required")
-    join = subgroup_generated(G, N.elements | M.elements)
+    join = lattice_member(G, subgroup_generated(G, N.elements | M.elements).elements)
     e_join = quotient_eta(G, join)
     return make_report(
         "products-join",

@@ -4,12 +4,41 @@ The subgroup oracle enumerates *every* subgroup by repeatedly extending
 known subgroups with cyclic subgroups over an integer multiplication
 table; it shares no code with maxcyc.core.normal_subgroups, which builds
 the normal-subgroup lattice from conjugacy-class products.  The eta
-oracle likewise shares no code with maxcyc.cyclic.
+oracle likewise shares no code with maxcyc.cyclic, and the greedy
+generator oracle none with maxcyc.core's incremental closure.
 """
 
 from __future__ import annotations
 
 from maxcyc.core import Group
+from maxcyc.perm import Permutation
+
+
+def greedy_generators(degree: int, elements: frozenset[Permutation]) -> list[Permutation]:
+    """The greedy generating set of a subgroup: walk the elements in sorted
+    order and add each one the generators so far do not reach, closing the
+    generators from scratch after every addition."""
+
+    def closure(gens: list[Permutation]) -> set[Permutation]:
+        found = {Permutation.identity(degree)}
+        stack = list(found)
+        while stack:
+            x = stack.pop()
+            for g in gens:
+                y = x * g
+                if y not in found:
+                    found.add(y)
+                    stack.append(y)
+        return found
+
+    gens: list[Permutation] = []
+    have = closure(gens)
+    for x in sorted(elements):
+        if x not in have:
+            gens.append(x)
+            have = closure(gens)
+    assert have == set(elements)
+    return gens
 
 
 def all_subgroups(G: Group) -> set[frozenset]:

@@ -1,8 +1,13 @@
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import maxcyc
 from maxcyc.cli import main
 from maxcyc.corpus import PLAIN_KEYS, SELECTOR_KEYS, default_corpus_text, parse_corpus
 from maxcyc.errors import CorpusError, ParseError
@@ -286,3 +291,13 @@ def test_bundled_corpus_uses_exactly_the_key_vocabulary():
     entries = parse_corpus(default_corpus_text())
     used = {key.partition("[")[0] for e in entries for key in e.expect}
     assert used == PLAIN_KEYS | SELECTOR_KEYS.keys()
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only `verify --jobs N` needs the pool, so the import waits for it
+    code = "import sys, maxcyc.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "False"

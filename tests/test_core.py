@@ -212,10 +212,28 @@ def test_normal_subgroups_expected_orders(text, orders):
 
 
 @pytest.mark.parametrize(
-    "text, count", [("EA(2,4) x C(4)", 681), ("A(7)", 2), ("S(7)", 3)]
+    "text, count",
+    [("EA(2,4) x C(4)", 681), ("A(7)", 2), ("S(7)", 3), ("EA(3,5)", 2664)],
 )
 def test_normal_subgroup_counts(text, count):
-    assert len(normal_subgroups(realize_text(text))) == count
+    normals = normal_subgroups(realize_text(text))
+    assert len(normals) == count
+    # each normal subgroup is produced once
+    assert len({N.elements for N in normals}) == count
+
+
+# Regression pins: these orders were recorded from normal_subgroups itself.
+# For AGL1(127,126) they are also 1 and 127*d for each divisor d of 126.
+@pytest.mark.parametrize(
+    "text, orders",
+    [
+        ("W(5)", [1, 5, 25, 125, 625, 3125, 3125, 3125, 3125, 3125, 3125, 15625]),
+        ("AGL1(127,126)", [1, 127, 254, 381, 762, 889, 1143, 1778, 2286, 2667,
+                           5334, 8001, 16002]),
+    ],
+)
+def test_normal_subgroup_orders_near_the_cap(text, orders):
+    assert [N.order for N in normal_subgroups(realize_text(text))] == orders
 
 
 @pytest.mark.parametrize("text", ["S(3)", "D(30)", "EA(3,2)", "Q(8)", "S(4)", "Dic12"])

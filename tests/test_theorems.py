@@ -3,6 +3,7 @@ import pytest
 from maxcyc import (
     GroupIsCyclic,
     HypothesisFailed,
+    InternalCheckError,
     NotExponentP,
     NotFrobenius,
     NotNormal,
@@ -18,6 +19,7 @@ from maxcyc import (
     subgroup_generated,
 )
 from maxcyc.core import is_cyclic, point_stabilizer
+from maxcyc.cyclic import eta_preserving_normals
 from maxcyc.theorems import (
     check_centre_bounds,
     check_derived_criterion,
@@ -115,6 +117,27 @@ def test_compute_X_rejects_bad_inputs():
         compute_X(realize_text("S(3)"))
     with pytest.raises(GroupIsCyclic):
         compute_X(realize_text("C(8)"))
+
+
+@pytest.mark.parametrize("text", ["Q(16)", "M16", "Heis(5) x C(5)"])
+def test_compute_X_is_the_lattice_member(text):
+    G = realize_text(text)
+    X = compute_X(G)
+    assert any(N is X for N in normal_subgroups(G))
+
+
+def test_compute_X_requires_its_join_in_the_lattice(monkeypatch):
+    x_elements = compute_X(realize_text("Q(16)")).elements
+    G = realize_text("Q(16)")
+    eta_preserving_normals(G)
+    lattice = normal_subgroups(G)
+    monkeypatch.setitem(
+        G.derived,
+        (normal_subgroups.__wrapped__,),
+        tuple(N for N in lattice if N.elements != x_elements),
+    )
+    with pytest.raises(InternalCheckError):
+        compute_X(G)
 
 
 def test_compute_X_is_maximal():
