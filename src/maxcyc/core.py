@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import wraps
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
@@ -28,8 +28,9 @@ class Group:
     Instances are immutable except for the :func:`memo` table ``derived``.
     ``element_list`` enumerates the closure breadth-first from the identity
     with generators applied in the given order, so iteration order is
-    reproducible across runs.  Construct through :func:`enumerate_elements`
-    or :func:`subgroup_generated`.
+    reproducible across runs.  :func:`enumerate_elements` keeps the given
+    generators; every subgroup keeps the greedy generators of
+    :func:`_reduced_generators`.
     """
 
     __slots__ = ("degree", "generators", "elements", "element_list", "derived")
@@ -134,64 +135,81 @@ def enumerate_elements(
     return Group(degree, gens, frozenset(found), tuple(ordered))
 
 
-def _reduced_generators(degree: int, elements: Iterable[Permutation]) -> list[Permutation]:
-    """Greedy small generating set, deterministic under the element order.
+def _reduced_generators(
+    degree: int, candidates: Iterable[Permutation], within: Collection | None = None
+) -> list[Permutation]:
+    """Greedy generators of the subgroup the candidates generate: each
+    candidate, in the given order, that those kept before it do not reach.
 
-    The closure grows incrementally, on image tuples: a new generator x
-    multiplies only the elements already reached, and only the elements
-    that adds are closed under all generators.  Raises ValueError when the
-    closure leaves the element set.
+    A new generator multiplies only the elements already reached, and only
+    the elements that adds are closed under all generators.  Given the
+    candidates' image tuples as `within`, raises ValueError unless the
+    subgroup is exactly `within`: as soon as it leaves it, or at the end.
     """
-    target = {p.images: p for p in elements}
     gens: list[Permutation] = []
     movers: list[Callable] = []
     have = {tuple(range(degree))}
     reached = list(have)
-    for x in sorted(target):
-        if x in have:
+    for g in candidates:
+        if (x := g.images) in have:
             continue
-        gens.append(target[x])
+        gens.append(g)
         movers.append(itemgetter(*x))  # x is not the identity, which is in have
         fresh = [y for h in reached if (y := movers[-1](h)) not in have]
         have.update(fresh)
         for z in fresh:  # the list grows while it is read: breadth-first order
-            if z not in target:
+            if within is not None and z not in within:
                 raise ValueError("element set is not closed under composition")
             for move in movers:
                 if (y := move(z)) not in have:
                     have.add(y)
                     fresh.append(y)
         reached += fresh
-        if len(have) == len(target):
-            break
+    if within is not None and len(have) != len(within):  # the identity is missing
+        raise ValueError("element set is not closed under composition")
     return gens
 
 
+def closed_under_product(elements: Collection[Permutation]) -> bool:
+    """Whether a set of permutations is closed under composition, that is,
+    whether it is a subgroup.  The empty set counts as closed; a nonempty
+    set must contain the identity."""
+    if not elements:
+        return True
+    within = {p.images for p in elements}
+    try:
+        _reduced_generators(next(iter(elements)).degree, elements, within)
+    except ValueError:
+        return False
+    return True
+
+
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
-    """Wrap an already-closed element set as a Group with small generators.
+    """Wrap an already-closed element set as a Group, generated by the
+    greedy generators of the sorted elements.
 
     The Group lists the given element objects, not the copies that
     :func:`_close` makes: the normal subgroups of a large lattice hold
     millions of elements between them.
     """
     own = {p.images: p for p in elements}
-    gens = _reduced_generators(degree, own.values())
+    gens = _reduced_generators(degree, sorted(own.values()), own)
     ordered, _ = _close(degree, gens, len(own))
-    if len(ordered) != len(own):
-        raise ValueError("element set is not closed under composition")
     return Group(
         degree, tuple(gens), frozenset(own.values()), tuple(own[p.images] for p in ordered)
     )
 
 
 def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
-    """Closure of `seed` inside G, on the same point set."""
+    """The subgroup of G generated by `seed`, on the same point set, with
+    the greedy generators of the sorted seed as its generators."""
     seed_list = sorted(set(seed))
     for s in seed_list:
         if s not in G.elements:
             raise ValueError("seed element is not in the parent group")
-    ordered, found = _close(G.degree, seed_list, G.order)
-    return Group(G.degree, tuple(seed_list), frozenset(found), tuple(ordered))
+    gens = _reduced_generators(G.degree, seed_list)
+    ordered, found = _close(G.degree, gens, G.order)
+    return Group(G.degree, tuple(gens), frozenset(found), tuple(ordered))
 
 
 @dataclass(eq=False)
@@ -237,19 +255,15 @@ def is_normal(G: Group, H: Group) -> bool:
 
 
 def normal_closure(G: Group, seed: Iterable[Permutation]) -> Group:
-    """Smallest normal subgroup of G containing the seed."""
-    current = subgroup_generated(G, seed).elements
-    while True:
-        extra = [
-            y
-            for x in current
-            for g in G.generators
-            if (y := x.conjugate_by(g)) not in current
-        ]
-        if not extra:
-            break
-        current = _close(G.degree, sorted(set(current) | set(extra)), G.order)[1]
-    return group_from_elements(G.degree, current)
+    """Smallest normal subgroup of G containing the seed: the subgroup
+    generated by the union of the seed's conjugacy classes, with the greedy
+    generators of that sorted union as its generators."""
+    part = conjugacy_classes(G)
+    try:
+        met = {part.index_of[x] for x in seed}
+    except KeyError:
+        raise ValueError("seed element is not in the parent group") from None
+    return subgroup_generated(G, (x for i in met for x in part.classes[i]))
 
 
 @dataclass(eq=False)
@@ -428,15 +442,15 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     return tuple(groups)
 
 
-def lattice_member(G: Group, elements: frozenset[Permutation]) -> Group:
-    """The member of :func:`normal_subgroups` with the given element set,
-    so that data memoized on it is shared."""
+def join(G: Group, normals: Iterable[Group]) -> Group:
+    """The join of normal subgroups of G, as the member of
+    :func:`normal_subgroups` with its element set, so that data memoized
+    on it is shared.  It is generated by the union of their generators."""
+    elements = subgroup_generated(G, (g for N in normals for g in N.generators)).elements
     for N in normal_subgroups(G):
         if N.elements == elements:
             return N
-    raise InternalCheckError(
-        f"no normal subgroup of order {len(elements)} has this element set"
-    )
+    raise InternalCheckError(f"no normal subgroup of order {len(elements)} has this element set")
 
 
 def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
@@ -491,10 +505,7 @@ def is_nilpotent(G: Group) -> bool:
     """Whether the p-elements form a subgroup of full p-part for each prime p."""
     for p in prime_factors(G.order):
         part = [x for x in G.element_list if p_part(perm_order(x), p) == perm_order(x)]
-        if len(part) != p_part(G.order, p):
-            return False
-        members = set(part)
-        if any(a * b not in members for a in part for b in part):
+        if len(part) != p_part(G.order, p) or not closed_under_product(part):
             return False
     return True
 

@@ -26,11 +26,10 @@ from .core import (
     is_cyclic,
     is_p_group,
     is_solvable,
+    join,
     labelled_normals,
-    lattice_member,
     normal_subgroups,
     point_stabilizer,
-    subgroup_generated,
 )
 from .cyclic import (
     eta,
@@ -393,9 +392,7 @@ def run_products_join(inst: Instance) -> VerifyReport | None:
         )
     for selector, value in inst.entry.selected("join_eta"):
         o1, i1, o2, i2 = selector
-        N = named_normal(G, o1, i1)
-        M = named_normal(G, o2, i2)
-        J = lattice_member(G, subgroup_generated(G, N.elements | M.elements).elements)
+        J = join(G, (named_normal(G, o1, i1), named_normal(G, o2, i2)))
         checks.append(_int_check(f"join_eta[{o1},{i1},{o2},{i2}]", value,
                                  quotient_eta(G, J)))
     if not checks:

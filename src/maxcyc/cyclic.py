@@ -71,9 +71,10 @@ def _cyclic_index(G: Group) -> tuple[
 
     Each subgroup is built from the power list of the first element met
     that generates no subgroup seen so far; its generators are the powers
-    g**k with gcd(k, n) = 1.
+    g**k with gcd(k, n) = 1.  Each power is G's own element object.
     """
-    ident = G.identity
+    own = {x: x for x in G.element_list}
+    ident = own[G.identity]
     subs: dict[frozenset[Permutation], CyclicSubgroup] = {}
     sub_of: dict[Permutation, CyclicSubgroup] = {}
     for g in G.element_list:
@@ -83,7 +84,7 @@ def _cyclic_index(G: Group) -> tuple[
         x = g
         while x != ident:
             powers.append(x)
-            x = x * g
+            x = own[x * g]
         n = len(powers)
         gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1]
         cs = CyclicSubgroup(frozenset(powers), n, min(gens))

@@ -15,6 +15,7 @@ from typing import Any, Sequence
 from .core import (
     Group,
     center,
+    closed_under_product,
     conjugacy_classes,
     derived_subgroup,
     exponent,
@@ -23,7 +24,7 @@ from .core import (
     is_normal,
     is_p_group,
     is_simple_nonabelian_60,
-    lattice_member,
+    join,
     memo,
     quotient_group,
     subgroup_generated,
@@ -311,19 +312,14 @@ def quot_report_checks(G: Group, N: Group, rep: QuotCheckReport, label: str) -> 
 def compute_X(G: Group) -> Group:
     """Largest normal subgroup X of a noncyclic p-group with eta(G/X) = eta(G).
 
-    X is the join of every normal M with eta(G/M) = eta(G), taken as the
-    member of :func:`maxcyc.core.normal_subgroups` with that element set,
-    so its quotient is the one already built for the scan; the function
-    re-checks that X itself qualifies and that it contains each qualifying
-    subgroup.
+    X is the :func:`maxcyc.core.join` of every normal M with eta(G/M) =
+    eta(G), so its quotient is the one already built for the scan; the
+    function re-checks that X qualifies and contains each qualifying M.
     """
     _require_noncyclic_p_group(G, "compute_X")
     target = eta(G).eta
     qualifying = eta_preserving_normals(G)
-    union: set[Permutation] = {G.identity}
-    for M in qualifying:
-        union |= M.elements
-    X = lattice_member(G, subgroup_generated(G, union).elements)
+    X = join(G, qualifying)
     if quotient_eta(G, X) != target:
         raise InternalCheckError("join of eta-preserving normals does not preserve eta")
     if not all(M.elements <= X.elements for M in qualifying):
@@ -336,10 +332,6 @@ def compute_X(G: Group) -> Group:
 # ---------------------------------------------------------------------------
 # Classification of all-prime-order groups
 # ---------------------------------------------------------------------------
-
-def _closed_under_product(members: set[Permutation]) -> bool:
-    return all(a * b in members for a in members for b in members)
-
 
 def classify_prime_order_group(G: Group) -> PrimeOrderClass:
     """Structural class of a group whose nonidentity elements all have
@@ -371,7 +363,7 @@ def classify_prime_order_group(G: Group) -> PrimeOrderClass:
             }
             if len(kernel) != G.order // comp_q:
                 continue
-            if not _closed_under_product(kernel):
+            if not closed_under_product(kernel):
                 continue
             q_elements = [x for x in G.element_list if perm_order(x) == comp_q]
             ident = G.identity
@@ -394,8 +386,7 @@ def check_first_main(G: Group) -> VerifyReport:
     a Frobenius group with prime-order complement, or the simple group of
     order 60."""
     instance = f"order {G.order}"
-    gm = g_minus(G)
-    H = subgroup_generated(G, gm) if gm else subgroup_generated(G, [G.identity])
+    H = subgroup_generated(G, g_minus(G))
     normal = is_normal(G, H)
     checks = [Check("gminus_closure_normal", normal, True, normal)]
     if H.order == G.order:
@@ -465,7 +456,7 @@ def check_gminus_subgroup_lemma(G: Group) -> VerifyReport:
     """When G^- is closed under the product, every element order must be a
     prime power; vacuous when G^- is not a subgroup."""
     gm = g_minus(G)
-    closed = _closed_under_product(set(gm))
+    closed = closed_under_product(gm)
     checks = [Check("gminus_is_subgroup", True, None, closed)]
     if closed:
         all_ppo = all(_prime_power(perm_order(x)) for x in G.element_list)
@@ -705,8 +696,7 @@ def check_quotient_join(G: Group, N: Group, M: Group) -> VerifyReport:
             raise NotNormal("N and M must be normal")
         if quotient_eta(G, s) != e_g:
             raise HypothesisFailed("eta(G/N) = eta(G/M) = eta(G) required")
-    join = lattice_member(G, subgroup_generated(G, N.elements | M.elements).elements)
-    e_join = quotient_eta(G, join)
+    e_join = quotient_eta(G, join(G, (N, M)))
     return make_report(
         "products-join",
         f"order {G.order}, |N|={N.order}, |M|={M.order}",

@@ -5,10 +5,13 @@ known subgroups with cyclic subgroups over an integer multiplication
 table; it shares no code with maxcyc.core.normal_subgroups, which builds
 the normal-subgroup lattice from conjugacy-class products.  The eta
 oracle likewise shares no code with maxcyc.cyclic, and the greedy
-generator oracle none with maxcyc.core's incremental closure.
+generator, closure and pairwise-product oracles none with maxcyc.core's
+incremental closure.
 """
 
 from __future__ import annotations
+
+from typing import Collection, Iterable
 
 from maxcyc.core import Group
 from maxcyc.perm import Permutation
@@ -41,30 +44,51 @@ def greedy_generators(degree: int, elements: frozenset[Permutation]) -> list[Per
     return gens
 
 
-def all_subgroups(G: Group) -> set[frozenset]:
-    """Every subgroup of G, as frozensets of element indices 0..|G|-1
-    (index 0 is the identity)."""
+def _table(G: Group) -> tuple[list[Permutation], dict[Permutation, int], list[list[int]]]:
+    """The sorted elements of G (index 0 is the identity), their indices,
+    and the integer multiplication table."""
     elems = sorted(G.element_list)
     assert elems[0].is_identity()
     index = {e: i for i, e in enumerate(elems)}
     mult = [[index[a * b] for b in elems] for a in elems]
+    return elems, index, mult
 
-    def close(gens: tuple[int, ...]) -> frozenset[int]:
-        found = {0}
-        queue = [0]
-        while queue:
-            x = queue.pop()
-            for g in gens:
-                y = mult[x][g]
-                if y not in found:
-                    found.add(y)
-                    queue.append(y)
-        return frozenset(found)
 
+def _close(mult: list[list[int]], gens: Iterable[int]) -> frozenset[int]:
+    """Indices of the subgroup that the indexed gens generate."""
+    gens = tuple(gens)
+    found = {0}
+    queue = [0]
+    while queue:
+        x = queue.pop()
+        for g in gens:
+            y = mult[x][g]
+            if y not in found:
+                found.add(y)
+                queue.append(y)
+    return frozenset(found)
+
+
+def subgroup_closure(G: Group, seed: Iterable[Permutation]) -> frozenset[Permutation]:
+    """The subgroup of G generated by the seed, by brute-force closure on
+    the integer multiplication table."""
+    elems, index, mult = _table(G)
+    return frozenset(elems[i] for i in _close(mult, (index[s] for s in seed)))
+
+
+def closed_pairwise(members: Collection[Permutation]) -> bool:
+    """Whether every product a*b of two members is a member."""
+    return all(a * b in members for a in members for b in members)
+
+
+def all_subgroups(G: Group) -> set[frozenset]:
+    """Every subgroup of G, as frozensets of element indices 0..|G|-1
+    (index 0 is the identity)."""
+    elems, _, mult = _table(G)
     # seed with the cyclic subgroups, remembering one generator tuple each
     gens_of: dict[frozenset[int], tuple[int, ...]] = {frozenset({0}): ()}
     for i in range(len(elems)):
-        s = close((i,))
+        s = _close(mult, (i,))
         gens_of.setdefault(s, (i,))
 
     cyclics = [(s, g) for s, g in gens_of.items() if len(g) == 1]
@@ -75,7 +99,7 @@ def all_subgroups(G: Group) -> set[frozenset]:
             if C <= H:
                 continue
             joined_gens = hgens + cgen
-            J = close(joined_gens)
+            J = _close(mult, joined_gens)
             if J not in gens_of:
                 gens_of[J] = joined_gens
                 work.append((J, joined_gens))
@@ -105,10 +129,7 @@ def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, se
     a generator) maps one onto the other.  Classes are listed in the order
     of their smallest (order, sorted image tuples) member, as in eta.
     """
-    elems = sorted(G.element_list)
-    assert elems[0].is_identity()
-    index = {e: i for i, e in enumerate(elems)}
-    mult = [[index[a * b] for b in elems] for a in elems]
+    elems, _, mult = _table(G)
     inv = [row.index(0) for row in mult]
 
     def power_orbit(i: int) -> frozenset[int]:

@@ -125,6 +125,8 @@ def test_normal_closure():
     d30 = realize_text("D(30)")
     refl = next(x for x in d30 if perm_order(x) == 2)
     assert normal_closure(d30, [refl]).order == 30
+    with pytest.raises(ValueError):
+        normal_closure(s3, [Permutation.identity(5)])
 
 
 def test_quotient_basics():

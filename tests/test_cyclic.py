@@ -224,3 +224,12 @@ CAP_SCALE = {
 def test_eta_at_cap_scale(text):
     rep = eta(realize_text(text))
     assert (rep.eta, rep.l_value, rep.gminus_size, Counter(rep.class_reps)) == CAP_SCALE[text]
+
+
+@pytest.mark.parametrize("text", ["AGL1(7,6)", "S(4)"])
+def test_cyclic_index_holds_the_groups_own_elements(text):
+    G = realize_text(text)
+    own = {id(x) for x in G.element_list}
+    for s in cyclic_subgroups(G):
+        assert all(id(x) in own for x in s.elements)
+        assert id(s.canonical_generator) in own

@@ -13,15 +13,23 @@ from maxcyc import (
     g_minus_via_powers,
     g_power_set,
     maximal_cyclic_subgroups,
+    normal_closure,
     normal_subgroups,
     parse_spec,
     perm_order,
     quotient_group,
     render,
+    subgroup_generated,
 )
-from maxcyc.core import is_p_group
+from maxcyc.core import closed_under_product, is_p_group
 
-from oracles import eta_oracle, greedy_generators, normal_subgroup_element_sets
+from oracles import (
+    closed_pairwise,
+    eta_oracle,
+    greedy_generators,
+    normal_subgroup_element_sets,
+    subgroup_closure,
+)
 
 
 def perms(degree):
@@ -116,6 +124,27 @@ def test_normal_subgroups_match_oracle(G):
     assert len({N.elements for N in normals}) == len(normals)
     for N in normals:
         assert list(N.generators) == greedy_generators(G.degree, N.elements)
+
+
+@given(small_groups(), st.data())
+@group_settings
+def test_closures_match_oracles(G, data):
+    assume(G.order <= 120)
+    elements = st.sampled_from(sorted(G.element_list))
+    seed = data.draw(st.lists(elements, max_size=3))
+    H = subgroup_generated(G, seed)
+    assert H.elements == subgroup_closure(G, seed)
+    kept = []
+    for x in sorted(set(seed)):
+        if x not in subgroup_closure(G, kept):
+            kept.append(x)
+    assert list(H.generators) == kept
+    containing = [N for N in normal_subgroup_element_sets(G) if set(seed) <= N]
+    assert normal_closure(G, seed).elements == min(containing, key=len)
+    subset = frozenset(data.draw(st.lists(elements, max_size=6)))
+    candidates = [g_minus(G), frozenset(), subset, H.elements, H.elements - {G.identity}]
+    for S in candidates + [N.elements for N in normal_subgroups(G)]:
+        assert closed_under_product(S) == closed_pairwise(S)
 
 
 @given(small_groups())

@@ -11,6 +11,7 @@ from maxcyc import (
     NotProper,
     eta,
     eta_star,
+    g_minus,
     named_normal,
     normal_subgroups,
     perm_order,
@@ -18,7 +19,7 @@ from maxcyc import (
     realize_text,
     subgroup_generated,
 )
-from maxcyc.core import is_cyclic, point_stabilizer
+from maxcyc.core import derived_subgroup, is_cyclic, is_nilpotent, point_stabilizer
 from maxcyc.cyclic import eta_preserving_normals
 from maxcyc.theorems import (
     check_centre_bounds,
@@ -173,6 +174,23 @@ def test_first_main_examples():
     assert check_first_main(realize_text("C(4)")).passed
     for text in ["D(30)", "SG72_50", "S(4)", "W(3)", "Dic12", "M16"]:
         assert check_first_main(realize_text(text)).passed, text
+
+
+def test_closures_at_cap_scale():
+    # In AGL1(127,126) = C(127) : C(126), G^- holds the elements of orders 63
+    # and 42 of every complement, which generate it, so <G^-> = G.
+    agl = realize_text("AGL1(127,126)")
+    assert subgroup_generated(agl, g_minus(agl)).order == agl.order
+    report = check_first_main(agl)
+    assert report.passed
+    assert [c.name for c in report.checks] == ["gminus_closure_normal", "vacuous (<G^-> = G)"]
+    # W(5) has order 5**6, and every p-group is nilpotent
+    assert is_nilpotent(realize_text("W(5)"))
+    # the derived subgroup of S(7) is A(7): the even permutations
+    s7 = realize_text("S(7)")
+    a7 = derived_subgroup(s7)
+    assert a7.order == 2520
+    assert all(sum(len(c) - 1 for c in x.cycles()) % 2 == 0 for x in a7)
 
 
 # --- G^- as a set --------------------------------------------------------------
