@@ -14,7 +14,9 @@ from .core import (
     Group,
     center,
     conjugacy_classes,
+    coset_table,
     derived_subgroup,
+    element_orders,
     enumerate_elements,
     is_normal,
     is_simple_nonabelian_60,
@@ -36,6 +38,7 @@ from .constructors import (
 from .cyclic import (
     CyclicSubgroup,
     EtaReport,
+    QuotientInvariants,
     SubgroupClassSet,
     conjugacy_classes_of_subgroups,
     cyclic_subgroups,
@@ -46,6 +49,7 @@ from .cyclic import (
     g_minus_via_powers,
     g_power_set,
     maximal_cyclic_subgroups,
+    quotient_invariants,
 )
 from .errors import (
     ArityError,

@@ -270,45 +270,69 @@ def normal_closure(G: Group, seed: Iterable[Permutation]) -> Group:
 class CosetTable:
     """Left cosets of a normal subgroup, in the quotient's point order.
 
+    Cosets are numbered by their minimum elements, so point 0 is always N
+    itself and ``representatives[i]`` is the minimum of ``cosets[i]``.
     ``point_of`` maps each parent element to the point its coset occupies.
-    Point 0 is always the coset of the identity, so the quotient element
-    that carries the coset xN is the unique q with q(0) == point_of[x].
     """
 
     cosets: tuple[frozenset[Permutation], ...]
-    index: int
+    representatives: tuple[Permutation, ...]
     point_of: dict[Permutation, int]
+
+    @property
+    def index(self) -> int:
+        return len(self.cosets)
+
+
+def coset_table(G: Group, N: Group) -> CosetTable:
+    """The cosets of a normal subgroup N of G, built on image tuples as
+    :func:`_close` does: the coset of x is x.images moved by each element
+    of N.  Raises NotNormal unless N is normal in G."""
+    if not is_normal(G, N):
+        raise NotNormal(f"subgroup of order {N.order} is not normal in G")
+    # a non-identity n moves two points or more, so its getter returns tuples
+    movers = [itemgetter(*n.images) for n in N.element_list if not n.is_identity()]
+    found: dict[tuple[int, ...], int] = {}
+    cosets: list[list[tuple[int, ...]]] = []
+    for x in G.element_list:
+        if (xi := x.images) in found:
+            continue
+        coset = [xi, *(move(xi) for move in movers)]
+        for y in coset:
+            found[y] = len(cosets)
+        cosets.append(coset)
+    order = sorted(range(len(cosets)), key=lambda k: min(cosets[k]))
+    point = [0] * len(cosets)
+    for i, k in enumerate(order):
+        point[k] = i
+    point_of = {x: point[found[x.images]] for x in G.element_list}
+    members: list[list[Permutation]] = [[] for _ in cosets]
+    for x, i in point_of.items():
+        members[i].append(x)
+    return CosetTable(
+        tuple(frozenset(m) for m in members), tuple(min(m) for m in members), point_of
+    )
 
 
 @memo
 def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
-    """G/N realized faithfully by the regular action on the cosets of N."""
-    if not is_normal(G, N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal in G")
-    assigned: set[Permutation] = set()
-    cosets: list[frozenset[Permutation]] = []
-    for x in G.element_list:
-        if x in assigned:
-            continue
-        cs = frozenset(x * n for n in N.element_list)
-        cosets.append(cs)
-        assigned |= cs
-    cosets.sort(key=min)
-    point_of: dict[Permutation, int] = {}
-    for i, cs in enumerate(cosets):
-        for y in cs:
-            point_of[y] = i
-    index = len(cosets)
-    reps = tuple(min(c) for c in cosets)
+    """G/N realized faithfully by the regular action on the cosets of N,
+    for callers that need G/N as a Group.  Its degree is the index.  The
+    invariants of G/N that the verifiers read (eta, G^-, element orders)
+    come from :func:`maxcyc.cyclic.quotient_invariants` instead, which
+    builds no permutation of that degree."""
+    table = coset_table(G, N)
+    index = table.index
     qgens = [
-        Permutation(tuple(point_of[g * r] for r in reps)) for g in G.generators
+        Permutation(tuple(table.point_of[g * r] for r in table.representatives))
+        for g in G.generators
     ]
     Q = enumerate_elements(index, qgens, order_cap=index + 1, degree_cap=index)
     if Q.order != index:
         raise InternalCheckError(
             f"regular action of quotient has order {Q.order}, expected {index}"
         )
-    return Q, CosetTable(tuple(cosets), index, point_of)
+    return Q, table
 
 
 @memo
@@ -394,10 +418,11 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     # reaches the first class of a known atom holding C_a has found that atom.
     atoms: dict[int, int] = {}
     covered = {0}
+    orders = element_orders(G)
     for a, r in enumerate(reps):
         if a in covered:
             continue
-        n = perm_order(r)
+        n = orders[r]
         x = r
         for m in range(1, n):
             if math.gcd(m, n) == 1:
@@ -483,13 +508,19 @@ def point_stabilizer(G: Group, point: int) -> Group:
 
 
 @memo
+def element_orders(G: Group) -> dict[Permutation, int]:
+    """The order of each element of G, from its cycle lengths."""
+    return {x: perm_order(x) for x in G.element_list}
+
+
+@memo
 def exponent(G: Group) -> int:
     """lcm of the element orders."""
-    return math.lcm(*(perm_order(x) for x in G.element_list))
+    return math.lcm(*element_orders(G).values())
 
 
 def is_cyclic(G: Group) -> bool:
-    return any(perm_order(x) == G.order for x in G.element_list)
+    return G.order in element_orders(G).values()
 
 
 def is_abelian(G: Group) -> bool:
@@ -503,8 +534,9 @@ def is_p_group(G: Group) -> int | None:
 
 def is_nilpotent(G: Group) -> bool:
     """Whether the p-elements form a subgroup of full p-part for each prime p."""
+    orders = element_orders(G)
     for p in prime_factors(G.order):
-        part = [x for x in G.element_list if p_part(perm_order(x), p) == perm_order(x)]
+        part = [x for x, n in orders.items() if p_part(n, p) == n]
         if len(part) != p_part(G.order, p) or not closed_under_product(part):
             return False
     return True

@@ -23,6 +23,7 @@ from .core import (
     DEFAULT_ORDER_CAP,
     Group,
     derived_subgroup,
+    element_orders,
     is_cyclic,
     is_p_group,
     is_solvable,
@@ -42,7 +43,6 @@ from .cyclic import (
 )
 from .errors import CorpusError, InternalCheckError, MaxcycError, NotExponentP, NotFrobenius
 from .numutil import prime_factors
-from .perm import perm_order
 from .theorems import (
     Check,
     VerifyReport,
@@ -262,9 +262,7 @@ def run_l_relation(inst: Instance) -> VerifyReport | None:
 def run_gk_graph(inst: Instance) -> VerifyReport:
     G = inst.group
     graph = gk_graph(G)
-    all_ppo = all(
-        len(prime_factors(perm_order(x))) <= 1 for x in G.element_list
-    )
+    all_ppo = all(len(prime_factors(n)) <= 1 for n in element_orders(G).values())
     checks = [
         Check("no_edges_iff_prime_power_orders",
               (not graph.edges) == all_ppo,

@@ -18,25 +18,41 @@ lengths and powers from permutation arithmetic and never reads the index.
 The two must agree on every call; any disagreement raises
 InternalCheckError immediately, so the identity is a permanent self-test
 rather than an assumption.
+
+The invariants of a quotient G/N (:func:`quotient_invariants`) come from
+the same index through the coset map, since <xN> is the image of <x>: the
+same scan, class walk and power route run on coset points, and G/N is
+never built as a group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Any, Callable, Collection, Iterable, Mapping
 
-from .core import Group, is_normal, memo, normal_subgroups, quotient_group
+from .core import (
+    CosetTable,
+    Group,
+    coset_table,
+    element_orders,
+    is_normal,
+    memo,
+    normal_subgroups,
+)
 from .errors import InternalCheckError, NotNormal
 from .numutil import is_prime, prime_factors
-from .perm import Permutation, perm_order
+from .perm import Permutation
 
 
 class CyclicSubgroup:
     """A cyclic subgroup, identified by its element set.
 
     ``canonical_generator`` is the lexicographically smallest generator;
-    two values are equal exactly when their element sets are equal.
+    two values are equal exactly when their element sets are equal.  The
+    cyclic subgroups of a quotient, in :func:`quotient_invariants`, hold
+    coset points instead, with a generating point as
+    ``canonical_generator``; they are never sorted.
     """
 
     __slots__ = ("elements", "order", "canonical_generator", "_sort_key")
@@ -100,42 +116,83 @@ def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(sorted(subs.values(), key=CyclicSubgroup.sort_key))
 
 
+def _power_route(
+    G: Group, table: CosetTable | None = None
+) -> tuple[frozenset, Mapping[Any, int]]:
+    """G^- by its prime-power characterization, with the order of each
+    element; given the coset table of a normal N, (G/N)^- as coset points,
+    with the order of each coset.
+
+    ``G^- = {g**q : q prime, q | order(g)}``.  Orders come from cycle
+    lengths and powers from permutation arithmetic; the cyclic index is
+    never read.  The order of xN is the least divisor d of o(x) with x**d
+    in N, and (xN)**q is the coset of x**q, taken for one x per coset.
+    """
+    orders = element_orders(G)
+    if table is None:
+        return frozenset(g ** q for g, n in orders.items() for q in prime_factors(n)), orders
+    point_of = table.point_of
+    minus = set()
+    coset_orders = []
+    for x in table.representatives:
+        d = orders[x]
+        for p in prime_factors(d):
+            while d % p == 0 and point_of[x ** (d // p)] == 0:
+                d //= p
+        coset_orders.append(d)
+        minus.update(point_of[x ** q] for q in prime_factors(d))
+    return frozenset(minus), tuple(coset_orders)
+
+
 @memo
 def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
     """{ g**q : g in G, q a prime dividing the order of g }."""
-    out = set()
-    for g in G.element_list:
-        for q in prime_factors(perm_order(g)):
-            out.add(g ** q)
-    return frozenset(out)
+    return _power_route(G)[0]
+
+
+def _maximal(
+    subs: Collection[CyclicSubgroup],
+    sub_of: Mapping[Any, CyclicSubgroup],
+    minus: Collection,
+    orders: Mapping[Any, int],
+) -> list[CyclicSubgroup]:
+    """The maximal members of `subs`, every cyclic subgroup of a group.
+
+    A containment scan: a cyclic s lies in t exactly when its generator
+    does, so s is maximal when no subgroup containing
+    ``s.canonical_generator`` is larger than s.  `sub_of` maps each element
+    to the subgroup it generates.  The result is checked against the power
+    route, given as its non-generators `minus` and element `orders`, keyed
+    like `sub_of`: `minus` must be exactly the elements whose subgroup is
+    not maximal, and each element's subgroup must have its order.  Any
+    disagreement raises InternalCheckError.
+    """
+    largest: dict[Any, int] = {}
+    for t in subs:
+        for x in t.elements:
+            if largest.get(x, 0) < t.order:
+                largest[x] = t.order
+    maximal = [s for s in subs if largest[s.canonical_generator] == s.order]
+    keys = {s.elements for s in maximal}
+    scan_minus = {x for x, s in sub_of.items() if s.elements not in keys}
+    if scan_minus != minus:
+        raise InternalCheckError(
+            "maximal-cyclic routes disagree: containment scan found "
+            f"{len(scan_minus)} non-generators, power formula {len(minus)}"
+        )
+    if any(s.order != orders[x] for x, s in sub_of.items()):
+        raise InternalCheckError("element orders disagree with the cyclic index")
+    return maximal
 
 
 @memo
 def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
-    """The inclusion-maximal cyclic subgroups of G.
-
-    Computed by a containment scan: a cyclic s lies in t exactly when its
-    generator does, so s is maximal when no cyclic subgroup containing
-    ``s.canonical_generator`` is larger than s.  The result is then
-    cross-checked against the complement of :func:`g_minus_via_powers` (an
-    element generates a maximal cyclic subgroup exactly when it is not a
-    proper prime-index power).
-    """
+    """The inclusion-maximal cyclic subgroups of G, by the containment scan
+    of :func:`_maximal`, cross-checked against :func:`g_minus_via_powers`
+    (an element generates a maximal cyclic subgroup exactly when it is not
+    a proper prime-index power)."""
     subs, sub_of = _cyclic_index(G)
-    largest: dict[Permutation, int] = {}
-    for t in subs.values():
-        for x in t.elements:
-            if largest.get(x, 0) < t.order:
-                largest[x] = t.order
-    maximal = [s for s in subs.values() if largest[s.canonical_generator] == s.order]
-    scan_keys = {s.elements for s in maximal}
-    minus = g_minus_via_powers(G)
-    pow_keys = {sub_of[g].elements for g in G.element_list if g not in minus}
-    if scan_keys != pow_keys:
-        raise InternalCheckError(
-            "maximal-cyclic routes disagree: containment scan found "
-            f"{len(scan_keys)} subgroups, power formula {len(pow_keys)}"
-        )
+    maximal = _maximal(subs.values(), sub_of, g_minus_via_powers(G), element_orders(G))
     return tuple(sorted(maximal, key=CyclicSubgroup.sort_key))
 
 
@@ -166,40 +223,53 @@ class SubgroupClassSet:
     representatives: tuple[CyclicSubgroup, ...]
 
 
+def _class_walk(
+    subs: Iterable[CyclicSubgroup],
+    conjugates: Callable[[Any], Iterable[CyclicSubgroup]],
+) -> list[set[frozenset]]:
+    """The conjugacy orbits met from each of `subs` in turn, as sets of
+    element-set keys; `conjugates(x)` gives the subgroups generated by the
+    conjugates of a generator x by each generator of the group.  An orbit
+    may pass through subgroups outside `subs`."""
+    seen: set[frozenset] = set()
+    orbits: list[set[frozenset]] = []
+    for s in subs:
+        if s.elements in seen:
+            continue
+        orbit = {s.elements}
+        stack = [s.canonical_generator]
+        while stack:
+            for image in conjugates(stack.pop()):
+                if image.elements not in orbit:
+                    orbit.add(image.elements)
+                    stack.append(image.canonical_generator)
+        seen |= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def conjugacy_classes_of_subgroups(
     G: Group, subs: Iterable[CyclicSubgroup]
 ) -> SubgroupClassSet:
     """Partition of `subs` by conjugacy in G.
 
-    The orbit walk runs over canonical element-set keys and may pass
-    through subgroups outside `subs`; each class is the orbit intersected
-    with the input set.  The subgroup of each conjugate is looked up in the
-    cyclic index of G.
+    The orbit walk of :func:`_class_walk` runs over canonical element-set
+    keys; each class is the orbit intersected with the input set.  The
+    subgroup of each conjugate is looked up in the cyclic index of G.
     """
     _, sub_of = _cyclic_index(G)
     pool = {s.elements: s for s in subs}
     for s in pool.values():
         if not s.elements <= G.elements:
             raise ValueError("subgroup is not contained in G")
-    seen: set[frozenset[Permutation]] = set()
-    classes: list[tuple[CyclicSubgroup, ...]] = []
-    for key in sorted(pool, key=lambda k: pool[k].sort_key()):
-        if key in seen:
-            continue
-        orbit = {key}
-        stack = [pool[key].canonical_generator]
-        while stack:
-            gen = stack.pop()
-            for g in G.generators:
-                image = sub_of[gen.conjugate_by(g)]
-                if image.elements not in orbit:
-                    orbit.add(image.elements)
-                    stack.append(image.canonical_generator)
-        members = tuple(
-            sorted((pool[k] for k in orbit & pool.keys()), key=CyclicSubgroup.sort_key)
-        )
-        seen |= orbit
-        classes.append(members)
+    orbits = _class_walk(
+        sorted(pool.values(), key=CyclicSubgroup.sort_key),
+        lambda x: [sub_of[x.conjugate_by(g)] for g in G.generators],
+    )
+    classes = [
+        tuple(sorted((pool[k] for k in orbit & pool.keys()), key=CyclicSubgroup.sort_key))
+        for orbit in orbits
+    ]
     classes.sort(key=lambda cls: cls[0].sort_key())
     reps = tuple(cls[0] for cls in classes)
     return SubgroupClassSet(tuple(classes), reps)
@@ -238,9 +308,52 @@ def eta(G: Group) -> EtaReport:
     )
 
 
+@dataclass(frozen=True)
+class QuotientInvariants:
+    """eta(G/N), the non-generators (G/N)^- as coset points, and the order
+    of each coset, by point, in the numbering of :func:`maxcyc.core.coset_table`."""
+
+    eta: int
+    g_minus: frozenset[int]
+    orders: tuple[int, ...]
+
+
+@memo
+def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
+    """The invariants of G/N for N normal in G, read off G's cyclic index.
+
+    <xN> is the image of <x>, so the cyclic subgroups of G/N are the images
+    under the coset map of the subgroups that the coset representatives
+    generate, each projected once.  The maximal ones come from the
+    containment scan, cross-checked against the power route on the cosets;
+    classes from the orbit walk, where a generator g sends the coset xN to
+    the coset of x conjugated by g.  No permutation of degree |G:N| is
+    built.
+    """
+    table = coset_table(G, N)
+    point_of, reps = table.point_of, table.representatives
+    _, sub_of = _cyclic_index(G)
+    images: dict[CyclicSubgroup, CyclicSubgroup] = {}
+    image_of: dict[int, CyclicSubgroup] = {}
+    for c, r in enumerate(reps):
+        s = sub_of[r]
+        if s not in images:
+            points = frozenset(map(point_of.__getitem__, s.elements))
+            images[s] = CyclicSubgroup(points, len(points), c)
+        image_of[c] = images[s]
+    subs = {s.elements: s for s in images.values()}.values()
+    minus, orders = _power_route(G, table)
+    maximal = _maximal(subs, image_of, minus, orders)
+    orbits = _class_walk(
+        maximal,
+        lambda c: [image_of[point_of[reps[c].conjugate_by(g)]] for g in G.generators],
+    )
+    return QuotientInvariants(len(orbits), minus, orders)
+
+
 def quotient_eta(G: Group, N: Group) -> int:
     """eta(G/N) for N normal in G."""
-    return eta(quotient_group(G, N)[0]).eta
+    return quotient_invariants(G, N).eta
 
 
 @memo

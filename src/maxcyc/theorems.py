@@ -17,7 +17,9 @@ from .core import (
     center,
     closed_under_product,
     conjugacy_classes,
+    coset_table,
     derived_subgroup,
+    element_orders,
     exponent,
     is_cyclic,
     is_nilpotent,
@@ -39,6 +41,7 @@ from .cyclic import (
     g_minus,
     maximal_cyclic_subgroups,
     quotient_eta,
+    quotient_invariants,
 )
 from .errors import (
     ClassificationFailed,
@@ -53,7 +56,7 @@ from .errors import (
     NotSubgroup,
 )
 from .numutil import is_prime, p_part, prime_factors
-from .perm import Permutation, perm_order
+from .perm import Permutation
 
 
 def _prime_power(n: int) -> bool:
@@ -188,8 +191,9 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
 
     gminus_set = g_minus(G)
     eta_g = eta(G).eta
-    Q, table = quotient_group(G, N)
-    eta_q = eta(Q).eta
+    quotient = quotient_invariants(G, N)
+    table = coset_table(G, N)
+    eta_q = quotient.eta
     equal = eta_g == eta_q
     witnesses: dict[str, tuple[str, ...]] = {}
 
@@ -199,7 +203,7 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
             x.cycle_string() for x in sorted(N.elements - gminus_set)[:3]
         )
 
-    quotient_gminus_points = {q.images[0] for q in g_minus(Q)}
+    quotient_gminus_points = quotient.g_minus
     covered_points = {
         i for i, coset in enumerate(table.cosets) if coset <= gminus_set
     }
@@ -343,8 +347,8 @@ def classify_prime_order_group(G: Group) -> PrimeOrderClass:
     of order 60, and the matching structure is verified directly.  The
     trivial group counts, vacuously, as a 2-group of exponent 2.
     """
-    orders = {perm_order(x) for x in G.element_list}
-    if any(o != 1 and not is_prime(o) for o in orders):
+    orders = element_orders(G)
+    if any(o != 1 and not is_prime(o) for o in orders.values()):
         return PrimeOrderClass("not_all_prime_order")
     if G.order == 1:
         return PrimeOrderClass("exponent_p", p=2)
@@ -358,14 +362,12 @@ def classify_prime_order_group(G: Group) -> PrimeOrderClass:
         for kernel_p, comp_q in ((primes[0], primes[1]), (primes[1], primes[0])):
             if p_part(G.order, comp_q) != comp_q:
                 continue
-            kernel = {
-                x for x in G.element_list if perm_order(x) in (1, kernel_p)
-            }
+            kernel = {x for x, n in orders.items() if n in (1, kernel_p)}
             if len(kernel) != G.order // comp_q:
                 continue
             if not closed_under_product(kernel):
                 continue
-            q_elements = [x for x in G.element_list if perm_order(x) == comp_q]
+            q_elements = [x for x, n in orders.items() if n == comp_q]
             ident = G.identity
             free = all(
                 x.conjugate_by(h) != x
@@ -416,15 +418,12 @@ def check_gminus_containment(G: Group, N: Group) -> VerifyReport:
         raise NotNormal("check_gminus_containment requires N normal")
     gm = g_minus(G)
     contained = gm <= N.elements
+    orders = element_orders(G)
     outside_ppo = all(
-        _prime_power(perm_order(x))
-        for x in G.element_list
-        if x not in N.elements
+        _prime_power(n) for x, n in orders.items() if x not in N.elements
     )
-    Q, _ = quotient_group(G, N)
-    q_prime = all(
-        perm_order(x) == 1 or is_prime(perm_order(x)) for x in Q.element_list
-    )
+    quotient_orders = quotient_invariants(G, N).orders
+    q_prime = all(n == 1 or is_prime(n) for n in quotient_orders)
     checks = [
         Check("part1", contained == (outside_ppo and q_prime),
               "G^- in N <=> (prime-power outside, prime orders in G/N)",
@@ -434,9 +433,7 @@ def check_gminus_containment(G: Group, N: Group) -> VerifyReport:
     if is_prime(index):
         p = index
         outside_p_power = all(
-            p_part(perm_order(x), p) == perm_order(x)
-            for x in G.element_list
-            if x not in N.elements
+            p_part(n, p) == n for x, n in orders.items() if x not in N.elements
         )
         checks.append(
             Check("part2", contained == outside_p_power,
@@ -444,7 +441,7 @@ def check_gminus_containment(G: Group, N: Group) -> VerifyReport:
                   {"contained": contained, "outside_p_power": outside_p_power})
         )
     p = is_p_group(G)
-    if p is not None and exponent(Q) in (1, p):
+    if p is not None and math.lcm(*quotient_orders) in (1, p):
         checks.append(
             Check("part3", contained, "p-group with exponent-p quotient: G^- in N",
                   contained)
@@ -459,7 +456,7 @@ def check_gminus_subgroup_lemma(G: Group) -> VerifyReport:
     closed = closed_under_product(gm)
     checks = [Check("gminus_is_subgroup", True, None, closed)]
     if closed:
-        all_ppo = all(_prime_power(perm_order(x)) for x in G.element_list)
+        all_ppo = all(_prime_power(n) for n in element_orders(G).values())
         checks.append(Check("all_prime_power_orders", all_ppo, True, all_ppo))
     else:
         checks.append(Check("vacuous (G^- not a subgroup)", True, "skip", "skip"))
@@ -470,8 +467,8 @@ def gk_graph(G: Group) -> GKGraph:
     """Prime graph of G."""
     vertices = tuple(prime_factors(G.order))
     edges: set[tuple[int, int]] = set()
-    for x in G.element_list:
-        ps = prime_factors(perm_order(x))
+    for n in element_orders(G).values():
+        ps = prime_factors(n)
         for i, a in enumerate(ps):
             for b in ps[i + 1:]:
                 edges.add((a, b))
@@ -485,9 +482,7 @@ def check_l_relation(G: Group) -> VerifyReport:
         raise ValueError("check_l_relation requires a nontrivial group")
     rep = eta(G)
     lhs = rep.eta == rep.l_value - 1
-    rhs = all(
-        is_prime(perm_order(x)) for x in G.element_list if not x.is_identity()
-    )
+    rhs = all(is_prime(n) for n in element_orders(G).values() if n > 1)
     checks = [
         Check("eta_le_l_minus_1", rep.eta <= rep.l_value - 1,
               "eta <= l - 1", (rep.eta, rep.l_value)),
@@ -600,11 +595,11 @@ def check_centre_bounds(G: Group, N: Group) -> VerifyReport:
 def _noncyclic_sylows_of_abelianization(G: Group) -> tuple[bool, Group]:
     """Whether every nontrivial Sylow subgroup of G/G' is noncyclic."""
     D = derived_subgroup(G)
-    A, _ = quotient_group(G, D)
+    orders = quotient_invariants(G, D).orders
     hyp = True
-    for p in prime_factors(A.order):
-        size = p_part(A.order, p)
-        if size > 1 and any(perm_order(a) == size for a in A.element_list):
+    for p in prime_factors(len(orders)):
+        size = p_part(len(orders), p)
+        if size > 1 and size in orders:
             hyp = False
             break
     return hyp, D

@@ -11,7 +11,8 @@ incremental closure.
 
 from __future__ import annotations
 
-from typing import Collection, Iterable
+from functools import wraps
+from typing import Callable, Collection, Iterable
 
 from maxcyc.core import Group
 from maxcyc.perm import Permutation
@@ -81,6 +82,23 @@ def closed_pairwise(members: Collection[Permutation]) -> bool:
     return all(a * b in members for a in members for b in members)
 
 
+def _per_group_key(fn: Callable) -> Callable:
+    """Memoize fn(G) on G.key(), so that Hypothesis examples and shrink
+    replays that rebuild one group reuse the result.  The result depends
+    on the element set only."""
+    results: dict[tuple, object] = {}
+
+    @wraps(fn)
+    def cached(G: Group):
+        key = G.key()
+        if key not in results:
+            results[key] = fn(G)
+        return results[key]
+
+    return cached
+
+
+@_per_group_key
 def all_subgroups(G: Group) -> set[frozenset]:
     """Every subgroup of G, as frozensets of element indices 0..|G|-1
     (index 0 is the identity)."""
@@ -106,6 +124,7 @@ def all_subgroups(G: Group) -> set[frozenset]:
     return set(gens_of)
 
 
+@_per_group_key
 def normal_subgroup_element_sets(G: Group) -> set[frozenset]:
     """Every normal subgroup of G, as frozensets of Permutations."""
     elems = sorted(G.element_list)

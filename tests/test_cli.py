@@ -301,3 +301,53 @@ def test_cli_import_leaves_the_process_pool_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+# Quotients near the order cap.  These are regression pins: each value was
+# taken from the regular realization of G/N (``quotient_group``), before the
+# quotient invariants were read off the coset table.  ``quot S(7) --order 1``
+# printed exactly these lines that way.  eta(W(5)/Z) = 37 is eta of the
+# regular realization of W(5) modulo its centre, and so is the rest of
+# ``quot W(5) --order 5``.  The centre has prime order and lies in every
+# nontrivial normal subgroup of the 5-group W(5), so by monotonicity no
+# nontrivial N has eta(G/N) = eta(G) = 161, and X(W(5)) is trivial.
+_W5_COND_C = [
+    "(0 1 2 3 4) ~ (0 2 4 1 3)(5 6 7 8 9)(10 11 12 13 14)(15 16 17 18 19)(20 21 22 23 24)",
+    "(0 1 2 3 4) ~ (0 3 1 4 2)(5 7 9 6 8)(10 12 14 11 13)(15 17 19 16 18)(20 22 24 21 23)",
+    "(0 1 2 3 4) ~ (0 4 3 2 1)(5 8 6 9 7)(10 13 11 14 12)(15 18 16 19 17)(20 23 21 24 22)",
+]
+CAP_QUOTIENTS = [
+    (("quot", "S(7)", "--order", "1", "--index", "0"),
+     ["eta(G): 6", "eta(G/N): 6", "equal: True", "cond_a (N in G^-): True",
+      "cond_b (quotient non-generators are G^- cosets): True",
+      "cond_c (coset elements conjugate to generators): True",
+      "coset_union (G^- a union of N-cosets): True"],
+     {"eta_g": 6, "eta_quotient": 6, "equal": True, "cond_a": True, "cond_b": True,
+      "cond_c": True, "coset_union": True, "witnesses": {}}),
+    (("quot", "W(5)", "--order", "5", "--index", "0"),
+     ["eta(G): 161", "eta(G/N): 37", "equal: False", "cond_a (N in G^-): True",
+      "cond_b (quotient non-generators are G^- cosets): True",
+      "cond_c (coset elements conjugate to generators): False",
+      "coset_union (G^- a union of N-cosets): True",
+      "witnesses[cond_c]: " + ", ".join(_W5_COND_C),
+      "witnesses[strong]: " + ", ".join(_W5_COND_C)],
+     {"eta_g": 161, "eta_quotient": 37, "equal": False, "cond_a": True, "cond_b": True,
+      "cond_c": False, "coset_union": True,
+      "witnesses": {"cond_c": _W5_COND_C, "strong": _W5_COND_C}}),
+    (("xsub", "W(5)"),
+     ["|X|: 1", "generators: ()", "eta(G): 161", "eta(G/X): 161", "X cyclic: True"],
+     {"x_order": 1, "generators": ["()"], "eta_g": 161, "eta_g_mod_x": 161,
+      "cyclic": True}),
+]
+
+
+@pytest.mark.parametrize("argv, text, payload", CAP_QUOTIENTS,
+                         ids=[" ".join(c[0][:2]) for c in CAP_QUOTIENTS])
+def test_quotients_at_cap_scale(capsys, argv, text, payload):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines() == text
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == payload
+    assert out == json.dumps(payload) + "\n"

@@ -10,7 +10,9 @@ from maxcyc import (
     Permutation,
     center,
     conjugacy_classes,
+    coset_table,
     derived_subgroup,
+    element_orders,
     enumerate_elements,
     eta,
     is_normal,
@@ -151,6 +153,33 @@ def test_quotient_basics():
     c2 = subgroup_generated(s3, [next(x for x in s3 if perm_order(x) == 2)])
     with pytest.raises(NotNormal):
         quotient_group(s3, c2)
+
+
+@pytest.mark.parametrize("text", ["D(30)", "S(4)", "Q(16)", "EA(2,3) x C(4)"])
+def test_coset_table_numbers_cosets_by_their_minima(text):
+    G = realize_text(text)
+    for N in normal_subgroups(G):
+        table = coset_table(G, N)
+        expected = sorted((frozenset(x * n for n in N) for x in G), key=min)
+        assert list(table.cosets) == list(dict.fromkeys(expected))
+        assert table.cosets[0] == N.elements
+        assert table.representatives == tuple(min(c) for c in table.cosets)
+        assert all(table.point_of[x] == i for i, c in enumerate(table.cosets) for x in c)
+        own = {id(x) for x in G.element_list}
+        assert all(id(x) in own for c in table.cosets for x in c)
+        assert quotient_group(G, N)[1].point_of == table.point_of
+    s3 = realize_text("S(3)")
+    c2 = subgroup_generated(s3, [next(x for x in s3 if perm_order(x) == 2)])
+    with pytest.raises(NotNormal):
+        coset_table(s3, c2)
+
+
+def test_element_orders_are_cycle_length_lcms():
+    G = realize_text("S(4) x C(3)")
+    orders = element_orders(G)
+    assert list(orders) == list(G.element_list)
+    assert all(n == perm_order(x) for x, n in orders.items())
+    assert sorted(set(orders.values())) == [1, 2, 3, 4, 6, 12]
 
 
 def test_quotient_order_multiplies():

@@ -16,6 +16,7 @@ from maxcyc import (
     g_power_set,
     maximal_cyclic_subgroups,
     named_normal,
+    quotient_invariants,
     realize_text,
     subgroup_generated,
 )
@@ -206,6 +207,35 @@ def test_maximality_cross_check_fires(monkeypatch):
     )
     with pytest.raises(InternalCheckError):
         maximal_cyclic_subgroups(realize_text("S(3)"))
+
+
+def test_quotient_cross_check_fires(monkeypatch):
+    G = realize_text("D(30)")
+    N = named_normal(G, 5, 0)
+    assert quotient_invariants(G, N).g_minus == {0}
+    real = maxcyc.cyclic._power_route
+
+    def drop_point_zero(G, table=None):
+        minus, orders = real(G, table)
+        return (minus if table is None else minus - {0}), orders
+
+    monkeypatch.setattr(maxcyc.cyclic, "_power_route", drop_point_zero)
+    fresh = realize_text("D(30)")
+    with pytest.raises(InternalCheckError):
+        quotient_invariants(fresh, named_normal(fresh, 5, 0))
+
+
+def test_quotient_order_cross_check_fires(monkeypatch):
+    real = maxcyc.cyclic._power_route
+
+    def wrong_orders(G, table=None):
+        minus, orders = real(G, table)
+        return minus, orders if table is None else (orders[0] + 1, *orders[1:])
+
+    monkeypatch.setattr(maxcyc.cyclic, "_power_route", wrong_orders)
+    G = realize_text("D(30)")
+    with pytest.raises(InternalCheckError):
+        quotient_invariants(G, named_normal(G, 5, 0))
 
 
 # (eta, l, |G^-|, {(subgroup order, class size): number of classes}),

@@ -1,5 +1,6 @@
 """Randomized invariants over small generated groups and parser inputs."""
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from maxcyc import (
@@ -18,6 +19,8 @@ from maxcyc import (
     parse_spec,
     perm_order,
     quotient_group,
+    quotient_invariants,
+    realize_text,
     render,
     subgroup_generated,
 )
@@ -113,6 +116,41 @@ def test_quotient_eta_monotone_and_star_bound(G):
     for N in normal_subgroups(G):
         assert eta(quotient_group(G, N)[0]).eta <= e_g
         assert eta_star(G, N) <= e_g
+
+
+def assert_quotients_match_the_regular_realization(G):
+    """eta, the non-generators (as coset points) and the coset orders of
+    G/N, read off G's cyclic index, against the regular realization of G/N
+    scored by the brute-force oracle, for every normal N."""
+    for N in normal_subgroups(G):
+        Q, table = quotient_group(G, N)
+        got = quotient_invariants(G, N)
+        eta_value, _, _, _, maximal_sets = eta_oracle(Q)
+        # the quotient element carrying the coset at point c sends 0 to c
+        point = {q: q.images[0] for q in Q.element_list}
+        generates_maximal = {
+            q for q in Q.element_list
+            if any(q in s and len(s) == perm_order(q) for s in maximal_sets)
+        }
+        assert got.eta == eta_value
+        assert got.g_minus == {point[q] for q in Q.element_list if q not in generates_maximal}
+        assert got.orders == tuple(
+            perm_order(q) for q in sorted(Q.element_list, key=point.__getitem__)
+        )
+        assert len(got.orders) == table.index
+
+
+@given(small_groups())
+@group_settings
+def test_quotient_invariants_match_the_regular_realization(G):
+    assume(G.order <= 120)
+    assert_quotients_match_the_regular_realization(G)
+
+
+@pytest.mark.parametrize("text", ["D(30)", "Dic12", "Q(16)", "S(4)", "Heis(3)", "SG72_50",
+                                  "EA(2,3) x C(4)", "M16", "AGL1(7,6)"])
+def test_named_quotient_invariants_match_the_regular_realization(text):
+    assert_quotients_match_the_regular_realization(realize_text(text))
 
 
 @given(small_groups())
