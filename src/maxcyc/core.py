@@ -11,15 +11,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
-from .perm import Permutation, perm_order
+from .perm import Permutation
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_DEGREE_CAP = 128
+
+_images = attrgetter("images")
 
 
 class Group:
@@ -84,6 +86,90 @@ def memo(fn: Callable) -> Callable:
         return G.derived[key]
 
     return cached
+
+
+class BaseIndex:
+    """G's elements named by their images of a base.
+
+    The base b_1..b_k is a sequence of points whose pointwise stabilizer
+    in G is trivial, so an element x of G is fixed by its base images
+    (x(b_1), ..., x(b_k)).  ``element_of`` maps these, read by ``read``
+    from an image tuple, to G's own element object.  Products, powers and
+    conjugates of G's elements read k points and look the result up,
+    instead of building a permutation of degree n; they return G's own
+    objects.
+    """
+
+    __slots__ = ("points", "read_at", "read", "element_of")
+
+    def __init__(self, points: tuple[int, ...], elements: Iterable[Permutation]):
+        self.points = points
+        # itemgetter returns a tuple only for two keys or more, so a base of
+        # fewer than two points is read with its only point, or point 0, twice
+        self.read_at = points if len(points) > 1 else (*points, 0)[:1] * 2
+        self.read = itemgetter(*self.read_at)
+        self.element_of = {self.read(x.images): x for x in elements}
+
+    def times(self, g: Permutation) -> Callable[[Permutation], Permutation]:
+        """x -> x*g, for x in G: (x*g)(b) = x(g(b))."""
+        own, move = self.element_of, itemgetter(*self.read(g.images))
+        return lambda x: own[move(x.images)]
+
+    def conjugator(self, g: Permutation) -> Callable[[Permutation], Permutation]:
+        """x -> g x g^-1, for x in G: (g x g^-1)(b) = g(x(g^-1(b))),
+        with g^-1(b) computed once."""
+        own, gi = self.element_of, g.images
+        pre = itemgetter(*self.read(g.inverse().images))
+        return lambda x: own[itemgetter(*pre(x.images))(gi)]
+
+    def power(self, x: Permutation, n: int) -> Permutation:
+        """x**n for x in G and n >= 0, walking each base point n steps."""
+        xi = x.images
+        key = []
+        for b in self.read_at:
+            for _ in range(n):
+                b = xi[b]
+            key.append(b)
+        return self.element_of[tuple(key)]
+
+    def order(self, x: Permutation) -> int:
+        """The order of x in G: the lcm of the cycle lengths of the base
+        points, since x**m = 1 exactly when x**m fixes every base point."""
+        xi = x.images
+        m = 1
+        for b in self.points:
+            c, n = xi[b], 1
+            while c != b:
+                c = xi[c]
+                n += 1
+            m = math.lcm(m, n)
+        return m
+
+
+@memo
+def base_index(G: Group) -> BaseIndex:
+    """The base of G and its elements keyed by their base images.
+
+    The base walks down the pointwise stabilizers: the next point is the
+    first one moved by some element of the current stabilizer, and the
+    walk stops when that stabilizer is trivial (C. C. Sims, 1970).  Raises
+    InternalCheckError if the base images do not separate G's elements.
+    """
+    ident = tuple(range(G.degree))
+    stabilizer = [x for x in G.element_list if x.images != ident]
+    points: list[int] = []
+    b = -1
+    while stabilizer:
+        # the stabilizer of the points so far fixes every point up to b
+        b = next(p for p in range(b + 1, G.degree) if any(x.images[p] != p for x in stabilizer))
+        points.append(b)
+        stabilizer = [x for x in stabilizer if x.images[b] == b]
+    base = BaseIndex(tuple(points), G.element_list)
+    if len(base.element_of) != G.order:
+        raise InternalCheckError(
+            f"base {points} names {len(base.element_of)} of {G.order} elements"
+        )
+    return base
 
 
 def _close(
@@ -222,7 +308,10 @@ class ElementClassPartition:
 
 @memo
 def conjugacy_classes(G: Group) -> ElementClassPartition:
-    """Orbit partition of G under conjugation; classes ordered by minimum."""
+    """Orbit partition of G under conjugation; classes ordered by minimum.
+    Conjugates come from :func:`base_index`, so the classes hold G's own
+    element objects."""
+    conjugators = [base_index(G).conjugator(g) for g in G.generators]
     index_of: dict[Permutation, int] = {}
     classes: list[frozenset[Permutation]] = []
     for x in sorted(G.element_list):
@@ -232,8 +321,8 @@ def conjugacy_classes(G: Group) -> ElementClassPartition:
         stack = [x]
         while stack:
             y = stack.pop()
-            for g in G.generators:
-                z = y.conjugate_by(g)
+            for conjugate in conjugators:
+                z = conjugate(y)
                 if z not in orbit:
                     orbit.add(z)
                     stack.append(z)
@@ -285,32 +374,28 @@ class CosetTable:
 
 
 def coset_table(G: Group, N: Group) -> CosetTable:
-    """The cosets of a normal subgroup N of G, built on image tuples as
-    :func:`_close` does: the coset of x is x.images moved by each element
-    of N.  Raises NotNormal unless N is normal in G."""
+    """The cosets of a normal subgroup N of G, built on the base images of
+    :func:`base_index`: the coset of x holds x*n for each n in N, each
+    named by its base images (x*n)(b) = x(n(b)) and listed as G's own
+    element.  Raises NotNormal unless N is normal in G."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in G")
-    # a non-identity n moves two points or more, so its getter returns tuples
-    movers = [itemgetter(*n.images) for n in N.element_list if not n.is_identity()]
-    found: dict[tuple[int, ...], int] = {}
-    cosets: list[list[tuple[int, ...]]] = []
+    base = base_index(G)
+    read, own = base.read, base.element_of
+    movers = [itemgetter(*read(n.images)) for n in N.element_list]
+    coset_of: dict[tuple[int, ...], int] = {}
+    cosets: list[list[Permutation]] = []
     for x in G.element_list:
-        if (xi := x.images) in found:
+        if read(xi := x.images) in coset_of:
             continue
-        coset = [xi, *(move(xi) for move in movers)]
-        for y in coset:
-            found[y] = len(cosets)
-        cosets.append(coset)
-    order = sorted(range(len(cosets)), key=lambda k: min(cosets[k]))
-    point = [0] * len(cosets)
-    for i, k in enumerate(order):
-        point[k] = i
-    point_of = {x: point[found[x.images]] for x in G.element_list}
-    members: list[list[Permutation]] = [[] for _ in cosets]
-    for x, i in point_of.items():
-        members[i].append(x)
+        coset = [move(xi) for move in movers]
+        coset_of.update(dict.fromkeys(coset, len(cosets)))
+        cosets.append([own[y] for y in coset])
+    minima = [min(c, key=_images) for c in cosets]
+    order = sorted(range(len(cosets)), key=lambda k: minima[k].images)
+    point_of = {x: i for i, k in enumerate(order) for x in cosets[k]}
     return CosetTable(
-        tuple(frozenset(m) for m in members), tuple(min(m) for m in members), point_of
+        tuple(frozenset(cosets[k]) for k in order), tuple(minima[k] for k in order), point_of
     )
 
 
@@ -509,8 +594,11 @@ def point_stabilizer(G: Group, point: int) -> Group:
 
 @memo
 def element_orders(G: Group) -> dict[Permutation, int]:
-    """The order of each element of G, from its cycle lengths."""
-    return {x: perm_order(x) for x in G.element_list}
+    """The order of each element of G, in ``element_list`` order: the lcm
+    of the cycle lengths of the base points of :func:`base_index`, which
+    is exact, since x**m = 1 exactly when x**m fixes every base point."""
+    order = base_index(G).order
+    return {x: order(x) for x in G.element_list}
 
 
 @memo

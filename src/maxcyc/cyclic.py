@@ -10,14 +10,19 @@ subgroup, built once from a power list, and the map from each element to
 the subgroup it generates.  The conjugacy-class walks look each conjugate
 up in that map.
 
+Products, powers and conjugates of G's elements go through
+:func:`maxcyc.core.base_index`: each reads the images of a short base
+(2 points for AGL1(127,126), against its degree 127) and looks the result
+up among G's own elements.
+
 Maximality is computed twice, by independent routes: a containment scan
 that asks, for each cyclic subgroup, whether its generator lies in a
 larger one, and the prime-power characterization
-``G^- = {g**q : q prime, q | order(g)}``, which takes orders from cycle
-lengths and powers from permutation arithmetic and never reads the index.
-The two must agree on every call; any disagreement raises
-InternalCheckError immediately, so the identity is a permanent self-test
-rather than an assumption.
+``G^- = {g**q : q prime, q | order(g)}``, which takes orders and powers
+from the cycles of the base points and never reads the index.  The two
+must agree on every call; any disagreement raises InternalCheckError
+immediately, so the identity is a permanent self-test rather than an
+assumption.
 
 The invariants of a quotient G/N (:func:`quotient_invariants`) come from
 the same index through the coset map, since <xN> is the image of <x>: the
@@ -34,6 +39,7 @@ from typing import Any, Callable, Collection, Iterable, Mapping
 from .core import (
     CosetTable,
     Group,
+    base_index,
     coset_table,
     element_orders,
     is_normal,
@@ -87,20 +93,25 @@ def _cyclic_index(G: Group) -> tuple[
 
     Each subgroup is built from the power list of the first element met
     that generates no subgroup seen so far; its generators are the powers
-    g**k with gcd(k, n) = 1.  Each power is G's own element object.
+    g**k with gcd(k, n) = 1.  Each power is G's own element object, the
+    product x*g of :func:`maxcyc.core.base_index`.  A power list longer
+    than |G| raises InternalCheckError.
     """
-    own = {x: x for x in G.element_list}
-    ident = own[G.identity]
+    base = base_index(G)
+    ident = base.element_of[base.read_at]  # the identity fixes the base
     subs: dict[frozenset[Permutation], CyclicSubgroup] = {}
     sub_of: dict[Permutation, CyclicSubgroup] = {}
     for g in G.element_list:
         if g in sub_of:
             continue
+        times = base.times(g)
         powers = [ident]
         x = g
-        while x != ident:
+        while x is not ident:
+            if len(powers) == G.order:
+                raise InternalCheckError("a power list does not return to the identity")
             powers.append(x)
-            x = own[x * g]
+            x = times(x)
         n = len(powers)
         gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1]
         cs = CyclicSubgroup(frozenset(powers), n, min(gens))
@@ -123,24 +134,27 @@ def _power_route(
     element; given the coset table of a normal N, (G/N)^- as coset points,
     with the order of each coset.
 
-    ``G^- = {g**q : q prime, q | order(g)}``.  Orders come from cycle
-    lengths and powers from permutation arithmetic; the cyclic index is
-    never read.  The order of xN is the least divisor d of o(x) with x**d
-    in N, and (xN)**q is the coset of x**q, taken for one x per coset.
+    ``G^- = {g**q : q prime, q | order(g)}``.  Orders and powers come from
+    the cycles of the base points of :func:`maxcyc.core.base_index`: the
+    order is the lcm of their lengths, and g**q walks each base point q
+    steps.  The cyclic index is never read.  The order of xN is the least
+    divisor d of o(x) with x**d in N, and (xN)**q is the coset of x**q,
+    taken for one x per coset.
     """
     orders = element_orders(G)
+    power = base_index(G).power
     if table is None:
-        return frozenset(g ** q for g, n in orders.items() for q in prime_factors(n)), orders
+        return frozenset(power(g, q) for g, n in orders.items() for q in prime_factors(n)), orders
     point_of = table.point_of
     minus = set()
     coset_orders = []
     for x in table.representatives:
         d = orders[x]
         for p in prime_factors(d):
-            while d % p == 0 and point_of[x ** (d // p)] == 0:
+            while d % p == 0 and point_of[power(x, d // p)] == 0:
                 d //= p
         coset_orders.append(d)
-        minus.update(point_of[x ** q] for q in prime_factors(d))
+        minus.update(point_of[power(x, q)] for q in prime_factors(d))
     return frozenset(minus), tuple(coset_orders)
 
 
@@ -164,8 +178,9 @@ def _maximal(
     to the subgroup it generates.  The result is checked against the power
     route, given as its non-generators `minus` and element `orders`, keyed
     like `sub_of`: `minus` must be exactly the elements whose subgroup is
-    not maximal, and each element's subgroup must have its order.  Any
-    disagreement raises InternalCheckError.
+    not maximal, and each element's subgroup, as well as the canonical
+    generator of each subgroup, must have its order.  Any disagreement
+    raises InternalCheckError.
     """
     largest: dict[Any, int] = {}
     for t in subs:
@@ -180,7 +195,9 @@ def _maximal(
             "maximal-cyclic routes disagree: containment scan found "
             f"{len(scan_minus)} non-generators, power formula {len(minus)}"
         )
-    if any(s.order != orders[x] for x, s in sub_of.items()):
+    if any(s.order != orders[x] for x, s in sub_of.items()) or any(
+        s.order != orders[s.canonical_generator] for s in subs
+    ):
         raise InternalCheckError("element orders disagree with the cyclic index")
     return maximal
 
@@ -212,7 +229,8 @@ def g_power_set(G: Group, p: int) -> frozenset[Permutation]:
     """{ g**p : g in G } for a prime p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return frozenset(g ** p for g in G.element_list)
+    power = base_index(G).power
+    return frozenset(power(g, p) for g in G.element_list)
 
 
 @dataclass(eq=False)
@@ -258,13 +276,14 @@ def conjugacy_classes_of_subgroups(
     subgroup of each conjugate is looked up in the cyclic index of G.
     """
     _, sub_of = _cyclic_index(G)
+    conjugators = [base_index(G).conjugator(g) for g in G.generators]
     pool = {s.elements: s for s in subs}
     for s in pool.values():
         if not s.elements <= G.elements:
             raise ValueError("subgroup is not contained in G")
     orbits = _class_walk(
         sorted(pool.values(), key=CyclicSubgroup.sort_key),
-        lambda x: [sub_of[x.conjugate_by(g)] for g in G.generators],
+        lambda x: [sub_of[conjugate(x)] for conjugate in conjugators],
     )
     classes = [
         tuple(sorted((pool[k] for k in orbit & pool.keys()), key=CyclicSubgroup.sort_key))
@@ -333,6 +352,7 @@ def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
     table = coset_table(G, N)
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
+    conjugators = [base_index(G).conjugator(g) for g in G.generators]
     images: dict[CyclicSubgroup, CyclicSubgroup] = {}
     image_of: dict[int, CyclicSubgroup] = {}
     for c, r in enumerate(reps):
@@ -346,7 +366,7 @@ def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
     maximal = _maximal(subs, image_of, minus, orders)
     orbits = _class_walk(
         maximal,
-        lambda c: [image_of[point_of[reps[c].conjugate_by(g)]] for g in G.generators],
+        lambda c: [image_of[point_of[conjugate(reps[c])]] for conjugate in conjugators],
     )
     return QuotientInvariants(len(orbits), minus, orders)
 
@@ -380,6 +400,7 @@ def eta_star(G: Group, N: Group) -> int:
         raise NotNormal("eta_star requires N normal in G")
     n_classes = maximal_cyclic_classes(N)
     _, sub_of = _cyclic_index(N)
+    conjugators = [base_index(G).conjugator(g) for g in G.generators]
     class_of: dict[frozenset[Permutation], int] = {}
     for i, cls in enumerate(n_classes.classes):
         for s in cls:
@@ -394,8 +415,8 @@ def eta_star(G: Group, N: Group) -> int:
         seen.add(i)
         while stack:
             gen = stack.pop()
-            for g in G.generators:
-                image = sub_of.get(gen.conjugate_by(g))
+            for conjugate in conjugators:
+                image = sub_of.get(conjugate(gen))
                 j = None if image is None else class_of.get(image.elements)
                 if j is None:
                     raise InternalCheckError(

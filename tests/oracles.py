@@ -6,16 +6,33 @@ table; it shares no code with maxcyc.core.normal_subgroups, which builds
 the normal-subgroup lattice from conjugacy-class products.  The eta
 oracle likewise shares no code with maxcyc.cyclic, and the greedy
 generator, closure and pairwise-product oracles none with maxcyc.core's
-incremental closure.
+incremental closure.  :func:`relabelled` moves a group to other points,
+which changes its base and its element order but none of its invariants.
 """
 
 from __future__ import annotations
 
+import random
 from functools import wraps
 from typing import Callable, Collection, Iterable
 
+from maxcyc.constructors import realize_text
 from maxcyc.core import Group
 from maxcyc.perm import Permutation
+
+
+def relabelled(G: Group, seed: int) -> Group:
+    """G with its points shuffled by a seeded random permutation, realized
+    from a ``Perm(...)`` spec of the conjugated generators."""
+    points = list(range(G.degree))
+    random.Random(seed).shuffle(points)
+    cycles = []
+    for g in G.generators:
+        images = [0] * G.degree
+        for i, v in enumerate(g.images):
+            images[points[i]] = points[v]
+        cycles.append(Permutation(images).cycle_string())
+    return realize_text(f"Perm({G.degree}; {', '.join(cycles or ['()'])})")
 
 
 def greedy_generators(degree: int, elements: frozenset[Permutation]) -> list[Permutation]:

@@ -1,10 +1,14 @@
 import gc
+import random
+from functools import cache
 
 import pytest
+from hypothesis import given, strategies as st
 
 from maxcyc import (
     CapExceeded,
     Group,
+    InternalCheckError,
     NotNormal,
     NotSubgroup,
     Permutation,
@@ -17,6 +21,7 @@ from maxcyc import (
     eta,
     is_normal,
     is_simple_nonabelian_60,
+    maximal_cyclic_subgroups,
     normal_closure,
     normal_subgroups,
     perm_order,
@@ -25,6 +30,7 @@ from maxcyc import (
     subgroup_generated,
 )
 from maxcyc.core import (
+    base_index,
     exponent,
     is_abelian,
     is_cyclic,
@@ -34,7 +40,8 @@ from maxcyc.core import (
     point_stabilizer,
 )
 
-from oracles import normal_subgroup_element_sets
+from oracles import normal_subgroup_element_sets, relabelled
+from test_properties import group_settings, small_groups
 
 
 def cyc(degree, *cycles):
@@ -174,12 +181,72 @@ def test_coset_table_numbers_cosets_by_their_minima(text):
         coset_table(s3, c2)
 
 
+@cache
+def cap_groups() -> tuple[Group, ...]:
+    """AGL1(127,126) and W(5), each also on relabelled points."""
+    named = [realize_text("AGL1(127,126)"), realize_text("W(5)")]
+    return (*named, *(relabelled(G, 9) for G in named))
+
+
 def test_element_orders_are_cycle_length_lcms():
     G = realize_text("S(4) x C(3)")
     orders = element_orders(G)
     assert list(orders) == list(G.element_list)
-    assert all(n == perm_order(x) for x, n in orders.items())
     assert sorted(set(orders.values())) == [1, 2, 3, 4, 6, 12]
+    for H in (G, relabelled(G, 9), *cap_groups()):
+        assert element_orders(H) == {x: perm_order(x) for x in H}
+
+
+def assert_base_kernel_matches(G: Group, sample: int | None = None) -> None:
+    """The base of G separates its elements, and base products, powers
+    (exponents 0 up to the order + 1) and conjugates equal ``*``, ``**`` and
+    ``conjugate_by``, as G's own objects: on every element, or on a seeded
+    sample of that many elements."""
+    base = base_index(G)
+    assert len({base.read(x.images) for x in G}) == G.order
+    assert [x for x in G if all(x(b) == b for b in base.points)] == [G.identity]
+    own = {id(x) for x in G.element_list}
+    xs = list(G) if sample is None else random.Random(3).sample(list(G), sample)
+    for g in (*G.generators, *xs[:4]):
+        times, conjugate = base.times(g), base.conjugator(g)
+        for x in xs:
+            assert times(x) == x * g and id(times(x)) in own
+            assert conjugate(x) == x.conjugate_by(g) and id(conjugate(x)) in own
+    orders = element_orders(G)
+    for x in xs:
+        for n in range(orders[x] + 2):
+            assert base.power(x, n) == x ** n and id(base.power(x, n)) in own
+
+
+@given(small_groups(), st.integers(min_value=0, max_value=2**16))
+@group_settings
+def test_base_kernel_matches_permutation_arithmetic(G, seed):
+    for H in (G, relabelled(G, seed)):
+        assert_base_kernel_matches(H)
+
+
+@pytest.mark.parametrize("index", range(4), ids=["AGL1", "W(5)", "AGL1 relabelled", "W(5) relabelled"])
+def test_base_kernel_at_cap_scale(index):
+    assert_base_kernel_matches(cap_groups()[index], sample=150)
+
+
+def test_base_sizes():
+    sizes = {text: len(base_index(realize_text(text)).points)
+             for text in ["AGL1(127,126)", "W(5)", "S(7)", "Heis(5) x C(5)", "C(5)", "C(1)"]}
+    assert sizes == {"AGL1(127,126)": 2, "W(5)": 5, "S(7)": 6, "Heis(5) x C(5)": 3,
+                     "C(5)": 1, "C(1)": 0}
+
+
+# t**2 reading as t**3 shortens the power list of t, which the maximality
+# cross-check sees; reading as t, it never returns to the identity.
+@pytest.mark.parametrize("wrong", [3, 1])
+def test_a_wrong_base_image_is_caught(wrong):
+    G = realize_text("AGL1(7,6)")
+    base = base_index(G)
+    t = next(x for x in G if element_orders(G)[x] == 7)
+    base.element_of[base.read((t ** 2).images)] = base.power(t, wrong)
+    with pytest.raises(InternalCheckError):
+        maximal_cyclic_subgroups(G)
 
 
 def test_quotient_order_multiplies():

@@ -23,6 +23,8 @@ from maxcyc import (
 from maxcyc.core import enumerate_elements
 from maxcyc.perm import perm_order
 
+from oracles import relabelled
+
 
 def trivial_group():
     return enumerate_elements(3, [])
@@ -253,6 +255,12 @@ CAP_SCALE = {
 @pytest.mark.parametrize("text", sorted(CAP_SCALE))
 def test_eta_at_cap_scale(text):
     rep = eta(realize_text(text))
+    assert (rep.eta, rep.l_value, rep.gminus_size, Counter(rep.class_reps)) == CAP_SCALE[text]
+
+
+@pytest.mark.parametrize("text", ["AGL1(127,126)", "W(5)"])
+def test_eta_at_cap_scale_does_not_depend_on_the_labelling(text):
+    rep = eta(relabelled(realize_text(text), 17))
     assert (rep.eta, rep.l_value, rep.gminus_size, Counter(rep.class_reps)) == CAP_SCALE[text]
 
 
