@@ -456,13 +456,41 @@ def _affine_group(modulus: int, mult: int, order_cap: int, degree_cap: int) -> G
     )
 
 
+def _atom_degree(spec: GroupSpec) -> int:
+    """The degree of the group :func:`realize` builds for an atom, read off
+    the spec alone, so the degree cap holds before any generator exists."""
+    if isinstance(spec, Cyclic):
+        return max(spec.n, 1)
+    if isinstance(spec, Dihedral):
+        m = spec.n // 2
+        return {1: 2, 2: 4}.get(m, m)
+    if isinstance(spec, (Symmetric, Alternating, GeneralizedQuaternion)):
+        return spec.n
+    if isinstance(spec, ElemAbelian):
+        return spec.p * spec.k
+    if isinstance(spec, (Heisenberg, WreathCpCp)):
+        return spec.p * spec.p
+    if isinstance(spec, FrobeniusAGL1):
+        return spec.q
+    if isinstance(spec, ExplicitPerms):
+        return spec.degree
+    fixed = {Dicyclic12: 7, SG7250: 9, ModularM16: 8}
+    if type(spec) not in fixed:
+        raise TypeError(f"unknown spec node {spec!r}")
+    return fixed[type(spec)]
+
+
 def realize(
     spec: GroupSpec,
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Group:
-    """Build the faithful permutation group a spec names."""
+    """Build the faithful permutation group a spec names.  An atom whose
+    degree exceeds degree_cap raises CapExceeded before it is built."""
+    if not isinstance(spec, DirectProductSpec) and (degree := _atom_degree(spec)) > degree_cap:
+        raise CapExceeded(f"degree {degree} exceeds degree cap {degree_cap}")
+
     if isinstance(spec, Cyclic):
         n = spec.n
         gens = [] if n == 1 else [_cycle(n, list(range(n)))]
@@ -591,12 +619,11 @@ def realize(
         ]
         return enumerate_elements(spec.degree, gens, order_cap=order_cap, degree_cap=degree_cap)
 
-    if isinstance(spec, DirectProductSpec):
-        H = realize(spec.left, order_cap=order_cap, degree_cap=degree_cap)
-        K = realize(spec.right, order_cap=order_cap, degree_cap=degree_cap)
-        return direct_product(H, K, order_cap=order_cap, degree_cap=degree_cap)
-
-    raise TypeError(f"unknown spec node {spec!r}")
+    # a direct product: every atom has returned, and _atom_degree rejected
+    # any other node
+    H = realize(spec.left, order_cap=order_cap, degree_cap=degree_cap)
+    K = realize(spec.right, order_cap=order_cap, degree_cap=degree_cap)
+    return direct_product(H, K, order_cap=order_cap, degree_cap=degree_cap)
 
 
 def realize_text(

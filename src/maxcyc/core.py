@@ -298,6 +298,27 @@ def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
     return Group(G.degree, tuple(gens), frozenset(found), tuple(ordered))
 
 
+def orbits(items: Iterable, maps: Sequence[Callable]) -> list[list]:
+    """The orbits met from each of `items` in turn under the maps, which
+    permute a finite set: each orbit lists its members in the order met,
+    its first member being the item it was met from.  An orbit may pass
+    through members outside `items`."""
+    seen = set()
+    found = []
+    for x in items:
+        if x in seen:
+            continue
+        seen.add(x)
+        orbit = [x]
+        for y in orbit:  # the list grows while it is read
+            for f in maps:
+                if (z := f(y)) not in seen:
+                    seen.add(z)
+                    orbit.append(z)
+        found.append(orbit)
+    return found
+
+
 @dataclass(eq=False)
 class ElementClassPartition:
     """Conjugacy classes of group elements, ordered by minimum."""
@@ -309,29 +330,12 @@ class ElementClassPartition:
 @memo
 def conjugacy_classes(G: Group) -> ElementClassPartition:
     """Orbit partition of G under conjugation; classes ordered by minimum.
-    Conjugates come from :func:`base_index`, so the classes hold G's own
-    element objects."""
+    The :func:`orbits` of the sorted elements under the conjugators of
+    :func:`base_index`, so the classes hold G's own element objects."""
     conjugators = [base_index(G).conjugator(g) for g in G.generators]
-    index_of: dict[Permutation, int] = {}
-    classes: list[frozenset[Permutation]] = []
-    for x in sorted(G.element_list):
-        if x in index_of:
-            continue
-        orbit = {x}
-        stack = [x]
-        while stack:
-            y = stack.pop()
-            for conjugate in conjugators:
-                z = conjugate(y)
-                if z not in orbit:
-                    orbit.add(z)
-                    stack.append(z)
-        idx = len(classes)
-        fs = frozenset(orbit)
-        classes.append(fs)
-        for y in fs:
-            index_of[y] = idx
-    return ElementClassPartition(tuple(classes), index_of)
+    classes = tuple(map(frozenset, orbits(sorted(G.element_list), conjugators)))
+    index_of = {x: i for i, c in enumerate(classes) for x in c}
+    return ElementClassPartition(classes, index_of)
 
 
 def is_normal(G: Group, H: Group) -> bool:
@@ -422,10 +426,9 @@ def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
 
 @memo
 def center(G: Group) -> Group:
-    """The subgroup of elements commuting with every generator."""
-    members = [
-        x for x in G.element_list if all(x * g == g * x for g in G.generators)
-    ]
+    """The elements that are their own conjugacy class: those commuting
+    with every element of G."""
+    members = [x for c in conjugacy_classes(G).classes if len(c) == 1 for x in c]
     return group_from_elements(G.degree, members)
 
 

@@ -7,8 +7,10 @@ G^{p} (p-th powers).
 
 All of it reads one index per group (:func:`_cyclic_index`): every cyclic
 subgroup, built once from a power list, and the map from each element to
-the subgroup it generates.  The conjugacy-class walks look each conjugate
-up in that map.
+the subgroup it generates.  The conjugacy classes of cyclic subgroups come
+from one walk per group (:func:`_cyclic_classes`), which looks each
+conjugate up in that map and numbers every cyclic subgroup by its class;
+the classes of the maximal ones, eta, l and eta* all read those numbers.
 
 Products, powers and conjugates of G's elements go through
 :func:`maxcyc.core.base_index`: each reads the images of a short base
@@ -26,15 +28,16 @@ assumption.
 
 The invariants of a quotient G/N (:func:`quotient_invariants`) come from
 the same index through the coset map, since <xN> is the image of <x>: the
-same scan, class walk and power route run on coset points, and G/N is
-never built as a group.
+same scan and power route run on coset points, and the same orbit walk,
+:func:`maxcyc.core.orbits`, on the maximal images, and G/N is never built
+as a group.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Collection, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping
 
 from .core import (
     CosetTable,
@@ -45,6 +48,7 @@ from .core import (
     is_normal,
     memo,
     normal_subgroups,
+    orbits,
 )
 from .errors import InternalCheckError, NotNormal
 from .numutil import is_prime, prime_factors
@@ -241,57 +245,38 @@ class SubgroupClassSet:
     representatives: tuple[CyclicSubgroup, ...]
 
 
-def _class_walk(
-    subs: Iterable[CyclicSubgroup],
-    conjugates: Callable[[Any], Iterable[CyclicSubgroup]],
-) -> list[set[frozenset]]:
-    """The conjugacy orbits met from each of `subs` in turn, as sets of
-    element-set keys; `conjugates(x)` gives the subgroups generated by the
-    conjugates of a generator x by each generator of the group.  An orbit
-    may pass through subgroups outside `subs`."""
-    seen: set[frozenset] = set()
-    orbits: list[set[frozenset]] = []
-    for s in subs:
-        if s.elements in seen:
-            continue
-        orbit = {s.elements}
-        stack = [s.canonical_generator]
-        while stack:
-            for image in conjugates(stack.pop()):
-                if image.elements not in orbit:
-                    orbit.add(image.elements)
-                    stack.append(image.canonical_generator)
-        seen |= orbit
-        orbits.append(orbit)
-    return orbits
+@memo
+def _cyclic_classes(G: Group) -> dict[frozenset[Permutation], int]:
+    """The conjugacy-class number of each cyclic subgroup of G, keyed by
+    its element set: the :func:`maxcyc.core.orbits` of the cyclic index,
+    in its order, under conjugation by G's generators.  The conjugate of a
+    subgroup is the subgroup that the conjugate of its canonical generator
+    generates, looked up in the index."""
+    subs, sub_of = _cyclic_index(G)
+    maps = [
+        lambda s, conjugate=base_index(G).conjugator(g): sub_of[conjugate(s.canonical_generator)]
+        for g in G.generators
+    ]
+    return {s.elements: i for i, orbit in enumerate(orbits(subs.values(), maps)) for s in orbit}
 
 
 def conjugacy_classes_of_subgroups(
     G: Group, subs: Iterable[CyclicSubgroup]
 ) -> SubgroupClassSet:
-    """Partition of `subs` by conjugacy in G.
-
-    The orbit walk of :func:`_class_walk` runs over canonical element-set
-    keys; each class is the orbit intersected with the input set.  The
-    subgroup of each conjugate is looked up in the cyclic index of G.
-    """
-    _, sub_of = _cyclic_index(G)
-    conjugators = [base_index(G).conjugator(g) for g in G.generators]
-    pool = {s.elements: s for s in subs}
-    for s in pool.values():
-        if not s.elements <= G.elements:
+    """Partition of `subs` by conjugacy in G: the subgroups grouped by their
+    class numbers in :func:`_cyclic_classes`, each class sorted, and the
+    classes ordered by their first member."""
+    class_of = _cyclic_classes(G)
+    grouped: dict[int, dict[frozenset, CyclicSubgroup]] = {}
+    for s in subs:
+        if s.elements not in class_of:
             raise ValueError("subgroup is not contained in G")
-    orbits = _class_walk(
-        sorted(pool.values(), key=CyclicSubgroup.sort_key),
-        lambda x: [sub_of[conjugate(x)] for conjugate in conjugators],
+        grouped.setdefault(class_of[s.elements], {})[s.elements] = s
+    classes = sorted(
+        (tuple(sorted(c.values(), key=CyclicSubgroup.sort_key)) for c in grouped.values()),
+        key=lambda cls: cls[0].sort_key(),
     )
-    classes = [
-        tuple(sorted((pool[k] for k in orbit & pool.keys()), key=CyclicSubgroup.sort_key))
-        for orbit in orbits
-    ]
-    classes.sort(key=lambda cls: cls[0].sort_key())
-    reps = tuple(cls[0] for cls in classes)
-    return SubgroupClassSet(tuple(classes), reps)
+    return SubgroupClassSet(tuple(classes), tuple(cls[0] for cls in classes))
 
 
 @dataclass(frozen=True)
@@ -315,14 +300,10 @@ def eta(G: Group) -> EtaReport:
     """Count conjugacy classes of maximal cyclic subgroups (and of all
     cyclic subgroups, as l_value)."""
     max_classes = maximal_cyclic_classes(G)
-    all_classes = conjugacy_classes_of_subgroups(G, cyclic_subgroups(G))
-    reps = tuple(
-        (cls[0].order, len(cls)) for cls in max_classes.classes
-    )
     return EtaReport(
         eta=len(max_classes.classes),
-        class_reps=reps,
-        l_value=len(all_classes.classes),
+        class_reps=tuple((cls[0].order, len(cls)) for cls in max_classes.classes),
+        l_value=len(set(_cyclic_classes(G).values())),
         gminus_size=len(g_minus(G)),
     )
 
@@ -345,9 +326,9 @@ def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
     under the coset map of the subgroups that the coset representatives
     generate, each projected once.  The maximal ones come from the
     containment scan, cross-checked against the power route on the cosets;
-    classes from the orbit walk, where a generator g sends the coset xN to
-    the coset of x conjugated by g.  No permutation of degree |G:N| is
-    built.
+    their classes are the :func:`maxcyc.core.orbits` under the generators,
+    where a generator g sends <xN> to the image of <g x g^-1>.  No
+    permutation of degree |G:N| is built.
     """
     table = coset_table(G, N)
     point_of, reps = table.point_of, table.representatives
@@ -364,11 +345,11 @@ def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
     subs = {s.elements: s for s in images.values()}.values()
     minus, orders = _power_route(G, table)
     maximal = _maximal(subs, image_of, minus, orders)
-    orbits = _class_walk(
-        maximal,
-        lambda c: [image_of[point_of[conjugate(reps[c])]] for conjugate in conjugators],
-    )
-    return QuotientInvariants(len(orbits), minus, orders)
+    maps = [
+        lambda s, conjugate=conjugate: image_of[point_of[conjugate(reps[s.canonical_generator])]]
+        for conjugate in conjugators
+    ]
+    return QuotientInvariants(len(orbits(maximal, maps)), minus, orders)
 
 
 def quotient_eta(G: Group, N: Group) -> int:
@@ -395,34 +376,16 @@ def eta_p(K: Group, p: int) -> int:
 
 
 def eta_star(G: Group, N: Group) -> int:
-    """G-orbits on the N-conjugacy classes of maximal cyclic subgroups of N."""
+    """G-orbits on the N-conjugacy classes of maximal cyclic subgroups of N:
+    the number of G-classes of cyclic subgroups, in :func:`_cyclic_classes`,
+    that the maximal cyclic subgroups of N fall in.  As N is normal, such a
+    class holds N-maximal subgroups only; one that holds another raises
+    InternalCheckError."""
     if not is_normal(G, N):
         raise NotNormal("eta_star requires N normal in G")
-    n_classes = maximal_cyclic_classes(N)
-    _, sub_of = _cyclic_index(N)
-    conjugators = [base_index(G).conjugator(g) for g in G.generators]
-    class_of: dict[frozenset[Permutation], int] = {}
-    for i, cls in enumerate(n_classes.classes):
-        for s in cls:
-            class_of[s.elements] = i
-    orbits = 0
-    seen: set[int] = set()
-    for i, rep in enumerate(n_classes.representatives):
-        if i in seen:
-            continue
-        orbits += 1
-        stack = [rep.canonical_generator]
-        seen.add(i)
-        while stack:
-            gen = stack.pop()
-            for conjugate in conjugators:
-                image = sub_of.get(conjugate(gen))
-                j = None if image is None else class_of.get(image.elements)
-                if j is None:
-                    raise InternalCheckError(
-                        "conjugate of an N-maximal cyclic subgroup left N"
-                    )
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(image.canonical_generator)
-    return orbits
+    class_of = _cyclic_classes(G)
+    n_maximal = {s.elements for s in maximal_cyclic_subgroups(N)}
+    met = {class_of[k] for k in n_maximal}
+    if any(c in met and k not in n_maximal for k, c in class_of.items()):
+        raise InternalCheckError("a G-class of N-maximal cyclic subgroups holds another subgroup")
+    return len(met)

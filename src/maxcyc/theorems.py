@@ -14,6 +14,7 @@ from typing import Any, Sequence
 
 from .core import (
     Group,
+    base_index,
     center,
     closed_under_product,
     conjugacy_classes,
@@ -39,7 +40,7 @@ from .cyclic import (
     eta_preserving_normals,
     eta_star,
     g_minus,
-    maximal_cyclic_subgroups,
+    maximal_cyclic_classes,
     quotient_eta,
     quotient_invariants,
 )
@@ -230,12 +231,13 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     strong = True
     bad_c: list[str] = []
     bad_strong: list[str] = []
+    movers = [base_index(G).times(n) for n in N.element_list]  # x -> x*n
     for x in G.element_list:
         if x in gminus_set:
             continue
         targets = generator_classes_of(x)
-        for n in N.element_list:
-            y = x * n
+        for move in movers:
+            y = move(x)
             if class_index[y] in targets:
                 continue
             strong = False
@@ -250,18 +252,16 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     if bad_strong:
         witnesses["strong"] = tuple(bad_strong)
 
-    coset_union = all(
-        table.cosets[table.point_of[g]] <= gminus_set for g in gminus_set
-    )
+    gminus_points = {table.point_of[g] for g in gminus_set}
+    coset_union = all(table.cosets[i] <= gminus_set for i in gminus_points)
 
     gminus_n_stable: bool | None = None
     quotient_gminus_matches: bool | None = None
     if equal and coset_union:
-        product = {g * n for g in gminus_set for n in N.element_list}
+        # G^-N is the union of the cosets gN for g in G^-
+        product = frozenset().union(*(table.cosets[i] for i in gminus_points))
         gminus_n_stable = product == gminus_set
-        quotient_gminus_matches = (
-            {table.point_of[g] for g in product} == quotient_gminus_points
-        )
+        quotient_gminus_matches = gminus_points == quotient_gminus_points
 
     return QuotCheckReport(
         eta_g=eta_g,
@@ -662,17 +662,12 @@ def check_eitheror(G: Group, N: Group, M: Group) -> VerifyReport:
         Check("dichotomy", dichotomy, "N <= M or M <= G^-",
               {"N_in_M": N.elements <= M.elements, "M_in_gminus": M.elements <= gm})
     ]
-    for sub in maximal_cyclic_subgroups(G):
-        stable = all(
-            y.conjugate_by(g) in sub.elements
-            for g in G.generators
-            for y in sub.elements
-        )
-        if stable:
+    # a maximal cyclic subgroup is normal exactly when it is its own class
+    for cls in maximal_cyclic_classes(G).classes:
+        if len(cls) == 1:
+            inside = N.elements <= cls[0].elements
             checks.append(
-                Check(f"normal_maximal_cyclic_order_{sub.order}_contains_N",
-                      N.elements <= sub.elements, True,
-                      N.elements <= sub.elements)
+                Check(f"normal_maximal_cyclic_order_{cls[0].order}_contains_N", inside, True, inside)
             )
     return make_report(
         "eitheror",

@@ -3,8 +3,8 @@
 The subgroup oracle enumerates *every* subgroup by repeatedly extending
 known subgroups with cyclic subgroups over an integer multiplication
 table; it shares no code with maxcyc.core.normal_subgroups, which builds
-the normal-subgroup lattice from conjugacy-class products.  The eta
-oracle likewise shares no code with maxcyc.cyclic, and the greedy
+the normal-subgroup lattice from conjugacy-class products.  The eta and
+eta* oracles likewise share no code with maxcyc.cyclic, and the greedy
 generator, closure and pairwise-product oracles none with maxcyc.core's
 incremental closure.  :func:`relabelled` moves a group to other points,
 which changes its base and its element order but none of its invariants.
@@ -155,6 +155,21 @@ def normal_subgroup_element_sets(G: Group) -> set[frozenset]:
     return out
 
 
+def _power_orbit(mult: list[list[int]], i: int) -> frozenset[int]:
+    """Indices of the cyclic subgroup that element i generates."""
+    found = [0]
+    x = i
+    while x != 0:
+        found.append(x)
+        x = mult[x][i]
+    return frozenset(found)
+
+
+def _conjugate(mult: list[list[int]], inv: list[int], s: frozenset[int], g: int) -> frozenset[int]:
+    """Indices of g s g^-1."""
+    return frozenset(mult[mult[g][x]][inv[g]] for x in s)
+
+
 def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, set[frozenset]]:
     """Brute-force (eta, class_reps, l_value, gminus_size, maximal element
     sets), sharing no code with maxcyc.cyclic.
@@ -167,21 +182,9 @@ def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, se
     """
     elems, _, mult = _table(G)
     inv = [row.index(0) for row in mult]
-
-    def power_orbit(i: int) -> frozenset[int]:
-        found = [0]
-        x = i
-        while x != 0:
-            found.append(x)
-            x = mult[x][i]
-        return frozenset(found)
-
-    cyclic_of = [power_orbit(i) for i in range(len(elems))]
+    cyclic_of = [_power_orbit(mult, i) for i in range(len(elems))]
     subgroups = set(cyclic_of)
     maximal = {s for s in subgroups if not any(s < t for t in subgroups)}
-
-    def conjugate(s: frozenset[int], g: int) -> frozenset[int]:
-        return frozenset(mult[mult[g][x]][inv[g]] for x in s)
 
     def sort_key(s: frozenset[int]) -> tuple:
         return (len(s), tuple(sorted(elems[i].images for i in s)))
@@ -191,7 +194,7 @@ def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, se
         left = set(subs)
         while left:
             s = min(left, key=sort_key)
-            orbit = {conjugate(s, g) for g in range(len(elems))}
+            orbit = {_conjugate(mult, inv, s, g) for g in range(len(elems))}
             out.append(sorted(orbit, key=sort_key))
             left -= orbit
         return out
@@ -201,3 +204,28 @@ def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, se
     gminus_size = sum(1 for s in cyclic_of if s not in maximal)
     maximal_sets = {frozenset(elems[i] for i in s) for s in maximal}
     return len(max_classes), class_reps, len(classes(subgroups)), gminus_size, maximal_sets
+
+
+def eta_star_oracle(G: Group, N: Group) -> tuple[int, list[set[frozenset[Permutation]]]]:
+    """Brute-force eta*(N) for N normal in G, with the G-orbits on the
+    maximal cyclic subgroups of N as sets of element sets, sharing no code
+    with maxcyc.cyclic.
+
+    Works on G's integer multiplication table: the cyclic subgroups of N
+    are the power orbits of N's elements, the N-maximal ones lie in no
+    larger one, and the orbits are taken under conjugation by every
+    element of G (not only a generator).
+    """
+    elems, index, mult = _table(G)
+    inv = [row.index(0) for row in mult]
+    subgroups = {_power_orbit(mult, index[x]) for x in N.element_list}
+    maximal = {s for s in subgroups if not any(s < t for t in subgroups)}
+    orbits = []
+    left = set(maximal)
+    while left:
+        s = left.pop()
+        orbit = {_conjugate(mult, inv, s, g) for g in range(len(elems))}
+        assert orbit <= maximal, "N is not normal in G"
+        orbits.append({frozenset(elems[i] for i in t) for t in orbit})
+        left -= orbit
+    return len(orbits), orbits

@@ -116,6 +116,40 @@ def test_cap_flags(capsys):
     assert "cap" in err
 
 
+# Atoms whose degree is far above the degree cap, with that degree.
+OVERSIZED = {
+    "C(1000000000)": 1_000_000_000,
+    "D(100000000)": 50_000_000,
+    "EA(2,100000000)": 200_000_000,
+    "Perm(1000000000; (0 1))": 1_000_000_000,
+    "Q(1073741824)": 1_073_741_824,
+    "W(100003)": 10_000_600_009,
+}
+
+
+def _limit_address_space_to_1gb():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("spec", sorted(OVERSIZED))
+def test_degree_cap_is_checked_before_generators_are_built(tmp_path, spec):
+    # a generator of this degree alone would not fit in the 1 GB limit
+    corpus = tmp_path / "oversized.corpus"
+    corpus.write_text(f"{spec} ; eta=1\n", encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
+    for argv in (["eta", spec], ["verify", "--corpus", str(corpus)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxcyc.cli", *argv], env=env, capture_output=True,
+            text=True, preexec_fn=_limit_address_space_to_1gb, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert f"degree {OVERSIZED[spec]} exceeds degree cap 128" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 def test_output_determinism(capsys):
     _, out1, _ = run(capsys, "eta", "SG72_50", "--format", "json")
     _, out2, _ = run(capsys, "eta", "SG72_50", "--format", "json")

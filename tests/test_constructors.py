@@ -17,6 +17,7 @@ from maxcyc.constructors import (
     ExplicitPerms,
     FrobeniusAGL1,
     Symmetric,
+    _atom_degree,
 )
 from maxcyc.core import center, exponent, is_abelian, is_normal, point_stabilizer
 from maxcyc.cyclic import cyclic_subgroups, maximal_cyclic_subgroups
@@ -113,12 +114,19 @@ def test_render_parse_roundtrip(text):
         ("Dic12", 12, 7),
         ("SG72_50", 72, 9),
         ("M16", 16, 8),
+        ("Perm(5; (0 1 2 3 4), (1 4)(2 3))", 10, 5),
         ("S(3) x D(10)", 60, 8),
     ],
 )
 def test_realize_orders_and_degrees(text, order, degree):
     G = realize_text(text)
     assert (G.order, G.degree) == (order, degree)
+    spec = parse_spec(text)
+    if not isinstance(spec, DirectProductSpec):
+        assert _atom_degree(spec) == degree
+    if degree > 1:
+        with pytest.raises(CapExceeded, match=f"^degree {degree} exceeds degree cap {degree - 1}$"):
+            realize_text(text, degree_cap=degree - 1)
 
 
 def test_realize_respects_caps():

@@ -202,6 +202,24 @@ def test_eta_star_counts_fused_classes():
     assert eta_star(sg, N) == 2
 
 
+def test_eta_star_cross_check_fires(monkeypatch):
+    # put the trivial subgroup, which is not N-maximal, in the class of an
+    # N-maximal one
+    real = maxcyc.cyclic._cyclic_classes
+
+    def merged(G):
+        class_of = dict(real(G))
+        class_of[frozenset({G.identity})] = class_of[maximal_cyclic_subgroups(N)[0].elements]
+        return class_of
+
+    sg = realize_text("SG72_50")
+    N = named_normal(sg, 9, 0)
+    assert eta_star(sg, N) == 2
+    monkeypatch.setattr(maxcyc.cyclic, "_cyclic_classes", merged)
+    with pytest.raises(InternalCheckError):
+        eta_star(sg, N)
+
+
 def test_maximality_cross_check_fires(monkeypatch):
     real = maxcyc.cyclic.g_minus_via_powers
     monkeypatch.setattr(

@@ -5,6 +5,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from maxcyc import (
     Permutation,
+    center,
     conjugacy_classes,
     conjugacy_classes_of_subgroups,
     enumerate_elements,
@@ -24,11 +25,14 @@ from maxcyc import (
     render,
     subgroup_generated,
 )
-from maxcyc.core import closed_under_product, is_p_group
+from maxcyc.core import closed_under_product, is_cyclic, is_p_group
+from maxcyc.cyclic import eta_preserving_normals
+from maxcyc.theorems import check_eitheror
 
 from oracles import (
     closed_pairwise,
     eta_oracle,
+    eta_star_oracle,
     greedy_generators,
     normal_subgroup_element_sets,
     subgroup_closure,
@@ -194,6 +198,42 @@ def test_eta_matches_oracle(G):
         eta_value, class_reps, l_value, gminus_size
     )
     assert {s.elements for s in maximal_cyclic_subgroups(G)} == maximal_sets
+
+
+def assert_conjugation_orbits_match_oracles(G):
+    """eta*(N) for every normal N against the brute-force oracle; the centre
+    against the elements commuting with every element; and, for a
+    noncyclic p-group, the normal maximal cyclic subgroups that
+    check_eitheror tests against the oracle's maximal sets fixed by every
+    conjugation, for each nontrivial eta-preserving N."""
+    for N in normal_subgroups(G):
+        assert eta_star(G, N) == eta_star_oracle(G, N)[0]
+    elems = G.element_list
+    assert center(G).elements == {x for x in elems if all(x * y == y * x for y in elems)}
+    if not is_p_group(G) or is_cyclic(G):
+        return
+    fixed = [s for orbit in eta_star_oracle(G, G)[1] if len(orbit) == 1 for s in orbit]
+    fixed.sort(key=lambda s: (len(s), sorted(x.images for x in s)))
+    for N in eta_preserving_normals(G):
+        if N.order == 1:
+            continue
+        checks = check_eitheror(G, N, N).checks
+        assert [(c.name, c.passed) for c in checks if c.name.startswith("normal_maximal")] == [
+            (f"normal_maximal_cyclic_order_{len(s)}_contains_N", N.elements <= s) for s in fixed
+        ]
+
+
+@given(small_groups())
+@group_settings
+def test_conjugation_orbits_match_oracles(G):
+    assume(G.order <= 120)
+    assert_conjugation_orbits_match_oracles(G)
+
+
+@pytest.mark.parametrize("text", ["SG72_50", "AGL1(7,3)", "D(16)", "Q(16)", "M16", "Heis(3)",
+                                  "EA(2,2) x C(4)"])
+def test_named_conjugation_orbits_match_oracles(text):
+    assert_conjugation_orbits_match_oracles(realize_text(text))
 
 
 @given(small_groups())
