@@ -338,8 +338,10 @@ def conjugacy_classes(G: Group) -> ElementClassPartition:
     return ElementClassPartition(classes, index_of)
 
 
+@memo
 def is_normal(G: Group, H: Group) -> bool:
-    """Whether gHg^-1 = H for every generator g of G."""
+    """Whether gHg^-1 = H for every generator g of G.  Raises NotSubgroup,
+    on every call, unless H lies in G."""
     if not H.elements <= G.elements:
         raise NotSubgroup("H is not contained in G")
     return all(
@@ -406,10 +408,10 @@ def coset_table(G: Group, N: Group) -> CosetTable:
 @memo
 def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
     """G/N realized faithfully by the regular action on the cosets of N,
-    for callers that need G/N as a Group.  Its degree is the index.  The
-    invariants of G/N that the verifiers read (eta, G^-, element orders)
-    come from :func:`maxcyc.cyclic.quotient_invariants` instead, which
-    builds no permutation of that degree."""
+    of degree |G:N|, which no verifier builds.  The invariants of G/N that
+    they read (eta, G^-, element orders, the class) come from G's cosets
+    through :func:`maxcyc.cyclic.quotient_invariants`, which builds no
+    permutation of that degree."""
     table = coset_table(G, N)
     index = table.index
     qgens = [

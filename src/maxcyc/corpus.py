@@ -296,7 +296,7 @@ def run_first_main(inst: Instance) -> VerifyReport:
     checks = list(check_first_main(G).checks)
     expected = inst.entry.expect.get("classify")
     if expected is not None:
-        cls = classify_prime_order_group(G)
+        cls = classify_prime_order_group(G, normal_subgroups(G)[0])
         got = _CLASSIFY_RENDER[cls.kind](cls)
         checks.append(Check("classify", got == expected, expected, got))
     return make_report("first-main", inst.entry.spec_text, checks)

@@ -26,10 +26,9 @@ from .core import (
     is_nilpotent,
     is_normal,
     is_p_group,
-    is_simple_nonabelian_60,
     join,
     memo,
-    quotient_group,
+    normal_subgroups,
     subgroup_generated,
 )
 from .constructors import direct_product
@@ -337,48 +336,43 @@ def compute_X(G: Group) -> Group:
 # Classification of all-prime-order groups
 # ---------------------------------------------------------------------------
 
-def classify_prime_order_group(G: Group) -> PrimeOrderClass:
-    """Structural class of a group whose nonidentity elements all have
-    prime order.
+def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
+    """Structural class of G/N, for N normal in G, read off G's cosets.
 
-    Returns ``not_all_prime_order`` when some element order is composite.
-    Otherwise the group is an exponent-p p-group, a Frobenius group with
+    Returns ``not_all_prime_order`` when some coset order is composite.
+    Otherwise G/N is an exponent-p p-group, a Frobenius group with
     exponent-p kernel and complement of prime order q, or the simple group
-    of order 60, and the matching structure is verified directly.  The
+    of order 60 (whose normals are the images of the normals of G that
+    contain N), and the matching structure is verified on the cosets.  The
     trivial group counts, vacuously, as a 2-group of exponent 2.
     """
-    orders = element_orders(G)
-    if any(o != 1 and not is_prime(o) for o in orders.values()):
+    orders = quotient_invariants(G, N).orders
+    index = len(orders)
+    if any(o != 1 and not is_prime(o) for o in orders):
         return PrimeOrderClass("not_all_prime_order")
-    if G.order == 1:
-        return PrimeOrderClass("exponent_p", p=2)
-    p = is_p_group(G)
-    if p is not None:
-        return PrimeOrderClass("exponent_p", p=p)
-    if is_simple_nonabelian_60(G):
+    primes = prime_factors(index)
+    if len(primes) <= 1:
+        return PrimeOrderClass("exponent_p", p=primes[0] if primes else 2)
+    if index == 60 and sum(N.elements <= M.elements for M in normal_subgroups(G)) == 2:
         return PrimeOrderClass("a5")
-    primes = prime_factors(G.order)
     if len(primes) == 2:
+        table = coset_table(G, N)
+        reps, point_of = table.representatives, table.point_of
+        conjugator = base_index(G).conjugator
         for kernel_p, comp_q in ((primes[0], primes[1]), (primes[1], primes[0])):
-            if p_part(G.order, comp_q) != comp_q:
+            if p_part(index, comp_q) != comp_q:
                 continue
-            kernel = {x for x, n in orders.items() if n in (1, kernel_p)}
-            if len(kernel) != G.order // comp_q:
+            kernel = [c for c, o in enumerate(orders) if o in (1, kernel_p)]
+            if len(kernel) * comp_q != index:
                 continue
-            if not closed_under_product(kernel):
+            if not closed_under_product([x for c in kernel for x in table.cosets[c]]):
                 continue
-            q_elements = [x for x, n in orders.items() if n == comp_q]
-            ident = G.identity
-            free = all(
-                x.conjugate_by(h) != x
-                for h in q_elements
-                for x in kernel
-                if x != ident
-            )
-            if free:
+            # each coset of order q must move every kernel coset but N itself
+            conjugators = [conjugator(r) for r, o in zip(reps, orders) if o == comp_q]
+            if all(point_of[f(reps[c])] != c for f in conjugators for c in kernel[1:]):
                 return PrimeOrderClass("frobenius_pq", p=kernel_p, q=comp_q)
     raise ClassificationFailed(
-        f"group of order {G.order} with all prime element orders matches no "
+        f"group of order {index} with all prime element orders matches no "
         "expected structure"
     )
 
@@ -386,7 +380,8 @@ def classify_prime_order_group(G: Group) -> PrimeOrderClass:
 def check_first_main(G: Group) -> VerifyReport:
     """If <G^-> is proper, the quotient by it must be an exponent-p group,
     a Frobenius group with prime-order complement, or the simple group of
-    order 60."""
+    order 60.  The quotient is classified on G's coset data by
+    :func:`classify_prime_order_group` and never realized as a group."""
     instance = f"order {G.order}"
     H = subgroup_generated(G, g_minus(G))
     normal = is_normal(G, H)
@@ -394,9 +389,8 @@ def check_first_main(G: Group) -> VerifyReport:
     if H.order == G.order:
         checks.append(Check("vacuous (<G^-> = G)", True, "skip", "skip"))
         return make_report("first-main", instance, checks)
-    Q, _ = quotient_group(G, H)
     try:
-        cls = classify_prime_order_group(Q)
+        cls = classify_prime_order_group(G, H)
         checks.append(
             Check("quotient_class", cls.kind != "not_all_prime_order",
                   "exponent_p | frobenius_pq | a5", cls.kind)
@@ -535,7 +529,9 @@ def check_dirproduct_laws(H: Group, K: Group) -> VerifyReport:
 
 def verify_frobenius(G: Group, N: Group, H: Group) -> None:
     """Raise NotFrobenius unless G = NH with N normal, trivial N∩H, and
-    distinct conjugates of H meeting trivially."""
+    distinct conjugates of H meeting trivially.  For g = nh outside H,
+    gHg^-1 = nHn^-1, so one conjugate per coset nH decides; the witness is
+    the first g of ``G.element_list`` in a failing coset."""
     try:
         normal = is_normal(G, N)
     except NotSubgroup as exc:
@@ -548,14 +544,16 @@ def verify_frobenius(G: Group, N: Group, H: Group) -> None:
         raise NotFrobenius("kernel and complement intersect nontrivially")
     if N.order * H.order != G.order:
         raise NotFrobenius("|N| * |H| != |G|")
-    for g in G.element_list:
-        if g in H.elements:
-            continue
-        conj = {h.conjugate_by(g) for h in H.elements}
-        if len(conj & H.elements) > 1:
-            raise NotFrobenius(
-                f"H meets its conjugate by {g.cycle_string()} nontrivially"
-            )
+    base = base_index(G)
+    failing = []
+    for n in N.element_list[1:]:  # element_list starts at the identity
+        conjugate = base.conjugator(n)
+        if sum(conjugate(h) in H.elements for h in H.element_list) > 1:
+            failing.append(n)
+    if failing:
+        marked = {move(n) for move in map(base.times, H.element_list) for n in failing}
+        g = next(g for g in G.element_list if g in marked)
+        raise NotFrobenius(f"H meets its conjugate by {g.cycle_string()} nontrivially")
 
 
 def check_frobenius_eta(G: Group, N: Group, H: Group) -> VerifyReport:

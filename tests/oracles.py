@@ -6,8 +6,11 @@ table; it shares no code with maxcyc.core.normal_subgroups, which builds
 the normal-subgroup lattice from conjugacy-class products.  The eta and
 eta* oracles likewise share no code with maxcyc.cyclic, and the greedy
 generator, closure and pairwise-product oracles none with maxcyc.core's
-incremental closure.  :func:`relabelled` moves a group to other points,
-which changes its base and its element order but none of its invariants.
+incremental closure.  The classification and Frobenius-conjugate oracles
+work element by element on a group of their own, where maxcyc.theorems
+reads G's coset data and one conjugate per coset.  :func:`relabelled`
+moves a group to other points, which changes its base and its element
+order but none of its invariants.
 """
 
 from __future__ import annotations
@@ -18,7 +21,10 @@ from typing import Callable, Collection, Iterable
 
 from maxcyc.constructors import realize_text
 from maxcyc.core import Group
-from maxcyc.perm import Permutation
+from maxcyc.errors import ClassificationFailed, NotFrobenius
+from maxcyc.numutil import is_prime, prime_factors
+from maxcyc.perm import Permutation, perm_order
+from maxcyc.theorems import PrimeOrderClass
 
 
 def relabelled(G: Group, seed: int) -> Group:
@@ -229,3 +235,60 @@ def eta_star_oracle(G: Group, N: Group) -> tuple[int, list[set[frozenset[Permuta
         orbits.append({frozenset(elems[i] for i in t) for t in orbit})
         left -= orbit
     return len(orbits), orbits
+
+
+def outcome(fn: Callable, *args):
+    """fn(*args), or the type and message of the ClassificationFailed or
+    NotFrobenius it raises, so that a library routine and its oracle can
+    be compared on failures too."""
+    try:
+        return fn(*args)
+    except (ClassificationFailed, NotFrobenius) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def classify_oracle(Q: Group) -> PrimeOrderClass:
+    """The structural class of Q when all its nonidentity elements have
+    prime order, decided element by element on Q itself: each order by
+    ``perm_order``, the Frobenius kernel by pairwise products, its
+    fixed-point-freeness by conjugating every kernel element by every
+    element of order q, and simplicity at order 60 from the brute-force
+    normal subgroups.  Raises ClassificationFailed, with the library's
+    message, when no structure matches."""
+    orders = {x: perm_order(x) for x in Q.element_list}
+    if any(n != 1 and not is_prime(n) for n in orders.values()):
+        return PrimeOrderClass("not_all_prime_order")
+    primes = prime_factors(Q.order)
+    if len(primes) <= 1:
+        return PrimeOrderClass("exponent_p", p=primes[0] if primes else 2)
+    if Q.order == 60 and len(normal_subgroup_element_sets(Q)) == 2:
+        return PrimeOrderClass("a5")
+    for p, q in (primes, primes[::-1]) if len(primes) == 2 else ():
+        if Q.order % (q * q) == 0:
+            continue
+        kernel = {x for x, n in orders.items() if n in (1, p)}
+        if len(kernel) * q != Q.order or not closed_pairwise(kernel):
+            continue
+        if all(
+            x.conjugate_by(h) != x
+            for h, n in orders.items() if n == q
+            for x in kernel if not x.is_identity()
+        ):
+            return PrimeOrderClass("frobenius_pq", p=p, q=q)
+    raise ClassificationFailed(
+        f"group of order {Q.order} with all prime element orders matches no "
+        "expected structure"
+    )
+
+
+def frobenius_conjugate_oracle(G: Group, H: Group) -> str | None:
+    """The message for the first g outside H, in ``element_list`` order,
+    whose conjugate of H meets H nontrivially, conjugating all of H by
+    every such g; None when there is none."""
+    for g in G.element_list:
+        if g in H.elements:
+            continue
+        conj = {h.conjugate_by(g) for h in H.elements}
+        if len(conj & H.elements) > 1:
+            return f"H meets its conjugate by {g.cycle_string()} nontrivially"
+    return None

@@ -192,7 +192,8 @@ def test_criterion_07_classification_and_first_main(groups):
     named = ["Heis(3)", "Heis(5)", "EA(2,2)", "EA(2,3)", "EA(2,4)", "EA(3,2)",
              "EA(3,3)", "EA(5,2)", "A(5)", "AGL1(3,2)", "AGL1(7,3)"]
     for text in named:
-        cls = classify_prime_order_group(groups[text])
+        G = groups[text]
+        cls = classify_prime_order_group(G, normal_subgroups(G)[0])
         if cls.kind == "not_all_prime_order":
             failures.append(f"{text}: classified as composite-order")
     for e in ENTRIES:

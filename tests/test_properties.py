@@ -27,14 +27,16 @@ from maxcyc import (
 )
 from maxcyc.core import closed_under_product, is_cyclic, is_p_group
 from maxcyc.cyclic import eta_preserving_normals
-from maxcyc.theorems import check_eitheror
+from maxcyc.theorems import check_eitheror, classify_prime_order_group
 
 from oracles import (
+    classify_oracle,
     closed_pairwise,
     eta_oracle,
     eta_star_oracle,
     greedy_generators,
     normal_subgroup_element_sets,
+    outcome,
     subgroup_closure,
 )
 
@@ -120,6 +122,17 @@ def test_quotient_eta_monotone_and_star_bound(G):
     for N in normal_subgroups(G):
         assert eta(quotient_group(G, N)[0]).eta <= e_g
         assert eta_star(G, N) <= e_g
+
+
+@given(small_groups())
+@group_settings
+def test_classification_matches_the_oracle(G):
+    """G/N classified on G's data agrees with the oracle on the regular
+    realization of G/N, for every normal N, failures and their messages
+    included."""
+    for N in normal_subgroups(G):
+        want = outcome(classify_oracle, quotient_group(G, N)[0])
+        assert outcome(classify_prime_order_group, G, N) == want
 
 
 def assert_quotients_match_the_regular_realization(G):

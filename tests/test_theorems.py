@@ -1,6 +1,8 @@
 import pytest
 
+import maxcyc.core
 from maxcyc import (
+    DEFAULT_DEGREE_CAP,
     GroupIsCyclic,
     HypothesisFailed,
     InternalCheckError,
@@ -9,6 +11,7 @@ from maxcyc import (
     NotNormal,
     NotPGroup,
     NotProper,
+    Permutation,
     eta,
     eta_star,
     g_minus,
@@ -37,7 +40,14 @@ from maxcyc.theorems import (
     classify_prime_order_group,
     compute_X,
     gk_graph,
+    verify_frobenius,
 )
+from maxcyc.corpus import default_corpus_text, parse_corpus
+
+from oracles import classify_oracle, frobenius_conjugate_oracle, outcome
+
+
+CORPUS = parse_corpus(default_corpus_text())
 
 
 # --- quotient conditions ------------------------------------------------------
@@ -153,16 +163,67 @@ def test_compute_X_is_maximal():
 
 # --- classification ------------------------------------------------------------
 
+def classify(text):
+    """The class of a group itself: of G/1, with 1 the lattice's trivial normal."""
+    G = realize_text(text)
+    return classify_prime_order_group(G, normal_subgroups(G)[0])
+
+
 def test_classification_cases():
-    assert classify_prime_order_group(realize_text("Heis(3)")).kind == "exponent_p"
-    assert classify_prime_order_group(realize_text("EA(2,4)")) .p == 2
-    assert classify_prime_order_group(realize_text("A(5)")).kind == "a5"
-    frob = classify_prime_order_group(realize_text("AGL1(3,2)"))
+    assert classify("Heis(3)").kind == "exponent_p"
+    assert classify("EA(2,4)").p == 2
+    assert classify("A(5)").kind == "a5"
+    frob = classify("AGL1(3,2)")
     assert (frob.kind, frob.p, frob.q) == ("frobenius_pq", 3, 2)
-    frob = classify_prime_order_group(realize_text("AGL1(7,3)"))
+    frob = classify("AGL1(7,3)")
     assert (frob.kind, frob.p, frob.q) == ("frobenius_pq", 7, 3)
-    assert classify_prime_order_group(realize_text("C(6)")).kind == "not_all_prime_order"
-    assert classify_prime_order_group(realize_text("D(10)")).kind == "frobenius_pq"
+    assert classify("C(6)").kind == "not_all_prime_order"
+    assert classify("D(10)").kind == "frobenius_pq"
+
+
+@pytest.mark.parametrize(
+    "text",
+    sorted({e.spec_text for e in CORPUS}) + ["A(5) x C(2)", "S(5)", "AGL1(13,12)", "S(4) x C(3)"],
+)
+def test_classification_matches_the_oracle(text):
+    """G/N classified on G's data agrees with the oracle on the regular
+    realization of G/N, for every normal N, failures and their messages
+    included."""
+    G = realize_text(text)
+    assert G.order <= 2000
+    for N in normal_subgroups(G):
+        want = outcome(classify_oracle, quotient_group(G, N)[0])
+        assert outcome(classify_prime_order_group, G, N) == want, (text, N.order)
+
+
+def test_first_main_builds_no_quotient_group(monkeypatch):
+    """first-main classifies G/<G^-> without realizing it: no quotient
+    group, and no permutation of degree above the default degree cap, for
+    W(5), whose index 3125 is far above that cap, and for every corpus
+    group with <G^-> proper."""
+
+    def refuse(*args):
+        raise AssertionError("a quotient group was built")
+
+    unchecked = Permutation._unchecked.__func__
+
+    def capped(cls, images):
+        assert len(images) <= DEFAULT_DEGREE_CAP, f"a permutation of degree {len(images)}"
+        return unchecked(cls, images)
+
+    monkeypatch.setattr(maxcyc.core, "quotient_group", refuse)
+    monkeypatch.setattr(Permutation, "_unchecked", classmethod(capped))
+    w5 = realize_text("W(5)")
+    H = subgroup_generated(w5, g_minus(w5))
+    assert w5.order // H.order == 3125
+    assert check_first_main(w5).passed
+    proper = 0
+    for e in CORPUS:
+        G = realize_text(e.spec_text)
+        if subgroup_generated(G, g_minus(G)).order < G.order:
+            proper += 1
+            assert check_first_main(G).passed, e.spec_text
+    assert proper > 0
 
 
 def test_first_main_examples():
@@ -184,6 +245,12 @@ def test_closures_at_cap_scale():
     report = check_first_main(agl)
     assert report.passed
     assert [c.name for c in report.checks] == ["gminus_closure_normal", "vacuous (<G^-> = G)"]
+    # in a p-group G^- is the set of p-th powers, so G/<G^-> has exponent p
+    report = check_first_main(realize_text("W(5)"))
+    assert report.passed
+    assert [(c.name, c.actual) for c in report.checks] == [
+        ("gminus_closure_normal", True), ("quotient_class", "exponent_p")
+    ]
     # W(5) has order 5**6, and every p-group is nilpotent
     assert is_nilpotent(realize_text("W(5)"))
     # the derived subgroup of S(7) is A(7): the even permutations
@@ -267,6 +334,27 @@ def test_frobenius_eta_examples():
         G = realize_text(text)
         rep = check_frobenius_eta(G, named_normal(G, kernel, 0), point_stabilizer(G, 0))
         assert rep.passed, text
+
+
+def test_frobenius_at_cap_scale():
+    # AGL1(127,126) = C(127) : C(126), with 126 conjugates of the complement
+    G = realize_text("AGL1(127,126)")
+    rep = check_frobenius_eta(G, named_normal(G, 127, 0), point_stabilizer(G, 0))
+    assert rep.passed
+
+
+@pytest.mark.parametrize(
+    "text, kernel",
+    sorted({(e.spec_text, int(e.expect["frobenius"].partition(":")[0]))
+            for e in CORPUS if "frobenius" in e.expect}) + [("S(4)", 4)],
+)
+def test_frobenius_conjugates_match_the_oracle(text, kernel):
+    """One conjugate per coset of the complement finds the same first
+    witness as conjugating it by every element outside it."""
+    G = realize_text(text)
+    N, H = named_normal(G, kernel, 0), point_stabilizer(G, 0)
+    want = frobenius_conjugate_oracle(G, H)
+    assert outcome(verify_frobenius, G, N, H) == (want and ("NotFrobenius", want))
 
 
 def test_frobenius_rejects_sg72_50():
