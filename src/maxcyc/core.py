@@ -16,12 +16,12 @@ from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
-from .perm import Permutation
+from .perm import Permutation, right_multiplier, table_of
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_DEGREE_CAP = 128
 
-_images = attrgetter("images")
+_word = attrgetter("word")
 
 
 class Group:
@@ -67,9 +67,10 @@ class Group:
     def __len__(self) -> int:
         return len(self.element_list)
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical key of the element set: sorted tuple of image tuples."""
-        return tuple(sorted(p.images for p in self.element_list))
+    def key(self) -> tuple:
+        """Canonical key of the element set: the sorted tuple of the
+        elements' words, which sort like their image tuples."""
+        return tuple(sorted(map(_word, self.element_list)))
 
     def __repr__(self) -> str:
         return f"<Group degree={self.degree} order={self.order}>"
@@ -94,53 +95,60 @@ class BaseIndex:
     The base b_1..b_k is a sequence of points whose pointwise stabilizer
     in G is trivial, so an element x of G is fixed by its base images
     (x(b_1), ..., x(b_k)).  ``element_of`` maps these, read by ``read``
-    from an image tuple, to G's own element object.  Products, powers and
-    conjugates of G's elements read k points and look the result up,
+    from an element's word, to G's own element object.  Products, powers
+    and conjugates of G's elements read k points and look the result up,
     instead of building a permutation of degree n; they return G's own
     objects.
     """
 
-    __slots__ = ("points", "read_at", "read", "element_of")
+    __slots__ = ("points", "on_base", "read_at", "read", "element_of")
 
     def __init__(self, points: tuple[int, ...], elements: Iterable[Permutation]):
         self.points = points
+        self.on_base = frozenset(points)
         # itemgetter returns a tuple only for two keys or more, so a base of
         # fewer than two points is read with its only point, or point 0, twice
         self.read_at = points if len(points) > 1 else (*points, 0)[:1] * 2
         self.read = itemgetter(*self.read_at)
-        self.element_of = {self.read(x.images): x for x in elements}
+        self.element_of = {self.read(x.word): x for x in elements}
 
     def times(self, g: Permutation) -> Callable[[Permutation], Permutation]:
         """x -> x*g, for x in G: (x*g)(b) = x(g(b))."""
-        own, move = self.element_of, itemgetter(*self.read(g.images))
-        return lambda x: own[move(x.images)]
+        own, move = self.element_of, itemgetter(*self.read(g.word))
+        return lambda x: own[move(x.word)]
 
     def conjugator(self, g: Permutation) -> Callable[[Permutation], Permutation]:
         """x -> g x g^-1, for x in G: (g x g^-1)(b) = g(x(g^-1(b))),
         with g^-1(b) computed once."""
-        own, gi = self.element_of, g.images
-        pre = itemgetter(*self.read(g.inverse().images))
-        return lambda x: own[itemgetter(*pre(x.images))(gi)]
+        own, gw = self.element_of, g.word
+        pre = itemgetter(*self.read(g.inverse().word))
+        return lambda x: own[itemgetter(*pre(x.word))(gw)]
 
     def power(self, x: Permutation, n: int) -> Permutation:
         """x**n for x in G and n >= 0, walking each base point n steps."""
-        xi = x.images
+        xw = x.word
         key = []
         for b in self.read_at:
             for _ in range(n):
-                b = xi[b]
+                b = xw[b]
             key.append(b)
         return self.element_of[tuple(key)]
 
     def order(self, x: Permutation) -> int:
         """The order of x in G: the lcm of the cycle lengths of the base
-        points, since x**m = 1 exactly when x**m fixes every base point."""
-        xi = x.images
-        m = 1
+        points, since x**m = 1 exactly when x**m fixes every base point.
+        A base point met on an earlier one's cycle has the same length,
+        so each cycle is walked once."""
+        xw, on_base = x.word, self.on_base
+        m, met = 1, set()
         for b in self.points:
-            c, n = xi[b], 1
+            if b in met:
+                continue
+            c, n = xw[b], 1
             while c != b:
-                c = xi[c]
+                if c in on_base:
+                    met.add(c)
+                c = xw[c]
                 n += 1
             m = math.lcm(m, n)
         return m
@@ -155,15 +163,14 @@ def base_index(G: Group) -> BaseIndex:
     walk stops when that stabilizer is trivial (C. C. Sims, 1970).  Raises
     InternalCheckError if the base images do not separate G's elements.
     """
-    ident = tuple(range(G.degree))
-    stabilizer = [x for x in G.element_list if x.images != ident]
+    stabilizer = [x for x in G.element_list if not x.is_identity()]
     points: list[int] = []
     b = -1
     while stabilizer:
         # the stabilizer of the points so far fixes every point up to b
-        b = next(p for p in range(b + 1, G.degree) if any(x.images[p] != p for x in stabilizer))
+        b = next(p for p in range(b + 1, G.degree) if any(x.word[p] != p for x in stabilizer))
         points.append(b)
-        stabilizer = [x for x in stabilizer if x.images[b] == b]
+        stabilizer = [x for x in stabilizer if x.word[b] == b]
     base = BaseIndex(tuple(points), G.element_list)
     if len(base.element_of) != G.order:
         raise InternalCheckError(
@@ -172,24 +179,24 @@ def base_index(G: Group) -> BaseIndex:
     return base
 
 
-def _close(
-    degree: int, seed: Sequence[Permutation], order_cap: int
-) -> tuple[list[Permutation], set[Permutation]]:
-    """Breadth-first closure of the seed under composition.
+def _close(degree: int, seed: Sequence[Permutation], order_cap: int) -> list:
+    """Breadth-first closure of the seed under composition, as the words
+    of its elements in discovery order.
 
-    Returns (discovery-ordered list, element set).  Raises CapExceeded as
-    soon as the closure is known to be larger than order_cap.  The closure
-    runs on image tuples, x*g being ``itemgetter(*g.images)(x.images)``;
-    each element becomes a Permutation once.
+    Raises CapExceeded as soon as the closure is known to be larger than
+    order_cap.  The closure runs on words: each element is made into a
+    table once (:func:`maxcyc.perm.table_of`), and x*g is one C-level call
+    of g's :func:`maxcyc.perm.right_multiplier` on it.
     """
-    ident = tuple(range(degree))
+    ident = Permutation.identity(degree).word
     found = {ident}
     ordered = [ident]
-    # a non-identity g moves two points or more, so its getter returns tuples
-    movers = [itemgetter(*g.images) for g in seed if not g.is_identity()]
+    table = table_of(degree)
+    movers = [right_multiplier(g) for g in seed]
     for x in ordered:  # the list grows while it is read: breadth-first order
+        t = table(x)
         for move in movers:
-            y = move(x)
+            y = move(t)
             if y not in found:
                 if len(found) >= order_cap:
                     raise CapExceeded(
@@ -197,8 +204,13 @@ def _close(
                     )
                 found.add(y)
                 ordered.append(y)
-    perms = [Permutation._unchecked(y) for y in ordered]
-    return perms, set(perms)
+    return ordered
+
+
+def _group_of_words(degree: int, generators: tuple[Permutation, ...], words: list) -> Group:
+    """The Group that lists one new element per word, in the given order."""
+    element_list = tuple(map(Permutation._unchecked, words))
+    return Group(degree, generators, frozenset(element_list), element_list)
 
 
 def enumerate_elements(
@@ -217,8 +229,7 @@ def enumerate_elements(
     for g in gens:
         if g.degree != degree:
             raise ValueError(f"generator degree {g.degree} != {degree}")
-    ordered, found = _close(degree, gens, order_cap)
-    return Group(degree, gens, frozenset(found), tuple(ordered))
+    return _group_of_words(degree, gens, _close(degree, gens, order_cap))
 
 
 def _reduced_generators(
@@ -228,26 +239,29 @@ def _reduced_generators(
     candidate, in the given order, that those kept before it do not reach.
 
     A new generator multiplies only the elements already reached, and only
-    the elements that adds are closed under all generators.  Given the
-    candidates' image tuples as `within`, raises ValueError unless the
-    subgroup is exactly `within`: as soon as it leaves it, or at the end.
+    the elements that adds are closed under all generators, on words as in
+    :func:`_close`.  Given the candidates' words as `within`, raises
+    ValueError unless the subgroup is exactly `within`: as soon as it
+    leaves it, or at the end.
     """
     gens: list[Permutation] = []
     movers: list[Callable] = []
-    have = {tuple(range(degree))}
+    table = table_of(degree)
+    have = {Permutation.identity(degree).word}
     reached = list(have)
     for g in candidates:
-        if (x := g.images) in have:
+        if g.word in have:
             continue
         gens.append(g)
-        movers.append(itemgetter(*x))  # x is not the identity, which is in have
-        fresh = [y for h in reached if (y := movers[-1](h)) not in have]
+        movers.append(move := right_multiplier(g))
+        fresh = [y for h in reached if (y := move(table(h))) not in have]
         have.update(fresh)
         for z in fresh:  # the list grows while it is read: breadth-first order
             if within is not None and z not in within:
                 raise ValueError("element set is not closed under composition")
+            t = table(z)
             for move in movers:
-                if (y := move(z)) not in have:
+                if (y := move(t)) not in have:
                     have.add(y)
                     fresh.append(y)
         reached += fresh
@@ -262,7 +276,7 @@ def closed_under_product(elements: Collection[Permutation]) -> bool:
     set must contain the identity."""
     if not elements:
         return True
-    within = {p.images for p in elements}
+    within = set(map(_word, elements))
     try:
         _reduced_generators(next(iter(elements)).degree, elements, within)
     except ValueError:
@@ -278,24 +292,23 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
     :func:`_close` makes: the normal subgroups of a large lattice hold
     millions of elements between them.
     """
-    own = {p.images: p for p in elements}
-    gens = _reduced_generators(degree, sorted(own.values()), own)
-    ordered, _ = _close(degree, gens, len(own))
+    own = {p.word: p for p in elements}
+    gens = _reduced_generators(degree, map(own.__getitem__, sorted(own)), own)
+    ordered = _close(degree, gens, len(own))
     return Group(
-        degree, tuple(gens), frozenset(own.values()), tuple(own[p.images] for p in ordered)
+        degree, tuple(gens), frozenset(own.values()), tuple(map(own.__getitem__, ordered))
     )
 
 
 def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
     """The subgroup of G generated by `seed`, on the same point set, with
     the greedy generators of the sorted seed as its generators."""
-    seed_list = sorted(set(seed))
+    seed_list = sorted(set(seed), key=_word)
     for s in seed_list:
         if s not in G.elements:
             raise ValueError("seed element is not in the parent group")
-    gens = _reduced_generators(G.degree, seed_list)
-    ordered, found = _close(G.degree, gens, G.order)
-    return Group(G.degree, tuple(gens), frozenset(found), tuple(ordered))
+    gens = tuple(_reduced_generators(G.degree, seed_list))
+    return _group_of_words(G.degree, gens, _close(G.degree, gens, G.order))
 
 
 def orbits(items: Iterable, maps: Sequence[Callable]) -> list[list]:
@@ -333,7 +346,7 @@ def conjugacy_classes(G: Group) -> ElementClassPartition:
     The :func:`orbits` of the sorted elements under the conjugators of
     :func:`base_index`, so the classes hold G's own element objects."""
     conjugators = [base_index(G).conjugator(g) for g in G.generators]
-    classes = tuple(map(frozenset, orbits(sorted(G.element_list), conjugators)))
+    classes = tuple(map(frozenset, orbits(sorted(G.element_list, key=_word), conjugators)))
     index_of = {x: i for i, c in enumerate(classes) for x in c}
     return ElementClassPartition(classes, index_of)
 
@@ -388,17 +401,17 @@ def coset_table(G: Group, N: Group) -> CosetTable:
         raise NotNormal(f"subgroup of order {N.order} is not normal in G")
     base = base_index(G)
     read, own = base.read, base.element_of
-    movers = [itemgetter(*read(n.images)) for n in N.element_list]
+    movers = [itemgetter(*read(n.word)) for n in N.element_list]
     coset_of: dict[tuple[int, ...], int] = {}
     cosets: list[list[Permutation]] = []
     for x in G.element_list:
-        if read(xi := x.images) in coset_of:
+        if read(xw := x.word) in coset_of:
             continue
-        coset = [move(xi) for move in movers]
+        coset = [move(xw) for move in movers]
         coset_of.update(dict.fromkeys(coset, len(cosets)))
         cosets.append([own[y] for y in coset])
-    minima = [min(c, key=_images) for c in cosets]
-    order = sorted(range(len(cosets)), key=lambda k: minima[k].images)
+    minima = [min(c, key=_word) for c in cosets]
+    order = sorted(range(len(cosets)), key=lambda k: minima[k].word)
     point_of = {x: i for i, k in enumerate(order) for x in cosets[k]}
     return CosetTable(
         tuple(frozenset(cosets[k]) for k in order), tuple(minima[k] for k in order), point_of
@@ -476,7 +489,7 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     """
     part = conjugacy_classes(G)
     classes, index_of = part.classes, part.index_of
-    reps = [min(c) for c in classes]
+    reps = [min(c, key=_word) for c in classes]
     rows: dict[int, dict[int, int]] = {}
 
     def product(i: int, a: int) -> int:
@@ -593,7 +606,7 @@ def point_stabilizer(G: Group, point: int) -> Group:
     """The subgroup fixing the given point."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
-    members = [x for x in G.element_list if x.images[point] == point]
+    members = [x for x in G.element_list if x.word[point] == point]
     return group_from_elements(G.degree, members)
 
 

@@ -75,7 +75,7 @@ class CyclicSubgroup:
 
     def sort_key(self) -> tuple:
         if self._sort_key is None:
-            self._sort_key = (self.order, tuple(sorted(p.images for p in self.elements)))
+            self._sort_key = (self.order, tuple(sorted(p.word for p in self.elements)))
         return self._sort_key
 
     def __eq__(self, other: object) -> bool:

@@ -1,10 +1,44 @@
-"""Permutations of {0, ..., degree-1} stored as immutable image tuples."""
+"""Permutations of {0, ..., degree-1} stored as packed immutable words.
+
+A permutation's ``word`` holds its images.  Up to 256 points the word is
+``bytes``, one byte per point, so products, inverses and conjugates are
+single C-level ``bytes.translate`` and ``bytes.maketrans`` calls and an
+element of degree 127 takes 160 bytes instead of about 1 KB as a tuple.
+Above 256 points the word is the image tuple, multiplied by
+``operator.itemgetter``.  Either word indexes to the image ints, hashes,
+and, between words of one degree, orders like the image tuple, so code
+outside this module reads ``word`` without asking which one it is; the
+closure loops take their products from :func:`table_of` and
+:func:`right_multiplier`.
+"""
 
 from __future__ import annotations
 
 import math
-from operator import itemgetter
-from typing import Iterable, Sequence
+from operator import itemgetter, methodcaller
+from typing import Callable, Iterable, Sequence
+
+PACKED_DEGREE = 256
+
+
+class _ByDegree(dict):
+    """bytes(range(*span(n))) for each degree n, made on first use."""
+
+    def __init__(self, span: Callable[[int], tuple[int, int]]):
+        self.span = span
+
+    def __missing__(self, n: int) -> bytes:
+        self[n] = value = bytes(range(*self.span(n)))
+        return value
+
+
+# _PAD[n] completes a packed word of degree n to a 256-byte translation table
+_PAD = _ByDegree(lambda n: (n, PACKED_DEGREE))
+_IDENT = _ByDegree(lambda n: (0, n))
+
+
+def _identity_word(degree: int) -> bytes | tuple[int, ...]:
+    return _IDENT[degree] if degree <= PACKED_DEGREE else tuple(range(degree))
 
 
 class Permutation:
@@ -17,7 +51,7 @@ class Permutation:
     minimum under that order (the identity is the global minimum).
     """
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ("word", "_hash")
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
@@ -26,19 +60,19 @@ class Permutation:
             if not 0 <= v < len(imgs) or seen[v]:
                 raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
             seen[v] = True
-        self.images = imgs
-        self._hash = hash(imgs)
+        self.word = bytes(imgs) if len(imgs) <= PACKED_DEGREE else imgs
+        self._hash = hash(self.word)
 
     @classmethod
-    def _unchecked(cls, imgs: tuple[int, ...]) -> "Permutation":
+    def _unchecked(cls, word: bytes | tuple[int, ...]) -> "Permutation":
         p = object.__new__(cls)
-        p.images = imgs
-        p._hash = hash(imgs)
+        p.word = word
+        p._hash = hash(word)
         return p
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls._unchecked(tuple(range(degree)))
+        return cls._unchecked(_identity_word(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Sequence[Sequence[int]]) -> "Permutation":
@@ -57,26 +91,31 @@ class Permutation:
         return result
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self.word)
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self.word)
 
     def is_identity(self) -> bool:
-        return all(v == i for i, v in enumerate(self.images))
+        return self.word == _identity_word(len(self.word))
 
     def __call__(self, point: int) -> int:
-        return self.images[point]
+        return self.word[point]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        a, b = self.images, other.images
-        if len(b) > 1:
-            return Permutation._unchecked(itemgetter(*b)(a))
-        # itemgetter with one key returns a bare item, not a tuple
-        return Permutation._unchecked(tuple(a[v] for v in b))
+        a, b = self.word, other.word
+        if type(a) is bytes:
+            return Permutation._unchecked(b.translate(a + _PAD[len(a)]))
+        return Permutation._unchecked(itemgetter(*b)(a))
 
     def inverse(self) -> "Permutation":
-        imgs = self.images
-        out = [0] * len(imgs)
-        for i, v in enumerate(imgs):
+        w = self.word
+        if type(w) is bytes:
+            return Permutation._unchecked(bytes.maketrans(w, _IDENT[len(w)])[: len(w)])
+        out = [0] * len(w)
+        for i, v in enumerate(w):
             out[v] = i
         return Permutation._unchecked(tuple(out))
 
@@ -96,11 +135,14 @@ class Permutation:
             base = base * base
 
     def conjugate_by(self, g: "Permutation") -> "Permutation":
-        """g * self * g^-1, computed in one pass."""
-        gi, hi = g.images, self.images
-        out = [0] * len(gi)
-        for i, gv in enumerate(gi):
-            out[gv] = gi[hi[i]]
+        """g * self * g^-1, computed in one pass: it sends g(i) to g(self(i))."""
+        gw, hw = g.word, self.word
+        if type(gw) is bytes:
+            n = len(gw)
+            return Permutation._unchecked(bytes.maketrans(gw, hw.translate(gw + _PAD[n]))[:n])
+        out = [0] * len(gw)
+        for i, gv in enumerate(gw):
+            out[gv] = gw[hw[i]]
         return Permutation._unchecked(tuple(out))
 
     def cycles(self) -> list[tuple[int, ...]]:
@@ -109,7 +151,7 @@ class Permutation:
         Each cycle starts at its smallest point; cycles are sorted by first
         point, so the decomposition is canonical.
         """
-        imgs = self.images
+        imgs = self.word
         seen = [False] * len(imgs)
         out = []
         for start in range(len(imgs)):
@@ -134,19 +176,37 @@ class Permutation:
         return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and self.word == other.word
 
     def __hash__(self) -> int:
         return self._hash
 
     def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
+        return self.word < other.word
 
     def __le__(self, other: "Permutation") -> bool:
-        return self.images <= other.images
+        return self.word <= other.word
+
+    def __reduce__(self):
+        # the hash of bytes is salted per process, so it is not pickled
+        return Permutation._unchecked, (self.word,)
 
     def __repr__(self) -> str:
         return f"<perm {self.cycle_string()}>"
+
+
+def table_of(degree: int) -> Callable:
+    """x.word -> the table that :func:`right_multiplier` reads, for x of
+    this degree: a packed word padded to 256 bytes, or the tuple itself.
+    A closure loop makes it once per element."""
+    return methodcaller("__add__", _PAD[degree]) if degree <= PACKED_DEGREE else tuple
+
+
+def right_multiplier(g: Permutation) -> Callable:
+    """The table of x (:func:`table_of`) -> the word of x*g, one C-level
+    call: (x*g)(i) = x(g(i)) looks each image of g up in x's table."""
+    w = g.word
+    return w.translate if type(w) is bytes else itemgetter(*w)
 
 
 def perm_order(a: Permutation) -> int:

@@ -68,6 +68,22 @@ def greedy_generators(degree: int, elements: frozenset[Permutation]) -> list[Per
     return gens
 
 
+def bfs_closure(degree: int, generators: Iterable[Permutation]) -> list[tuple[int, ...]]:
+    """The group the generators generate, as image tuples in breadth-first
+    order from the identity: each element x in the order met, times each
+    generator g in the given order, where x*g sends i to x[g[i]]."""
+    gens = [g.images for g in generators]
+    met = [tuple(range(degree))]
+    seen = set(met)
+    for x in met:  # the list grows while it is read
+        for g in gens:
+            y = tuple(x[v] for v in g)
+            if y not in seen:
+                seen.add(y)
+                met.append(y)
+    return met
+
+
 def _table(G: Group) -> tuple[list[Permutation], dict[Permutation, int], list[list[int]]]:
     """The sorted elements of G (index 0 is the identity), their indices,
     and the integer multiplication table."""

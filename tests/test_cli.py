@@ -337,6 +337,37 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+# A child's peak RSS counts the process it was forked from, so the command
+# is started from a small launcher rather than from the test process.
+_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen([sys.executable, "-m", "maxcyc.cli", *sys.argv[1:]],
+                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(*argv: str) -> float:
+    """The peak resident set of `maxcyc *argv` in a fresh process, in MB."""
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, *argv], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    code, maxrss = map(int, proc.stdout.split())
+    assert code == 0, argv
+    return maxrss / 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KB, as Linux gives it")
+def test_eta_at_the_order_cap_stays_small():
+    # the 16002 elements of AGL1(127,126) take one byte per point each;
+    # as 127-int tuples they took about 24 MB above the trivial group
+    grown = _peak_rss_mb("eta", "AGL1(127,126)") - _peak_rss_mb("eta", "C(1)")
+    assert grown < 16
+
+
 # Quotients near the order cap.  These are regression pins: each value was
 # taken from the regular realization of G/N (``quotient_group``), before the
 # quotient invariants were read off the coset table.  ``quot S(7) --order 1``

@@ -32,6 +32,7 @@ from maxcyc import (
 from maxcyc.core import (
     base_index,
     exponent,
+    group_from_elements,
     is_abelian,
     is_cyclic,
     is_nilpotent,
@@ -40,7 +41,7 @@ from maxcyc.core import (
     point_stabilizer,
 )
 
-from oracles import normal_subgroup_element_sets, relabelled
+from oracles import bfs_closure, greedy_generators, normal_subgroup_element_sets, relabelled
 from test_properties import group_settings, small_groups
 
 
@@ -51,6 +52,40 @@ def cyc(degree, *cycles):
 def test_enumerate_s3():
     G = enumerate_elements(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
     assert G.order == 6
+
+
+def _scattered_generators(degree: int, seed: int) -> list[Permutation]:
+    """Two random permutations of 5 random points and a transposition of 2
+    other points: generators of a group of order at most 240 on `degree`
+    points."""
+    rng = random.Random(seed)
+    points = rng.sample(range(degree), 7)
+    gens = []
+    for _ in range(2):
+        moved = points[:5]
+        rng.shuffle(moved)
+        gens.append(Permutation.from_cycles(degree, [points[:5], moved[:3]]))
+    gens.append(Permutation.from_cycles(degree, [points[5:]]))
+    return gens
+
+
+# Witnesses and canonical choices are listed in element_list order, so the
+# breadth-first order of every closure is pinned, on both kinds of word.
+@pytest.mark.parametrize("degree", [7, 127, 257])
+@pytest.mark.parametrize("seed", range(3))
+def test_closures_list_elements_in_breadth_first_order(degree, seed):
+    gens = _scattered_generators(degree, seed)
+    G = enumerate_elements(degree, gens, degree_cap=degree)
+    assert [x.images for x in G] == bfs_closure(degree, gens)
+    assert list(G.generators) == gens
+    rng = random.Random(seed)
+    H = subgroup_generated(G, rng.sample(G.element_list, 2))
+    assert [x.images for x in H] == bfs_closure(degree, H.generators)
+    for members in (H.elements, G.elements):
+        K = group_from_elements(degree, members)
+        assert [x.images for x in K] == bfs_closure(degree, K.generators)
+        assert list(K.generators) == greedy_generators(degree, members)
+        assert K.elements == members and set(map(id, K)) == set(map(id, members))
 
 
 def test_enumerate_dihedral_30():

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from maxcyc.perm import Permutation, perm_order
@@ -87,7 +89,7 @@ def _power(a, n):
     return tuple(out)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 7, 127])
+@pytest.mark.parametrize("degree", [1, 2, 7, 127, 255, 256, 257, 300])
 def test_kernels_match_reference_composition(degree):
     import random
 
@@ -111,3 +113,44 @@ def test_kernels_match_reference_composition(degree):
             got = a ** k
             assert type(got.images) is tuple
             assert got.images == _power(a.images, k)
+
+
+def _inverse(a):
+    """Reference inverse: i -> the point that a sends to i."""
+    out = [0] * len(a)
+    for i, v in enumerate(a):
+        out[v] = i
+    return tuple(out)
+
+
+# Up to 256 points the word is packed into bytes; above, it is the image tuple.
+@pytest.mark.parametrize("degree", [1, 2, 7, 127, 255, 256, 257, 300])
+def test_words_agree_with_image_tuples(degree):
+    import random
+
+    rng = random.Random(-degree)
+    perms = [Permutation.identity(degree)]
+    for _ in range(12):
+        imgs = list(range(degree))
+        rng.shuffle(imgs)
+        perms.append(Permutation(imgs))
+    # a transposition of the last two points differs from the identity
+    # only at the end of the word
+    if degree > 1:
+        perms.append(Permutation.from_cycles(degree, [(degree - 2, degree - 1)]))
+    for a in perms:
+        inv = a.inverse()
+        assert type(inv.images) is tuple and inv.images == _inverse(a.images)
+        assert (a * inv).is_identity() and (inv * a).is_identity()
+        assert a.is_identity() == (a.images == tuple(range(degree)))
+        assert [a(i) for i in range(degree)] == list(a.images)
+        twin = Permutation(a.images)
+        assert twin == a and hash(twin) == hash(a) and len({twin, a}) == 1
+        thawed = pickle.loads(pickle.dumps(a))
+        assert thawed == a and hash(thawed) == hash(a)
+        for b in perms:
+            assert (a == b) == (a.images == b.images)
+            assert (a < b) == (a.images < b.images) and (a <= b) == (a.images <= b.images)
+    by_word = sorted(perms, key=lambda p: p.word)
+    assert [p.images for p in by_word] == sorted(p.images for p in perms)
+    assert by_word == sorted(perms)
