@@ -8,14 +8,17 @@ product operator)::
            | AGL1(q,d) | Dic12 | SG72_50 | M16
            | Perm(degree; gen, gen, ...)      gen := cycle+   cycle := (p p ...)
 
-Parse errors carry byte offsets; parameter violations raise ArityError.
+Each family is one :class:`Family` class, which holds its keyword, its
+parameters, the degree of its group and that group's generators; the
+parser, ``render`` and :func:`realize` read these and never name a family.
+Parse errors carry character indices; parameter violations raise ArityError.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields
+from typing import ClassVar, Union
 
 from .core import (
     DEFAULT_DEGREE_CAP,
@@ -33,61 +36,140 @@ from .perm import Permutation
 # Abstract syntax
 # ---------------------------------------------------------------------------
 
+def _cycle(degree: int, points: list[int]) -> Permutation:
+    return Permutation.from_cycles(degree, [points])
+
+
+class Family:
+    """A group family of the spec language; each subclass is a frozen
+    dataclass whose fields are the family's integer parameters.
+
+    A subclass sets ``keyword``, checks its parameters in ``__post_init__``,
+    and gives ``degree``, read off the parameters alone so that the degree
+    cap holds before any generator exists, and ``generators()``, the
+    generators of the group :func:`realize` builds on that many points.
+    """
+
+    keyword: ClassVar[str]
+    degree: int
+
+    def generators(self) -> list[Permutation]:
+        raise NotImplementedError
+
+    def render(self) -> str:
+        params = ",".join(str(getattr(self, f.name)) for f in fields(self))
+        return f"{self.keyword}({params})" if params else self.keyword
+
+    @classmethod
+    def read(cls, parser: _Parser) -> Family:
+        """The atom whose keyword the parser has just taken: its parameters
+        as ``(p1,p2,...)``, or nothing when the family has none."""
+        arity = len(fields(cls))
+        if not arity:
+            return cls()
+        args = parser.int_args()
+        if len(args) != arity:
+            plural = "" if arity == 1 else "s"
+            raise ArityError(f"{cls.keyword} takes {arity} parameter{plural}, got {len(args)}")
+        return cls(*args)
+
+
 @dataclass(frozen=True)
-class Cyclic:
+class Cyclic(Family):
+    keyword = "C"
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ArityError(f"C({self.n}): order must be >= 1")
 
-    def render(self) -> str:
-        return f"C({self.n})"
+    @property
+    def degree(self) -> int:
+        return self.n
+
+    def generators(self) -> list[Permutation]:
+        n = self.n
+        return [] if n == 1 else [_cycle(n, list(range(n)))]
 
 
 @dataclass(frozen=True)
-class Dihedral:
+class Dihedral(Family):
     """Dihedral group given by its total order (even).
 
     Orders 2 and 4 denote the degenerate dihedral groups C2 and C2 x C2.
     """
 
+    keyword = "D"
     n: int
 
     def __post_init__(self):
         if self.n < 2 or self.n % 2:
             raise ArityError(f"D({self.n}): total order must be even and >= 2")
 
-    def render(self) -> str:
-        return f"D({self.n})"
+    @property
+    def degree(self) -> int:
+        m = self.n // 2
+        return {1: 2, 2: 4}.get(m, m)
+
+    def generators(self) -> list[Permutation]:
+        m = self.n // 2
+        if m == 1:
+            return [_cycle(2, [0, 1])]
+        if m == 2:
+            return [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))]
+        rot = _cycle(m, list(range(m)))
+        ref = Permutation(tuple((-x) % m for x in range(m)))
+        return [rot, ref]
 
 
 @dataclass(frozen=True)
-class Symmetric:
+class Symmetric(Family):
+    keyword = "S"
     n: int
 
     def __post_init__(self):
         if self.n < 1:
             raise ArityError(f"S({self.n}): degree must be >= 1")
 
-    def render(self) -> str:
-        return f"S({self.n})"
+    @property
+    def degree(self) -> int:
+        return self.n
+
+    def generators(self) -> list[Permutation]:
+        n = self.n
+        if n == 1:
+            return []
+        gens = [_cycle(n, [0, 1])]
+        if n > 2:
+            gens.append(_cycle(n, list(range(n))))
+        return gens
 
 
 @dataclass(frozen=True)
-class Alternating:
+class Alternating(Family):
+    keyword = "A"
     n: int
 
     def __post_init__(self):
         if self.n < 3:
             raise ArityError(f"A({self.n}): degree must be >= 3")
 
-    def render(self) -> str:
-        return f"A({self.n})"
+    @property
+    def degree(self) -> int:
+        return self.n
+
+    def generators(self) -> list[Permutation]:
+        # a 3-cycle and an (odd) n-cycle, or an (n-1)-cycle fixing 0 for even n
+        n = self.n
+        gens = [_cycle(n, [0, 1, 2])]
+        if n > 3:
+            gens.append(_cycle(n, list(range(1 - n % 2, n))))
+        return gens
 
 
 @dataclass(frozen=True)
-class ElemAbelian:
+class ElemAbelian(Family):
+    keyword = "EA"
     p: int
     k: int
 
@@ -97,50 +179,92 @@ class ElemAbelian:
         if self.k < 1:
             raise ArityError(f"EA({self.p},{self.k}): rank must be >= 1")
 
-    def render(self) -> str:
-        return f"EA({self.p},{self.k})"
+    @property
+    def degree(self) -> int:
+        return self.p * self.k
+
+    def generators(self) -> list[Permutation]:
+        p = self.p
+        return [_cycle(self.degree, list(range(i * p, (i + 1) * p))) for i in range(self.k)]
 
 
 @dataclass(frozen=True)
-class Heisenberg:
+class Heisenberg(Family):
     """Extraspecial group of order p**3 and exponent p, p an odd prime."""
 
+    keyword = "Heis"
     p: int
 
     def __post_init__(self):
         if not is_prime(self.p) or self.p == 2:
             raise ArityError(f"Heis({self.p}): p must be an odd prime")
 
-    def render(self) -> str:
-        return f"Heis({self.p})"
+    @property
+    def degree(self) -> int:
+        return self.p * self.p
+
+    def generators(self) -> list[Permutation]:
+        # Maps (x, y) -> (x + a*y + c, y + b) on F_p^2, point index x*p + y.
+        p = self.p
+
+        def pt(x: int, y: int) -> int:
+            return (x % p) * p + (y % p)
+
+        shear = Permutation(tuple(pt(x + y, y) for x in range(p) for y in range(p)))
+        lift = Permutation(tuple(pt(x, y + 1) for x in range(p) for y in range(p)))
+        return [shear, lift]
 
 
 @dataclass(frozen=True)
-class GeneralizedQuaternion:
+class GeneralizedQuaternion(Family):
+    keyword = "Q"
     n: int
 
     def __post_init__(self):
         if self.n < 8 or self.n & (self.n - 1):
             raise ArityError(f"Q({self.n}): total order must be a power of 2, >= 8")
 
-    def render(self) -> str:
-        return f"Q({self.n})"
+    @property
+    def degree(self) -> int:
+        return self.n
+
+    def generators(self) -> list[Permutation]:
+        # Regular action on pairs (i, j): a^i b^j with a of order n/2 and
+        # b a b^-1 = a^-1, b^2 = a^(n/4); point (i, j) is i + j*n/2.
+        m = self.n // 2
+
+        def idx(i: int, j: int) -> int:
+            return (i % m) + (j % 2) * m
+
+        a = [idx(i + 1, j) for j in range(2) for i in range(m)]
+        b = [idx(-i, 1) for i in range(m)] + [idx(-i + m // 2, 0) for i in range(m)]
+        return [Permutation(a), Permutation(b)]
 
 
 @dataclass(frozen=True)
-class WreathCpCp:
+class WreathCpCp(Family):
+    keyword = "W"
     p: int
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ArityError(f"W({self.p}): p must be prime")
 
-    def render(self) -> str:
-        return f"W({self.p})"
+    @property
+    def degree(self) -> int:
+        return self.p * self.p
+
+    def generators(self) -> list[Permutation]:
+        # Imprimitive action on p blocks of p points; base cycle on block 0
+        # plus the block shift generate the full wreath product.
+        p, degree = self.p, self.degree
+        base = _cycle(degree, list(range(p)))
+        shift = Permutation(tuple((x + p) % degree for x in range(degree)))
+        return [base, shift]
 
 
 @dataclass(frozen=True)
-class FrobeniusAGL1:
+class FrobeniusAGL1(Family):
     """Affine maps x -> a*x + b on Z/q, a in the order-d unit subgroup.
 
     q is a prime power at most 128; for q = p**k the multiplier order d
@@ -149,6 +273,7 @@ class FrobeniusAGL1:
     is read as the modular ring Z/q (kernel cyclic of order q).
     """
 
+    keyword = "AGL1"
     q: int
     d: int
 
@@ -163,38 +288,75 @@ class FrobeniusAGL1:
                 f"AGL1({self.q},{self.d}): d must divide {p - 1} (base prime {p} minus 1)"
             )
 
-    def render(self) -> str:
-        return f"AGL1({self.q},{self.d})"
+    @property
+    def degree(self) -> int:
+        return self.q
+
+    def generators(self) -> list[Permutation]:
+        # (Z/q)* has a unit of every order d | p - 1: it is cyclic for odd p,
+        # and d = 1 for p = 2, where the multiplier is 1 itself.
+        q, d = self.q, self.d
+        mult = next(
+            (a for a in range(2, q) if math.gcd(a, q) == 1 and multiplicative_order(a, q) == d), 1
+        )
+        shift = Permutation(tuple((x + 1) % q for x in range(q)))
+        scale = Permutation(tuple(x * mult % q for x in range(q)))
+        return [shift, scale]
 
 
 @dataclass(frozen=True)
-class Dicyclic12:
+class Dicyclic12(Family):
     """Z3 : Z4 with Z4 inverting Z3, acting faithfully on 7 points."""
 
-    def render(self) -> str:
-        return "Dic12"
+    keyword = "Dic12"
+    degree = 7
+
+    def generators(self) -> list[Permutation]:
+        a = _cycle(7, [0, 1, 2])
+        b = Permutation.from_cycles(7, [[1, 2], [3, 4, 5, 6]])
+        return [a, b]
 
 
 @dataclass(frozen=True)
-class SG7250:
+class SG7250(Family):
     """Translations of F3^2 extended by a dihedral-of-order-8 group of its
     linear maps; order 72, degree 9."""
 
-    def render(self) -> str:
-        return "SG72_50"
+    keyword = "SG72_50"
+    degree = 9
+
+    def generators(self) -> list[Permutation]:
+        # Points (x, y) in F3^2, index 3x + y; translations plus the
+        # dihedral group generated by the 90-degree rotation and a
+        # reflection inside GL(2, 3).
+        def pt(x: int, y: int) -> int:
+            return (x % 3) * 3 + (y % 3)
+
+        grid = [(x, y) for x in range(3) for y in range(3)]
+        t1 = Permutation(tuple(pt(x + 1, y) for x, y in grid))
+        t2 = Permutation(tuple(pt(x, y + 1) for x, y in grid))
+        rot = Permutation(tuple(pt(-y, x) for x, y in grid))
+        ref = Permutation(tuple(pt(x, -y) for x, y in grid))
+        return [t1, t2, rot, ref]
 
 
 @dataclass(frozen=True)
-class ModularM16:
+class ModularM16(Family):
     """Modular group of order 16: normal C8 with a square-fixing outer
     generator (x -> 5x on Z/8)."""
 
-    def render(self) -> str:
-        return "M16"
+    keyword = "M16"
+    degree = 8
+
+    def generators(self) -> list[Permutation]:
+        a = _cycle(8, list(range(8)))
+        b = Permutation(tuple(5 * x % 8 for x in range(8)))
+        return [a, b]
 
 
 @dataclass(frozen=True)
-class ExplicitPerms:
+class ExplicitPerms(Family):
+    keyword = "Perm"
     degree: int
     gens: tuple[tuple[tuple[int, ...], ...], ...]  # generator -> cycles -> points
 
@@ -211,11 +373,26 @@ class ExplicitPerms:
                 if len(set(cycle)) != len(cycle):
                     raise ArityError(f"Perm: repeated point in cycle {cycle}")
 
+    def generators(self) -> list[Permutation]:
+        return [Permutation.from_cycles(self.degree, list(gen)) for gen in self.gens]
+
     def render(self) -> str:
         def one(gen: tuple[tuple[int, ...], ...]) -> str:
             return "".join("(" + " ".join(str(v) for v in c) + ")" for c in gen) or "()"
 
         return f"Perm({self.degree}; " + ", ".join(one(g) for g in self.gens) + ")"
+
+    @classmethod
+    def read(cls, parser: _Parser) -> ExplicitPerms:
+        parser.take("(")
+        degree = int(parser.take("int").text)
+        parser.take(";")
+        gens = [parser.perm_gen()]
+        while parser.peek().kind == ",":
+            parser.take(",")
+            gens.append(parser.perm_gen())
+        parser.take(")")
+        return cls(degree, tuple(gens))
 
 
 @dataclass(frozen=True)
@@ -227,22 +404,13 @@ class DirectProductSpec:
         return f"{self.left.render()} x {self.right.render()}"
 
 
-GroupSpec = Union[
-    Cyclic,
-    Dihedral,
-    Symmetric,
-    Alternating,
-    ElemAbelian,
-    Heisenberg,
-    GeneralizedQuaternion,
-    WreathCpCp,
-    FrobeniusAGL1,
-    Dicyclic12,
-    SG7250,
-    ModularM16,
-    ExplicitPerms,
-    DirectProductSpec,
-]
+GroupSpec = Union[Family, DirectProductSpec]
+
+# keyword -> family, longest keyword first, so that the tokenizer reads
+# "AGL1" rather than "A" and "SG72_50" rather than "S"
+FAMILIES: dict[str, type[Family]] = {
+    cls.keyword: cls for cls in sorted(Family.__subclasses__(), key=lambda c: -len(c.keyword))
+}
 
 
 def render(spec: GroupSpec) -> str:
@@ -253,9 +421,6 @@ def render(spec: GroupSpec) -> str:
 # ---------------------------------------------------------------------------
 # Tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
-
-_KEYWORDS = ("SG72_50", "Dic12", "AGL1", "Heis", "Perm", "M16", "EA", "C", "D", "S", "A", "Q", "W")
-
 
 @dataclass(frozen=True)
 class _Token:
@@ -273,22 +438,20 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        # ASCII digits only: str.isdigit also takes '²', which int() rejects,
+        # and '٣', which int() reads as 3
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Token("int", text[i:j], i))
             i = j
             continue
-        if ch in "(),;":
+        if ch in "(),;x":
             toks.append(_Token(ch, ch, i))
             i += 1
             continue
-        if ch == "x":
-            toks.append(_Token("x", "x", i))
-            i += 1
-            continue
-        for kw in _KEYWORDS:
+        for kw in FAMILIES:
             if text.startswith(kw, i):
                 toks.append(_Token("name", kw, i))
                 i += len(kw)
@@ -301,7 +464,6 @@ def _tokenize(text: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.toks = _tokenize(text)
         self.i = 0
 
@@ -322,55 +484,12 @@ class _Parser:
             node = DirectProductSpec(node, self.atom())
         return node
 
-    def atom(self) -> GroupSpec:
-        tok = self.take("name") if self.peek().kind == "name" else None
-        if tok is None:
-            bad = self.peek()
-            raise ParseError(bad.pos, ("family name",), bad.text or "end of input")
-        name = tok.text
-        if name == "Dic12":
-            return Dicyclic12()
-        if name == "SG72_50":
-            return SG7250()
-        if name == "M16":
-            return ModularM16()
-        if name == "Perm":
-            return self.perm_atom()
-        args = self.int_args()
-        try:
-            if name == "C":
-                return Cyclic(self.one(args, name))
-            if name == "D":
-                return Dihedral(self.one(args, name))
-            if name == "S":
-                return Symmetric(self.one(args, name))
-            if name == "A":
-                return Alternating(self.one(args, name))
-            if name == "Q":
-                return GeneralizedQuaternion(self.one(args, name))
-            if name == "W":
-                return WreathCpCp(self.one(args, name))
-            if name == "EA":
-                return ElemAbelian(*self.two(args, name))
-            if name == "Heis":
-                return Heisenberg(self.one(args, name))
-            if name == "AGL1":
-                return FrobeniusAGL1(*self.two(args, name))
-        except TypeError:
-            raise ArityError(f"{name}: wrong number of parameters {args}") from None
-        raise ParseError(tok.pos, ("known family",), name)
-
-    @staticmethod
-    def one(args: tuple[int, ...], name: str) -> int:
-        if len(args) != 1:
-            raise ArityError(f"{name} takes 1 parameter, got {len(args)}")
-        return args[0]
-
-    @staticmethod
-    def two(args: tuple[int, ...], name: str) -> tuple[int, int]:
-        if len(args) != 2:
-            raise ArityError(f"{name} takes 2 parameters, got {len(args)}")
-        return args[0], args[1]
+    def atom(self) -> Family:
+        tok = self.peek()
+        if tok.kind != "name":
+            raise ParseError(tok.pos, ("family name",), tok.text or "end of input")
+        self.i += 1
+        return FAMILIES[tok.text].read(self)
 
     def int_args(self) -> tuple[int, ...]:
         self.take("(")
@@ -380,17 +499,6 @@ class _Parser:
             out.append(int(self.take("int").text))
         self.take(")")
         return tuple(out)
-
-    def perm_atom(self) -> ExplicitPerms:
-        self.take("(")
-        degree = int(self.take("int").text)
-        self.take(";")
-        gens = [self.perm_gen()]
-        while self.peek().kind == ",":
-            self.take(",")
-            gens.append(self.perm_gen())
-        self.take(")")
-        return ExplicitPerms(degree, tuple(gens))
 
     def perm_gen(self) -> tuple[tuple[int, ...], ...]:
         cycles = [self.cycle()]
@@ -444,42 +552,6 @@ def direct_product(
     return G
 
 
-def _cycle(degree: int, points: list[int]) -> Permutation:
-    return Permutation.from_cycles(degree, [points])
-
-
-def _affine_group(modulus: int, mult: int, order_cap: int, degree_cap: int) -> Group:
-    shift = Permutation(tuple((x + 1) % modulus for x in range(modulus)))
-    scale = Permutation(tuple(x * mult % modulus for x in range(modulus)))
-    return enumerate_elements(
-        modulus, [shift, scale], order_cap=order_cap, degree_cap=degree_cap
-    )
-
-
-def _atom_degree(spec: GroupSpec) -> int:
-    """The degree of the group :func:`realize` builds for an atom, read off
-    the spec alone, so the degree cap holds before any generator exists."""
-    if isinstance(spec, Cyclic):
-        return max(spec.n, 1)
-    if isinstance(spec, Dihedral):
-        m = spec.n // 2
-        return {1: 2, 2: 4}.get(m, m)
-    if isinstance(spec, (Symmetric, Alternating, GeneralizedQuaternion)):
-        return spec.n
-    if isinstance(spec, ElemAbelian):
-        return spec.p * spec.k
-    if isinstance(spec, (Heisenberg, WreathCpCp)):
-        return spec.p * spec.p
-    if isinstance(spec, FrobeniusAGL1):
-        return spec.q
-    if isinstance(spec, ExplicitPerms):
-        return spec.degree
-    fixed = {Dicyclic12: 7, SG7250: 9, ModularM16: 8}
-    if type(spec) not in fixed:
-        raise TypeError(f"unknown spec node {spec!r}")
-    return fixed[type(spec)]
-
-
 def realize(
     spec: GroupSpec,
     *,
@@ -488,142 +560,17 @@ def realize(
 ) -> Group:
     """Build the faithful permutation group a spec names.  An atom whose
     degree exceeds degree_cap raises CapExceeded before it is built."""
-    if not isinstance(spec, DirectProductSpec) and (degree := _atom_degree(spec)) > degree_cap:
-        raise CapExceeded(f"degree {degree} exceeds degree cap {degree_cap}")
-
-    if isinstance(spec, Cyclic):
-        n = spec.n
-        gens = [] if n == 1 else [_cycle(n, list(range(n)))]
-        return enumerate_elements(max(n, 1), gens, order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, Dihedral):
-        m = spec.n // 2
-        if m == 1:
-            gens = [_cycle(2, [0, 1])]
-            return enumerate_elements(2, gens, order_cap=order_cap, degree_cap=degree_cap)
-        if m == 2:
-            gens = [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2))]
-            return enumerate_elements(4, gens, order_cap=order_cap, degree_cap=degree_cap)
-        rot = _cycle(m, list(range(m)))
-        ref = Permutation(tuple((-x) % m for x in range(m)))
-        return enumerate_elements(m, [rot, ref], order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, Symmetric):
-        n = spec.n
-        if n == 1:
-            return enumerate_elements(1, [], order_cap=order_cap, degree_cap=degree_cap)
-        gens = [_cycle(n, [0, 1])]
-        if n > 2:
-            gens.append(_cycle(n, list(range(n))))
-        return enumerate_elements(n, gens, order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, Alternating):
-        n = spec.n
-        gens = [_cycle(n, [0, 1, 2])]
-        if n > 3:
-            if n % 2:
-                gens.append(_cycle(n, list(range(n))))
-            else:
-                gens.append(_cycle(n, list(range(1, n))))
-        return enumerate_elements(n, gens, order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, ElemAbelian):
-        p, k = spec.p, spec.k
-        degree = p * k
-        gens = [_cycle(degree, list(range(i * p, (i + 1) * p))) for i in range(k)]
-        return enumerate_elements(degree, gens, order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, Heisenberg):
-        # Maps (x, y) -> (x + a*y + c, y + b) on F_p^2, point index x*p + y.
-        p = spec.p
-        degree = p * p
-
-        def pt(x: int, y: int) -> int:
-            return (x % p) * p + (y % p)
-
-        shear = Permutation(tuple(pt(x + y, y) for x in range(p) for y in range(p)))
-        lift = Permutation(tuple(pt(x, y + 1) for x in range(p) for y in range(p)))
-        return enumerate_elements(degree, [shear, lift], order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, GeneralizedQuaternion):
-        # Regular action on pairs (i, j): a^i b^j with a of order n/2 and
-        # b a b^-1 = a^-1, b^2 = a^(n/4).
-        n = spec.n
-        m = n // 2
-
-        def idx(i: int, j: int) -> int:
-            return (i % m) + (j % 2) * m
-
-        a_imgs = [0] * n
-        b_imgs = [0] * n
-        for i in range(m):
-            for j in range(2):
-                a_imgs[idx(i, j)] = idx(i + 1, j)
-                if j == 0:
-                    b_imgs[idx(i, j)] = idx(-i, 1)
-                else:
-                    b_imgs[idx(i, j)] = idx(-i + m // 2, 0)
-        return enumerate_elements(
-            n, [Permutation(a_imgs), Permutation(b_imgs)],
-            order_cap=order_cap, degree_cap=degree_cap,
-        )
-
-    if isinstance(spec, WreathCpCp):
-        # Imprimitive action on p blocks of p points; base cycle on block 0
-        # plus the block shift generate the full wreath product.
-        p = spec.p
-        degree = p * p
-        base = _cycle(degree, list(range(p)))
-        shift = Permutation(tuple((x + p) % degree for x in range(degree)))
-        return enumerate_elements(degree, [base, shift], order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, FrobeniusAGL1):
-        q, d = spec.q, spec.d
-        mult = 1
-        for a in range(2, q):
-            if math.gcd(a, q) == 1 and multiplicative_order(a, q) == d:
-                mult = a
-                break
-        else:
-            if d != 1:
-                raise ArityError(f"AGL1({q},{d}): no unit of order {d} modulo {q}")
-        return _affine_group(q, mult, order_cap, degree_cap)
-
-    if isinstance(spec, Dicyclic12):
-        a = _cycle(7, [0, 1, 2])
-        b = Permutation.from_cycles(7, [[1, 2], [3, 4, 5, 6]])
-        return enumerate_elements(7, [a, b], order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, SG7250):
-        # Points (x, y) in F3^2, index 3x + y; translations plus the
-        # dihedral group generated by the 90-degree rotation and a
-        # reflection inside GL(2, 3).
-        def pt(x: int, y: int) -> int:
-            return (x % 3) * 3 + (y % 3)
-
-        grid = [(x, y) for x in range(3) for y in range(3)]
-        t1 = Permutation(tuple(pt(x + 1, y) for x, y in grid))
-        t2 = Permutation(tuple(pt(x, y + 1) for x, y in grid))
-        rot = Permutation(tuple(pt(-y, x) for x, y in grid))
-        ref = Permutation(tuple(pt(x, -y) for x, y in grid))
-        return enumerate_elements(9, [t1, t2, rot, ref], order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, ModularM16):
-        a = _cycle(8, list(range(8)))
-        b = Permutation(tuple(5 * x % 8 for x in range(8)))
-        return enumerate_elements(8, [a, b], order_cap=order_cap, degree_cap=degree_cap)
-
-    if isinstance(spec, ExplicitPerms):
-        gens = [
-            Permutation.from_cycles(spec.degree, list(gen)) for gen in spec.gens
-        ]
-        return enumerate_elements(spec.degree, gens, order_cap=order_cap, degree_cap=degree_cap)
-
-    # a direct product: every atom has returned, and _atom_degree rejected
-    # any other node
-    H = realize(spec.left, order_cap=order_cap, degree_cap=degree_cap)
-    K = realize(spec.right, order_cap=order_cap, degree_cap=degree_cap)
-    return direct_product(H, K, order_cap=order_cap, degree_cap=degree_cap)
+    if isinstance(spec, DirectProductSpec):
+        H = realize(spec.left, order_cap=order_cap, degree_cap=degree_cap)
+        K = realize(spec.right, order_cap=order_cap, degree_cap=degree_cap)
+        return direct_product(H, K, order_cap=order_cap, degree_cap=degree_cap)
+    if not isinstance(spec, Family):
+        raise TypeError(f"unknown spec node {spec!r}")
+    if spec.degree > degree_cap:
+        raise CapExceeded(f"degree {spec.degree} exceeds degree cap {degree_cap}")
+    return enumerate_elements(
+        spec.degree, spec.generators(), order_cap=order_cap, degree_cap=degree_cap
+    )
 
 
 def realize_text(

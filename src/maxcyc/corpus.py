@@ -133,6 +133,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             raise CorpusError(line_no, "empty spec")
         expect: dict[str, str] = {}
         tag = "derived"
+        seen: set[str] = set()
         for f in fields[1:]:
             if not f:
                 continue
@@ -140,6 +141,9 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 raise CorpusError(line_no, f"field {f!r} is not key=value")
             key, _, value = f.partition("=")
             key, value = key.strip(), value.strip()
+            if key in seen:
+                raise CorpusError(line_no, f"repeated key {key!r}")
+            seen.add(key)
             if key == "tag":
                 tag = value
             elif _known_key(key):
@@ -496,13 +500,14 @@ SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
 def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyReport | None]:
     """Realize one corpus record once and run every named suite on it.
 
-    An error from either step is re-raised naming the record's line.
+    An error from either step, or a value the suites cannot read (such as
+    ``eta=abc``), is re-raised naming the record's line.
     """
     suite_names, entry, order_cap, degree_cap = task
     try:
         inst = realize_entry(entry, order_cap, degree_cap)
         return [SUITES[name](inst) for name in suite_names]
-    except MaxcycError as exc:
+    except (MaxcycError, ValueError) as exc:
         raise CorpusError(entry.line_no, str(exc)) from exc
 
 

@@ -62,8 +62,8 @@ class ArityError(MaxcycError):
 class ParseError(MaxcycError):
     """Group-spec text could not be parsed.
 
-    Carries the byte offset of the failure and the set of token kinds that
-    would have been accepted there.
+    Carries the character index of the failure in the spec text and the set
+    of token kinds that would have been accepted there.
     """
 
     def __init__(self, position: int, expected: tuple[str, ...], found: str = ""):

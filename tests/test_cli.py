@@ -261,6 +261,32 @@ def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
         assert err.startswith("maxcyc: error: corpus line 2: ")
 
 
+@pytest.mark.parametrize("record, at_parse", [
+    ("C(3) ; eta=5 ; eta=1", True),
+    ("C(3) ; tag=pinned ; tag=derived", True),
+    ("C(²)", True),
+    ("C(3) ; eta=abc", False),
+    ("C(3) ; eta=", False),
+    ("D(30) ; normals=1:x", False),
+    ("D(30) ; quot_eta[3,0]=", False),
+])
+def test_malformed_records_name_the_corpus_line(tmp_path, capsys, record, at_parse):
+    text = "C(2) ; eta=1\n" + record + "\n"
+    if at_parse:
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(text)
+        assert info.value.line_no == 2
+    else:
+        assert parse_corpus(text)[1].line_no == 2
+    corpus = tmp_path / "malformed.corpus"
+    corpus.write_text(text, encoding="utf-8")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("maxcyc: error: corpus line 2: ")
+
+
 EXIT_CODE_CORPORA = {
     "good": "C(6) ; eta=1\n",
     "failing": "C(6) ; eta=3\n",

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from maxcyc import (
@@ -17,7 +19,6 @@ from maxcyc.constructors import (
     ExplicitPerms,
     FrobeniusAGL1,
     Symmetric,
-    _atom_degree,
 )
 from maxcyc.core import center, exponent, is_abelian, is_normal, point_stabilizer
 from maxcyc.cyclic import cyclic_subgroups, maximal_cyclic_subgroups
@@ -60,6 +61,11 @@ def test_parse_error_carries_position():
     assert info.value.position == 5
     with pytest.raises(ParseError):
         parse_spec("")
+    # only ASCII digits: int() rejects '²' and would read '٣' as 3
+    for text, position in (("C(²)", 2), ("C(٣)", 2), ("C(1²)", 3)):
+        with pytest.raises(ParseError) as info:
+            parse_spec(text)
+        assert info.value.position == position
 
 
 @pytest.mark.parametrize(
@@ -123,10 +129,52 @@ def test_realize_orders_and_degrees(text, order, degree):
     assert (G.order, G.degree) == (order, degree)
     spec = parse_spec(text)
     if not isinstance(spec, DirectProductSpec):
-        assert _atom_degree(spec) == degree
+        assert spec.degree == degree
     if degree > 1:
         with pytest.raises(CapExceeded, match=f"^degree {degree} exceeds degree cap {degree - 1}$"):
             realize_text(text, degree_cap=degree - 1)
+
+
+# The first 32 hex digits of the sha256 of repr([g.images for g in
+# G.generators]) and of the same for the first 50 elements of G.element_list.
+# Relabelled Perm specs, element_list order and every witness follow from
+# these generators, so a family's construction must not drift.
+GENERATOR_PINS = [
+    ("C(1)", "4f53cda18c2baa0c0354bb5f9a3ecbe5", "78fce9491f4b0e3b895728f3c6efe71e"),
+    ("C(6)", "c871395d113416430594e36e5acb1d00", "3c9401c1366fe0d2a5db40b4c5ab5729"),
+    ("D(2)", "fcbd8f2ee97e86ea25ede7fbf892fa8f", "6df3ef58aaac2aff5d071b5f4bcbd92f"),
+    ("D(4)", "211c65f5d74158db68ca11b7de2776a0", "f4a1820d94436372b086ed9e909f1b6f"),
+    ("D(30)", "2d6db0342bfcb3b5bcca1729cb5c2089", "7ddc8d10d1eeaa6944282af84ab8b847"),
+    ("S(1)", "4f53cda18c2baa0c0354bb5f9a3ecbe5", "78fce9491f4b0e3b895728f3c6efe71e"),
+    ("S(2)", "fcbd8f2ee97e86ea25ede7fbf892fa8f", "6df3ef58aaac2aff5d071b5f4bcbd92f"),
+    ("S(4)", "fbfe3d17af968fac3623290dbfb8bfe1", "b84c60f012a6f08ab84486789a8cf0e7"),
+    ("A(4)", "7b50f7e4b94a15efdc2d8ba6b3063507", "7da206576da3eb5ffc7768d0e17d4cea"),
+    ("A(5)", "11b8b6c13a3f69517e4e447c2a362bf7", "516161c80c12809d667e20a3bd3f52bb"),
+    ("EA(3,2)", "11909757a4bb2e40f3dbb33ca87a273b", "37752ef928dd6913a450bc7839b17440"),
+    ("Heis(3)", "cc5e8b261d45867dc22a029958b5e30b", "cebe61fd5198289db14f1d43b96e42dc"),
+    ("Q(16)", "3fad289d7e657deb28ccf2371130af41", "5978bad1d4dfa0a24e4883f822950ad5"),
+    ("W(3)", "140f5dfc7e0833748d17a509388d6cec", "5da4830ced332df36fd3f3cee76570ac"),
+    ("W(5)", "6b94ab2856b0ef4de550b70323c0cae0", "5f46fee90992717902496b2086ac2e3e"),
+    ("AGL1(2,1)", "6d44e6b042522da41ca61db369572977", "6df3ef58aaac2aff5d071b5f4bcbd92f"),
+    ("AGL1(9,2)", "57ea27315e5d9c50cc66a5df62b1d33f", "f347511b1b16801e58784dc6c133ede6"),
+    ("AGL1(127,126)", "cb65bea3f9beca00690a945259df76f1", "ba4018fc58ad2a045ea670c5960a5cc5"),
+    ("Dic12", "b90a432d14a3221eba960f50aa8a314e", "0498da594a2b967ef50a0a3135a53481"),
+    ("SG72_50", "bc1f7031c7d56a92af992f7eea740a7d", "9b2f62986d4afa898b681ac2293b843f"),
+    ("M16", "f693f43aaa5e844f3bb11d88117cd19f", "ccb1912ab89c7f32e0f81d275f061931"),
+    ("Perm(5; (0 1 2 3 4), (1 4)(2 3))",
+     "de9649d25619a7bcfdf4e22569a98a82", "4c15b40c74ae40197d8d25dc76a6bdbc"),
+    ("S(3) x D(10)", "b496de6cccfe62b55c14b834d44ca31c", "ebaf7cc5fb8ba3d759986b3bf22d6d9f"),
+]
+
+
+@pytest.mark.parametrize("text, generators_sha, elements_sha", GENERATOR_PINS)
+def test_realized_generators_are_pinned(text, generators_sha, elements_sha):
+    def digest(perms):
+        return hashlib.sha256(repr([g.images for g in perms]).encode()).hexdigest()[:32]
+
+    G = realize_text(text)
+    assert digest(G.generators) == generators_sha
+    assert digest(G.element_list[:50]) == elements_sha
 
 
 def test_realize_respects_caps():

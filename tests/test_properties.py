@@ -265,18 +265,36 @@ def group_specs(draw):
     from maxcyc.constructors import (
         Alternating,
         Cyclic,
+        Dicyclic12,
         Dihedral,
         DirectProductSpec,
         ElemAbelian,
+        ExplicitPerms,
         FrobeniusAGL1,
         GeneralizedQuaternion,
         Heisenberg,
+        ModularM16,
+        SG7250,
         Symmetric,
         WreathCpCp,
     )
 
+    def perms():
+        degree = draw(st.integers(1, 6))
+        cycle = st.lists(st.integers(0, degree - 1), unique=True, max_size=degree).map(tuple)
+        gen = st.lists(cycle, min_size=1, max_size=3).map(tuple)
+        return ExplicitPerms(degree, tuple(draw(st.lists(gen, min_size=1, max_size=3))))
+
     def atom():
-        kind = draw(st.sampled_from("CDSAEHQWF"))
+        kind = draw(st.sampled_from([*"CDSAEHQWF", "Dic12", "SG72_50", "M16", "Perm"]))
+        if kind == "Dic12":
+            return Dicyclic12()
+        if kind == "SG72_50":
+            return SG7250()
+        if kind == "M16":
+            return ModularM16()
+        if kind == "Perm":
+            return perms()
         if kind == "C":
             return Cyclic(draw(st.integers(1, 60)))
         if kind == "D":
@@ -308,6 +326,18 @@ def group_specs(draw):
 @settings(max_examples=150, deadline=None)
 def test_parse_render_roundtrip(spec):
     assert parse_spec(render(spec)) == spec
+
+
+def test_keyword_table_holds_every_family():
+    from maxcyc.constructors import FAMILIES
+
+    assert set(FAMILIES) == {
+        "C", "D", "S", "A", "EA", "Heis", "Q", "W", "AGL1", "Dic12", "SG72_50", "M16", "Perm",
+    }
+    assert all(FAMILIES[kw].keyword == kw for kw in FAMILIES)
+    # longest first: the tokenizer must read "AGL1" before "A", "SG72_50" before "S"
+    lengths = [len(kw) for kw in FAMILIES]
+    assert lengths == sorted(lengths, reverse=True)
 
 
 @given(st.text(alphabet="CDSAQWx()0123456789, ;", max_size=20))
