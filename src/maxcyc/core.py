@@ -27,32 +27,43 @@ _word = attrgetter("word")
 class Group:
     """A finite permutation group with its full element table.
 
-    Instances are immutable except for the :func:`memo` table ``derived``.
-    ``element_list`` enumerates the closure breadth-first from the identity
-    with generators applied in the given order, so iteration order is
-    reproducible across runs.  :func:`enumerate_elements` keeps the given
-    generators; every subgroup keeps the greedy generators of
-    :func:`_reduced_generators`.
+    Instances are immutable except for the :func:`memo` table ``derived``
+    and the ``element_list`` filled on first read.  ``element_list``
+    enumerates the closure breadth-first from the identity with generators
+    applied in the given order, so iteration order is reproducible across
+    runs.  :func:`enumerate_elements` keeps the given generators; every
+    subgroup keeps the greedy generators of :func:`_reduced_generators`.
     """
 
-    __slots__ = ("degree", "generators", "elements", "element_list", "derived")
+    __slots__ = ("degree", "generators", "elements", "_element_list", "derived")
 
     def __init__(
         self,
         degree: int,
         generators: tuple[Permutation, ...],
         elements: frozenset[Permutation],
-        element_list: tuple[Permutation, ...],
+        element_list: tuple[Permutation, ...] | None = None,
     ):
         self.degree = degree
         self.generators = generators
         self.elements = elements
-        self.element_list = element_list
+        self._element_list = element_list
         self.derived: dict[tuple, object] = {}
 
     @property
+    def element_list(self) -> tuple[Permutation, ...]:
+        """The elements in breadth-first order.  A group made without the
+        list, by :func:`group_from_elements`, closes its generators once
+        on first read and lists its own element objects."""
+        if self._element_list is None:
+            own = {p.word: p for p in self.elements}
+            words = _close(self.degree, self.generators, len(own))
+            self._element_list = tuple(map(own.__getitem__, words))
+        return self._element_list
+
+    @property
     def order(self) -> int:
-        return len(self.element_list)
+        return len(self.elements)
 
     @property
     def identity(self) -> Permutation:
@@ -65,12 +76,12 @@ class Group:
         return iter(self.element_list)
 
     def __len__(self) -> int:
-        return len(self.element_list)
+        return len(self.elements)
 
     def key(self) -> tuple:
         """Canonical key of the element set: the sorted tuple of the
         elements' words, which sort like their image tuples."""
-        return tuple(sorted(map(_word, self.element_list)))
+        return tuple(sorted(map(_word, self.elements)))
 
     def __repr__(self) -> str:
         return f"<Group degree={self.degree} order={self.order}>"
@@ -112,9 +123,13 @@ class BaseIndex:
         self.read = itemgetter(*self.read_at)
         self.element_of = {self.read(x.word): x for x in elements}
 
+    def key_times(self, g: Permutation) -> Callable:
+        """x.word -> the base images of x*g, for x in G: (x*g)(b) = x(g(b))."""
+        return itemgetter(*self.read(g.word))
+
     def times(self, g: Permutation) -> Callable[[Permutation], Permutation]:
-        """x -> x*g, for x in G: (x*g)(b) = x(g(b))."""
-        own, move = self.element_of, itemgetter(*self.read(g.word))
+        """x -> x*g, for x in G, by :meth:`key_times`."""
+        own, move = self.element_of, self.key_times(g)
         return lambda x: own[move(x.word)]
 
     def conjugator(self, g: Permutation) -> Callable[[Permutation], Permutation]:
@@ -288,16 +303,17 @@ def group_from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
     """Wrap an already-closed element set as a Group, generated by the
     greedy generators of the sorted elements.
 
-    The Group lists the given element objects, not the copies that
-    :func:`_close` makes: the normal subgroups of a large lattice hold
-    millions of elements between them.
+    The generators come from one run of :func:`_reduced_generators`, which
+    also checks that the set is closed.  The Group holds the given element
+    objects, not the copies that :func:`_close` makes: the normal
+    subgroups of a large lattice hold millions of elements between them.
+    Its breadth-first ``element_list`` is built only when something reads
+    it, so a lattice whose members are only counted, sorted and listed by
+    generators closes each member once.
     """
     own = {p.word: p for p in elements}
     gens = _reduced_generators(degree, map(own.__getitem__, sorted(own)), own)
-    ordered = _close(degree, gens, len(own))
-    return Group(
-        degree, tuple(gens), frozenset(own.values()), tuple(map(own.__getitem__, ordered))
-    )
+    return Group(degree, tuple(gens), frozenset(own.values()))
 
 
 def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
@@ -401,7 +417,7 @@ def coset_table(G: Group, N: Group) -> CosetTable:
         raise NotNormal(f"subgroup of order {N.order} is not normal in G")
     base = base_index(G)
     read, own = base.read, base.element_of
-    movers = [itemgetter(*read(n.word)) for n in N.element_list]
+    movers = list(map(base.key_times, N.elements))
     coset_of: dict[tuple[int, ...], int] = {}
     cosets: list[list[Permutation]] = []
     for x in G.element_list:
@@ -474,7 +490,11 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     the class atoms <C_a> it contains.  The lattice is therefore built on
     bitmasks of class indices: closing a mask S under S <- S | S*C_a turns
     a normal N into N<C_a>, and the set of classes met by C_i*C_a is read
-    off one representative times the smaller class, computed once per pair.
+    off the smaller class times the other class's representative r, once
+    per pair.  Each x*y in C_i*C_a is conjugate to x'*r and to r*y', and
+    r*y' = r(y'*r)r^-1 is conjugate to y'*r, so either class may be the
+    smaller one.  The products are :func:`base_index` products, G's own
+    element objects, so no permutation is built per product.
 
     The normals are the closed sets of atoms, enumerated once each by Fast
     Close-by-One (Outrata and Vychodil, 2012).  Atom j stands for its first
@@ -485,21 +505,23 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     j that B lacks.  A rejected D is handed down as the failure at j: a
     descendant that lacks one of its atoms below j would be rejected at j
     too, so it skips j without a closure.  Each normal subgroup is
-    materialized as a Group only at the end.
+    materialized as a Group only at the end, by :func:`group_from_elements`:
+    its generators are found, and its ``element_list`` waits for a reader.
     """
     part = conjugacy_classes(G)
     classes, index_of = part.classes, part.index_of
     reps = [min(c, key=_word) for c in classes]
+    base = base_index(G)
+    class_at = {key: index_of[x] for key, x in base.element_of.items()}
+    bit = [1 << i for i in range(len(classes))]
     rows: dict[int, dict[int, int]] = {}
 
     def product(i: int, a: int) -> int:
         """Bitmask of the classes that C_i * C_a meets."""
-        ci, ca = classes[i], classes[a]
-        if len(ci) <= len(ca):
-            met = {index_of[x * reps[a]] for x in ci}
-        else:
-            met = {index_of[reps[i] * y] for y in ca}
-        return sum(1 << j for j in met)
+        if len(classes[a]) < len(classes[i]):
+            i, a = a, i
+        met = set(map(class_at.__getitem__, map(base.key_times(reps[a]), map(_word, classes[i]))))
+        return sum(map(bit.__getitem__, met))
 
     def close(mask: int, a: int, stop: int = 0) -> int:
         """Closure of the class set `mask` under right multiplication by
@@ -526,11 +548,11 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
         if a in covered:
             continue
         n = orders[r]
-        x = r
+        x, times_r = r, base.times(r)
         for m in range(1, n):
             if math.gcd(m, n) == 1:
                 covered.add(index_of[x])
-            x = x * r
+            x = times_r(x)
         holders = sum(1 << first for amask, first in atoms.items() if amask >> a & 1)
         amask = close(1, a, holders)
         if not amask & holders:

@@ -76,6 +76,19 @@ PLAIN_KEYS = frozenset({
 })
 SELECTOR_KEYS = {"quot_eta": 2, "quot_union": 2, "eta_star": 2, "in_derived": 2, "join_eta": 4}
 
+# The form of each key's value, checked as the record is read, so that a bad
+# value is an error even where its suite does not apply.  The other keys
+# (classify, frobenius, gk_edges) hold text that their suite reads itself.
+_INTEGER = ("an integer", re.compile(r"-?[0-9]+"))
+_FLAG = ("0 or 1", re.compile(r"[01]"))
+_INTEGERS = ("integers joined by ':'", re.compile(r"-?[0-9]+(?::-?[0-9]+)*"))
+VALUE_FORMS = {
+    **dict.fromkeys(("eta", "l", "gminus", "frob_gap", "x_order", "gk_comps",
+                     "quot_eta", "eta_star", "join_eta"), _INTEGER),
+    **dict.fromkeys(("x_cyclic", "derived_hyp", "quot_union", "in_derived"), _FLAG),
+    **dict.fromkeys(("maxcyc", "normals"), _INTEGERS),
+}
+
 
 @dataclass(frozen=True)
 class CorpusEntry:
@@ -146,10 +159,13 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             seen.add(key)
             if key == "tag":
                 tag = value
-            elif _known_key(key):
-                expect[key] = value
-            else:
+            elif not _known_key(key):
                 raise CorpusError(line_no, f"unknown key {key!r}")
+            else:
+                form, pattern = VALUE_FORMS.get(key.partition("[")[0], (None, None))
+                if pattern is not None and not pattern.fullmatch(value):
+                    raise CorpusError(line_no, f"{key}={value!r}: expected {form}")
+                expect[key] = value
         try:
             parse_spec(spec_text)
         except MaxcycError as exc:
@@ -374,9 +390,9 @@ def run_quot(inst: Instance) -> VerifyReport:
                                  value, rep.eta_q))
     for selector, value in inst.entry.selected("quot_union"):
         rep = check_quot_conditions(G, named_normal(G, *selector))
+        want = value == "1"
         checks.append(Check(f"quot_union[{selector[0]},{selector[1]}]",
-                            bool(int(value)) == rep.gminus_coset_union,
-                            bool(int(value)), rep.gminus_coset_union))
+                            want == rep.gminus_coset_union, want, rep.gminus_coset_union))
     return make_report("quot", inst.entry.spec_text, checks)
 
 
@@ -425,8 +441,8 @@ def run_xsub(inst: Instance) -> VerifyReport | None:
     if "x_order" in e:
         checks.append(_int_check("x_order", e["x_order"], X.order))
     if "x_cyclic" in e:
-        checks.append(Check("x_cyclic", bool(int(e["x_cyclic"])) == is_cyclic(X),
-                            bool(int(e["x_cyclic"])), is_cyclic(X)))
+        want = e["x_cyclic"] == "1"
+        checks.append(Check("x_cyclic", want == is_cyclic(X), want, is_cyclic(X)))
     return make_report("xsub", inst.entry.spec_text, checks)
 
 
@@ -442,11 +458,12 @@ def run_derived(inst: Instance) -> VerifyReport:
     for selector, value in inst.entry.selected("in_derived"):
         N = named_normal(G, selector[0], selector[1])
         inside = N.elements <= D.elements
+        want = value == "1"
         checks.append(Check(f"in_derived[{selector[0]},{selector[1]}]",
-                            bool(int(value)) == inside, bool(int(value)), inside))
+                            want == inside, want, inside))
     if "derived_hyp" in inst.entry.expect:
         hyp, _ = _noncyclic_sylows_of_abelianization(G)
-        want = bool(int(inst.entry.expect["derived_hyp"]))
+        want = inst.entry.expect["derived_hyp"] == "1"
         checks.append(Check("derived_hyp", want == hyp, want, hyp))
     return make_report("derived", inst.entry.spec_text, checks)
 
@@ -501,7 +518,7 @@ def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyRepo
     """Realize one corpus record once and run every named suite on it.
 
     An error from either step, or a value the suites cannot read (such as
-    ``eta=abc``), is re-raised naming the record's line.
+    ``frobenius=x:eq``), is re-raised naming the record's line.
     """
     suite_names, entry, order_cap, degree_cap = task
     try:

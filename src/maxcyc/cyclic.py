@@ -360,11 +360,20 @@ def quotient_eta(G: Group, N: Group) -> int:
 @memo
 def eta_preserving_normals(G: Group) -> tuple[Group, ...]:
     """The proper normal subgroups N of G with eta(G/N) = eta(G), in the
-    order of :func:`maxcyc.core.normal_subgroups`."""
+    order of :func:`maxcyc.core.normal_subgroups`.
+
+    Condition (a), N inside G^-, is necessary, so a normal outside G^- is
+    dropped before its quotient is read.  Suppose some n in N generates a
+    maximal cyclic <n>.  Every maximal cyclic <xN> of G/N is the image of
+    a maximal cyclic subgroup of G: <x> lies in a maximal cyclic <y>, and
+    <xN> lies in <yN>.  The class of <n> maps to the trivial subgroup,
+    which is not maximal in G/N when N < G, so eta(G/N) <= eta(G) - 1.
+    """
     target = eta(G).eta
+    minus = g_minus(G)
     return tuple(
         N for N in normal_subgroups(G)
-        if N.order < G.order and quotient_eta(G, N) == target
+        if N.order < G.order and N.elements <= minus and quotient_eta(G, N) == target
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pickle
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import maxcyc
+from maxcyc import core, cyclic, theorems
 from maxcyc.cli import main
+from maxcyc.core import coset_table
 from maxcyc.corpus import PLAIN_KEYS, SELECTOR_KEYS, default_corpus_text, parse_corpus
 from maxcyc.errors import CorpusError, ParseError
 
@@ -261,14 +264,21 @@ def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
         assert err.startswith("maxcyc: error: corpus line 2: ")
 
 
+# Each value is checked as its record is read, also where its suite does
+# not apply (D(30) is not a p-group, so the xsub suite skips it); only text
+# that a suite reads itself, such as the Frobenius kernel order, fails later.
 @pytest.mark.parametrize("record, at_parse", [
     ("C(3) ; eta=5 ; eta=1", True),
     ("C(3) ; tag=pinned ; tag=derived", True),
     ("C(²)", True),
-    ("C(3) ; eta=abc", False),
-    ("C(3) ; eta=", False),
-    ("D(30) ; normals=1:x", False),
-    ("D(30) ; quot_eta[3,0]=", False),
+    ("C(3) ; eta=abc", True),
+    ("C(3) ; eta=", True),
+    ("D(30) ; normals=1:x", True),
+    ("D(30) ; quot_eta[3,0]=", True),
+    ("EA(2,2) ; x_cyclic=5", True),
+    ("D(30) ; quot_union[5,0]=7", True),
+    ("D(30) ; x_order=abc", True),
+    ("AGL1(7,3) ; frobenius=x:eq", False),
 ])
 def test_malformed_records_name_the_corpus_line(tmp_path, capsys, record, at_parse):
     text = "C(2) ; eta=1\n" + record + "\n"
@@ -442,3 +452,53 @@ def test_quotients_at_cap_scale(capsys, argv, text, payload):
     assert code == 0
     assert json.loads(out) == payload
     assert out == json.dumps(payload) + "\n"
+
+
+# Regression pins: the sha256 of each command's stdout, recorded before the
+# class products moved to the base index, before lattice members listed
+# their elements lazily, and before eta_preserving_normals skipped normals
+# outside G^-.
+LATTICE_PINS = [
+    (("normals", "A(7)"), "63cd48123966105e667c0c071553de2e89d340b12fb3dbedea9b02b12d75706e"),
+    (("normals", "A(7)", "--format", "json"),
+     "9b9c54609d2c1481c51f7f9ca0b66f9c76755548fb0b0d3adbfff11d04c397ce"),
+    (("normals", "EA(2,4) x C(4)"),
+     "94bd36f79821460ad876294f5ec89d73c1d5514aa3d3cb2fed26cdb4e6244927"),
+    (("normals", "EA(2,4) x C(4)", "--format", "json"),
+     "4bdf071d6d1bc050f8eaa6b079b04a1274cbf5c95984294c7cf1d8b47e5200f0"),
+    (("normals", "W(5)"), "ac09e2587a756432f441c856e1b2f6749b31be433e0185cb40d7ebdb95406d64"),
+    (("normals", "W(5)", "--format", "json"),
+     "0e9eb6b3e17c6ae748e61c93247d029a3378ebe001bb7637c17e1d0171f98e49"),
+    (("normals", "AGL1(127,126)"),
+     "2a6307c4581dc8f5765e0c159a61d12ea820679aa3afd68f603dd555c9af82f9"),
+    (("normals", "AGL1(127,126)", "--format", "json"),
+     "b168578cd2480402e8e401880cb811a5aa64b6ebcbef3ac04e08cca3f2193645"),
+    (("xsub", "Heis(5) x C(5)", "--format", "json"),
+     "4ac6dfe723370ec5e5fb96394869e5b40821e377a919990d329f21e8d397f98a"),
+    (("xsub", "W(5)", "--format", "json"),
+     "c6192472863dced4e921153a9a10e28f410165066a1690246d9e859754c1e3a4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=[" ".join(a) for a, _ in LATTICE_PINS])
+def test_lattice_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_xsub_reads_one_quotient(monkeypatch, capsys):
+    # Heis(5) x C(5) has exponent 5, so G^- = {1}: only the trivial normal,
+    # which is X, can preserve eta, and only its cosets are built
+    met = []
+
+    def counted(G, N):
+        met.append(N.order)
+        return coset_table(G, N)
+
+    for module in (core, cyclic, theorems):
+        monkeypatch.setattr(module, "coset_table", counted)
+    code, out, _ = run(capsys, "xsub", "Heis(5) x C(5)")
+    assert code == 0
+    assert "|X|: 1" in out
+    assert met == [1]

@@ -384,6 +384,43 @@ def test_normal_subgroup_outputs_are_normal_subgroups():
         assert N.elements <= G.elements
 
 
+def assert_lattice_lists_breadth_first(G: Group) -> None:
+    """The members of G's lattice list no elements until read; then each
+    lists G's own elements in the breadth-first order of its generators."""
+    normals = normal_subgroups(G)
+    assert all(N._element_list is None for N in normals)
+    own = {id(x) for x in G.element_list}
+    for N in normals:
+        assert [x.images for x in N] == bfs_closure(G.degree, N.generators)
+        assert all(id(x) in own for x in N.element_list)
+        assert N.element_list is N.element_list
+
+
+@pytest.mark.parametrize("text", ["D(30)", "S(4)", "Q(16)", "SG72_50", "EA(2,3) x C(4)", "A(5)"])
+def test_lattice_members_list_their_elements_breadth_first(text):
+    G = realize_text(text)
+    assert_lattice_lists_breadth_first(G)
+    assert_lattice_lists_breadth_first(relabelled(G, 5))
+
+
+@given(small_groups())
+@group_settings
+def test_lattice_member_lists_match_the_breadth_first_oracle(G):
+    assert_lattice_lists_breadth_first(G)
+
+
+@pytest.mark.parametrize("text, count", [("W(5)", 12), ("AGL1(127,126)", 13)])
+def test_normal_subgroups_multiply_no_permutations(monkeypatch, text, count):
+    # class products and the atoms' powers come from base_index, as G's
+    # own elements, so the lattice makes no Permutation product
+    G = realize_text(text)
+    made = []
+    product = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda a, b: made.append(b) or product(a, b))
+    assert len(normal_subgroups(G)) == count
+    assert made == []
+
+
 def test_is_simple_nonabelian_60():
     assert is_simple_nonabelian_60(realize_text("A(5)"))
     assert not is_simple_nonabelian_60(realize_text("C(60)"))

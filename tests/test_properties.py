@@ -213,6 +213,32 @@ def test_eta_matches_oracle(G):
     assert {s.elements for s in maximal_cyclic_subgroups(G)} == maximal_sets
 
 
+def assert_eta_preserving_normals_match_the_oracle(G):
+    """The proper normals N with eta(G/N) = eta(G), against the oracle's
+    eta of the regular realization of every proper quotient."""
+    target = eta(G).eta
+    want = [
+        N for N in normal_subgroups(G)
+        if N.order < G.order and eta_oracle(quotient_group(G, N)[0])[0] == target
+    ]
+    assert list(eta_preserving_normals(G)) == want
+
+
+@given(small_groups())
+@group_settings
+def test_eta_preserving_normals_match_the_oracle(G):
+    assume(G.order <= 120)
+    assert_eta_preserving_normals_match_the_oracle(G)
+
+
+# C(2) x C(4) has a normal inside G^- whose quotient loses a class: <b^2>,
+# with eta(G) = 4 and eta(G/<b^2>) = 3
+@pytest.mark.parametrize("text", ["C(2) x C(4)", "D(30)", "Dic12", "Q(16)", "S(4)", "Heis(3)",
+                                  "SG72_50", "EA(2,3) x C(4)", "M16", "AGL1(7,6)", "D(8)"])
+def test_named_eta_preserving_normals_match_the_oracle(text):
+    assert_eta_preserving_normals_match_the_oracle(realize_text(text))
+
+
 def assert_conjugation_orbits_match_oracles(G):
     """eta*(N) for every normal N against the brute-force oracle; the centre
     against the elements commuting with every element; and, for a
