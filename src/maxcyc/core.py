@@ -11,12 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import wraps
+from itertools import repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
-from .perm import Permutation, right_multiplier, table_of
+from .perm import Permutation, right_multiplier, table_of, word_conjugator
 
 DEFAULT_ORDER_CAP = 20_000
 DEFAULT_DEGREE_CAP = 128
@@ -357,12 +358,40 @@ class ElementClassPartition:
 
 
 @memo
+def conjugation_orbits(G: Group) -> tuple[list[Permutation], ...]:
+    """The conjugacy classes of G as lists, ordered by minimum, each listed
+    from its minimum in the order met under conjugation by the generators.
+    The one conjugation walk per group, which :func:`conjugacy_classes`,
+    :func:`element_orders` and the power route of :mod:`maxcyc.cyclic`
+    read.
+
+    The walk runs on words (:func:`maxcyc.perm.word_conjugator`): each
+    conjugate's word is popped from the words of the elements not yet
+    met, which gives G's own element object the first time and nothing
+    after, so no conjugate outlives its step.
+    """
+    conjugators = [word_conjugator(g) for g in G.generators]
+    ordered = sorted(G.element_list, key=_word)
+    unmet = {x.word: x for x in ordered}
+    found = []
+    for x in ordered:
+        if unmet.pop(x.word, None) is None:
+            continue
+        orbit = [x]
+        for y in orbit:  # the list grows while it is read
+            for conjugate in conjugators:
+                if (z := unmet.pop(conjugate(y.word), None)) is not None:
+                    orbit.append(z)
+        found.append(orbit)
+    return tuple(found)
+
+
+@memo
 def conjugacy_classes(G: Group) -> ElementClassPartition:
     """Orbit partition of G under conjugation; classes ordered by minimum.
-    The :func:`orbits` of the sorted elements under the conjugators of
-    :func:`base_index`, so the classes hold G's own element objects."""
-    conjugators = [base_index(G).conjugator(g) for g in G.generators]
-    classes = tuple(map(frozenset, orbits(sorted(G.element_list, key=_word), conjugators)))
+    The classes of :func:`conjugation_orbits`, as sets, with the class
+    number of each element."""
+    classes = tuple(map(frozenset, conjugation_orbits(G)))
     index_of = {x: i for i, c in enumerate(classes) for x in c}
     return ElementClassPartition(classes, index_of)
 
@@ -634,11 +663,17 @@ def point_stabilizer(G: Group, point: int) -> Group:
 
 @memo
 def element_orders(G: Group) -> dict[Permutation, int]:
-    """The order of each element of G, in ``element_list`` order: the lcm
-    of the cycle lengths of the base points of :func:`base_index`, which
-    is exact, since x**m = 1 exactly when x**m fixes every base point."""
+    """The order of each element of G, in ``element_list`` order.
+
+    Conjugate elements have equal orders, so the order is taken once per
+    class of :func:`conjugation_orbits`, from its first member: the lcm of
+    the cycle lengths of the base points of :func:`base_index`, which is
+    exact, since x**m = 1 exactly when x**m fixes every base point."""
     order = base_index(G).order
-    return {x: order(x) for x in G.element_list}
+    orders: dict[Permutation, int] = dict.fromkeys(G.element_list)
+    for orbit in conjugation_orbits(G):
+        orders.update(zip(orbit, repeat(order(orbit[0]))))
+    return orders
 
 
 @memo

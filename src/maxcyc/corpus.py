@@ -77,8 +77,8 @@ PLAIN_KEYS = frozenset({
 SELECTOR_KEYS = {"quot_eta": 2, "quot_union": 2, "eta_star": 2, "in_derived": 2, "join_eta": 4}
 
 # The form of each key's value, checked as the record is read, so that a bad
-# value is an error even where its suite does not apply.  The other keys
-# (classify, frobenius, gk_edges) hold text that their suite reads itself.
+# value is an error even where its suite does not apply.  The other key,
+# classify, holds text that its suite compares as it is.
 _INTEGER = ("an integer", re.compile(r"-?[0-9]+"))
 _FLAG = ("0 or 1", re.compile(r"[01]"))
 _INTEGERS = ("integers joined by ':'", re.compile(r"-?[0-9]+(?::-?[0-9]+)*"))
@@ -87,6 +87,9 @@ VALUE_FORMS = {
                      "quot_eta", "eta_star", "join_eta"), _INTEGER),
     **dict.fromkeys(("x_cyclic", "derived_hyp", "quot_union", "in_derived"), _FLAG),
     **dict.fromkeys(("maxcyc", "normals"), _INTEGERS),
+    "frobenius": ("<int>:eq or <int>:notfrob", re.compile(r"[0-9]+:(?:eq|notfrob)")),
+    "gk_edges": ("'none' or p-q pairs joined by ':'",
+                 re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*")),
 }
 
 
@@ -346,7 +349,7 @@ def run_frobenius(inst: Instance) -> VerifyReport | None:
             checks.extend(rep.checks)
         except NotFrobenius as exc:
             checks.append(Check("frobenius_sum", False, "Frobenius structure", str(exc)))
-    elif mode == "notfrob":
+    else:  # notfrob
         try:
             check_frobenius_eta(G, N, H)
             checks.append(Check("rejected_as_frobenius", False,
@@ -354,8 +357,6 @@ def run_frobenius(inst: Instance) -> VerifyReport | None:
         except NotFrobenius as exc:
             checks.append(Check("rejected_as_frobenius", True,
                                 "NotFrobenius raised", str(exc)))
-    else:
-        checks.append(Check("mode", False, "eq|notfrob", mode))
     gap = inst.entry.expect.get("frob_gap")
     if gap is not None:
         actual = eta_star(G, N) + eta(H).eta - eta(G).eta

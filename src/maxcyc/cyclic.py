@@ -21,10 +21,12 @@ Maximality is computed twice, by independent routes: a containment scan
 that asks, for each cyclic subgroup, whether its generator lies in a
 larger one, and the prime-power characterization
 ``G^- = {g**q : q prime, q | order(g)}``, which takes orders and powers
-from the cycles of the base points and never reads the index.  The two
-must agree on every call; any disagreement raises InternalCheckError
-immediately, so the identity is a permanent self-test rather than an
-assumption.
+from the cycles of the base points and never reads the index.  Both are
+class functions, so the power route takes them once per conjugacy class
+of :func:`maxcyc.core.conjugation_orbits`.  The two routes must agree on
+every call; any disagreement raises InternalCheckError immediately, so
+the identity is a permanent self-test, of the class walk too, rather
+than an assumption.
 
 The invariants of a quotient G/N (:func:`quotient_invariants`) come from
 the same index through the coset map, since <xN> is the image of <x>: the
@@ -37,12 +39,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Collection, Iterable, Mapping
 
 from .core import (
     CosetTable,
     Group,
     base_index,
+    conjugation_orbits,
     coset_table,
     element_orders,
     is_normal,
@@ -141,14 +145,21 @@ def _power_route(
     ``G^- = {g**q : q prime, q | order(g)}``.  Orders and powers come from
     the cycles of the base points of :func:`maxcyc.core.base_index`: the
     order is the lcm of their lengths, and g**q walks each base point q
-    steps.  The cyclic index is never read.  The order of xN is the least
-    divisor d of o(x) with x**d in N, and (xN)**q is the coset of x**q,
-    taken for one x per coset.
+    steps.  The cyclic index is never read.
+
+    For G, (h r h^-1)**q = h r**q h^-1, so G^- is the union of the
+    classes of :func:`maxcyc.core.conjugation_orbits` that meet a seed
+    r**q, for r the first member of a class and q a prime dividing its
+    order.  For G/N, one x per coset: the order of xN is the least
+    divisor d of o(x) with x**d in N, and (xN)**q is the coset of x**q.
     """
     orders = element_orders(G)
     power = base_index(G).power
     if table is None:
-        return frozenset(power(g, q) for g, n in orders.items() for q in prime_factors(n)), orders
+        classes = conjugation_orbits(G)
+        seeds = {power(c[0], q) for c in classes for q in prime_factors(orders[c[0]])}
+        met = (c for c in classes if not seeds.isdisjoint(c))
+        return frozenset(chain.from_iterable(met)), orders
     point_of = table.point_of
     minus = set()
     coset_orders = []

@@ -9,7 +9,8 @@ Above 256 points the word is the image tuple, multiplied by
 and, between words of one degree, orders like the image tuple, so code
 outside this module reads ``word`` without asking which one it is; the
 closure loops take their products from :func:`table_of` and
-:func:`right_multiplier`.
+:func:`right_multiplier`, and the conjugacy-class walk its conjugates
+from :func:`word_conjugator`.
 """
 
 from __future__ import annotations
@@ -207,6 +208,17 @@ def right_multiplier(g: Permutation) -> Callable:
     call: (x*g)(i) = x(g(i)) looks each image of g up in x's table."""
     w = g.word
     return w.translate if type(w) is bytes else itemgetter(*w)
+
+
+def word_conjugator(g: Permutation) -> Callable:
+    """x.word -> the word of g x g^-1, as :meth:`Permutation.conjugate_by`
+    computes it: one C-level pass on a packed word, with g's translation
+    table made once."""
+    gw = g.word
+    if type(gw) is bytes:
+        n, table, maketrans = len(gw), gw + _PAD[len(gw)], bytes.maketrans
+        return lambda w: maketrans(gw, w.translate(table))[:n]
+    return lambda w: Permutation._unchecked(w).conjugate_by(g).word
 
 
 def perm_order(a: Permutation) -> int:

@@ -458,10 +458,11 @@ def check_gminus_subgroup_lemma(G: Group) -> VerifyReport:
 
 
 def gk_graph(G: Group) -> GKGraph:
-    """Prime graph of G."""
+    """Prime graph of G: p-q is an edge when some element order is
+    divisible by pq.  Each distinct element order is factored once."""
     vertices = tuple(prime_factors(G.order))
     edges: set[tuple[int, int]] = set()
-    for n in element_orders(G).values():
+    for n in set(element_orders(G).values()):
         ps = prime_factors(n)
         for i, a in enumerate(ps):
             for b in ps[i + 1:]:

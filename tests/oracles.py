@@ -10,7 +10,9 @@ incremental closure.  The classification and Frobenius-conjugate oracles
 work element by element on a group of their own, where maxcyc.theorems
 reads G's coset data and one conjugate per coset.  :func:`relabelled`
 moves a group to other points, which changes its base and its element
-order but none of its invariants.
+order but none of its invariants.  :func:`g_minus_oracle` takes G^- from
+its definition, one element at a time, where maxcyc.cyclic takes one
+power per conjugacy class.
 """
 
 from __future__ import annotations
@@ -175,6 +177,13 @@ def normal_subgroup_element_sets(G: Group) -> set[frozenset]:
         ):
             out.add(members)
     return out
+
+
+def g_minus_oracle(G: Group) -> frozenset[Permutation]:
+    """G^- by its power characterization, element by element: x**q for
+    every x in G and every prime q dividing :func:`perm_order` of x, with
+    ``Permutation.__pow__``; no classes, base or element orders of G."""
+    return frozenset(x ** q for x in G for q in prime_factors(perm_order(x)))
 
 
 def _power_orbit(mult: list[list[int]], i: int) -> frozenset[int]:

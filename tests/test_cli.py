@@ -265,8 +265,9 @@ def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
 
 
 # Each value is checked as its record is read, also where its suite does
-# not apply (D(30) is not a p-group, so the xsub suite skips it); only text
-# that a suite reads itself, such as the Frobenius kernel order, fails later.
+# not apply (D(30) is not a p-group, so the xsub suite skips it); only a
+# well-formed value that names what the group lacks, such as a Frobenius
+# kernel of order 9 in a group of order 21, fails later.
 @pytest.mark.parametrize("record, at_parse", [
     ("C(3) ; eta=5 ; eta=1", True),
     ("C(3) ; tag=pinned ; tag=derived", True),
@@ -278,7 +279,11 @@ def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
     ("EA(2,2) ; x_cyclic=5", True),
     ("D(30) ; quot_union[5,0]=7", True),
     ("D(30) ; x_order=abc", True),
-    ("AGL1(7,3) ; frobenius=x:eq", False),
+    ("AGL1(7,3) ; frobenius=x:eq", True),
+    ("AGL1(7,3) ; frobenius=9:foo", True),
+    ("D(30) ; gk_edges=3+5", True),
+    ("D(30) ; gk_edges=3-5:", True),
+    ("AGL1(7,3) ; frobenius=9:eq", False),
 ])
 def test_malformed_records_name_the_corpus_line(tmp_path, capsys, record, at_parse):
     text = "C(2) ; eta=1\n" + record + "\n"

@@ -2,6 +2,7 @@ from collections import Counter
 
 import pytest
 
+import maxcyc.core
 import maxcyc.cyclic
 from maxcyc import (
     InternalCheckError,
@@ -20,7 +21,8 @@ from maxcyc import (
     realize_text,
     subgroup_generated,
 )
-from maxcyc.core import enumerate_elements
+from maxcyc.core import BaseIndex, conjugacy_classes, element_orders, enumerate_elements
+from maxcyc.numutil import prime_factors
 from maxcyc.perm import perm_order
 
 from oracles import relabelled
@@ -227,6 +229,49 @@ def test_maximality_cross_check_fires(monkeypatch):
     )
     with pytest.raises(InternalCheckError):
         maximal_cyclic_subgroups(realize_text("S(3)"))
+
+
+@pytest.mark.parametrize("text", ["AGL1(127,126)", "W(5)"])
+def test_orders_and_powers_are_taken_once_per_class(monkeypatch, text):
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(BaseIndex, name)
+
+        def method(self, *args):
+            calls[name] += 1
+            return real(self, *args)
+
+        return method
+
+    G = realize_text(text)
+    for name in ("order", "power"):
+        monkeypatch.setattr(BaseIndex, name, counted(name))
+    orders = element_orders(G)
+    classes = conjugacy_classes(G).classes
+    assert calls == {"order": len(classes)}
+    g_minus_via_powers(G)
+    assert calls["power"] <= sum(len(prime_factors(orders[min(c)])) for c in classes)
+
+
+@pytest.mark.parametrize("text", ["S(4)", "AGL1(7,6)", "W(3)"])
+def test_a_merged_class_walk_is_caught(monkeypatch, text):
+    # merge the first nontrivial class with the first later class of another
+    # order: the merged class takes one order, which the scan contradicts
+    real = maxcyc.core.conjugation_orbits
+
+    def merged(G):
+        classes = list(real(G))
+        a = 1
+        b = next(i for i in range(2, len(classes))
+                 if perm_order(classes[i][0]) != perm_order(classes[a][0]))
+        classes[a] = classes[a] + classes.pop(b)
+        return tuple(classes)
+
+    monkeypatch.setattr(maxcyc.core, "conjugation_orbits", merged)
+    monkeypatch.setattr(maxcyc.cyclic, "conjugation_orbits", merged)
+    with pytest.raises(InternalCheckError):
+        maximal_cyclic_subgroups(realize_text(text))
 
 
 def test_quotient_cross_check_fires(monkeypatch):

@@ -34,9 +34,11 @@ from oracles import (
     closed_pairwise,
     eta_oracle,
     eta_star_oracle,
+    g_minus_oracle,
     greedy_generators,
     normal_subgroup_element_sets,
     outcome,
+    relabelled,
     subgroup_closure,
 )
 
@@ -87,6 +89,13 @@ def test_conjugacy_classes_partition_the_group(G):
 @group_settings
 def test_gminus_power_characterization(G):
     assert g_minus(G) == g_minus_via_powers(G)
+
+
+@given(small_groups(), st.integers(min_value=0, max_value=2**16))
+@group_settings
+def test_gminus_power_route_matches_its_definition(G, seed):
+    for H in (G, relabelled(G, seed)):
+        assert g_minus_via_powers(H) == g_minus_oracle(H)
 
 
 @given(small_groups())
