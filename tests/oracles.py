@@ -12,7 +12,10 @@ reads G's coset data and one conjugate per coset.  :func:`relabelled`
 moves a group to other points, which changes its base and its element
 order but none of its invariants.  :func:`g_minus_oracle` takes G^- from
 its definition, one element at a time, where maxcyc.cyclic takes one
-power per conjugacy class.
+power per conjugacy class.  :func:`quot_conditions_oracle` decides the
+quotient conditions pair by pair from element classes, where
+maxcyc.theorems compares the class labels of cyclic subgroups once per
+coset.
 """
 
 from __future__ import annotations
@@ -260,6 +263,79 @@ def eta_star_oracle(G: Group, N: Group) -> tuple[int, list[set[frozenset[Permuta
         orbits.append({frozenset(elems[i] for i in t) for t in orbit})
         left -= orbit
     return len(orbits), orbits
+
+
+def quot_conditions_oracle(
+    G: Group, N: Group
+) -> tuple[bool, bool, bool, bool, dict[str, tuple[str, ...]]]:
+    """(cond_a, cond_b, cond_c, strong, witnesses) for N normal and proper
+    in G, from the definitions on G's integer multiplication table, sharing
+    no code with maxcyc.
+
+    (a) N lies in G^-; (b) the non-generators of G/N, found on the coset
+    multiplication table, are the cosets inside G^-; (c) each y in xN
+    outside G^-, for x outside G^-, lies in the conjugacy class of a
+    generator of <x>; the strong condition asks this of every y in xN.
+    Each witness list holds the first three failures: for (a) the least
+    elements of N outside G^-, for (b) the least points on which the two
+    sets differ, and for (c) and the strong condition the pairs ``x ~ y``
+    with x in ``G.element_list`` order and y = x*n in ``N.element_list``
+    order.  Cosets are numbered by their least elements.
+    """
+    elems, index, mult = _table(G)
+    size = len(elems)
+    inv = [row.index(0) for row in mult]
+    cyclic_of = [_power_orbit(mult, i) for i in range(size)]
+    subgroups = set(cyclic_of)
+    maximal = {s for s in subgroups if not any(s < t for t in subgroups)}
+    minus = {i for i in range(size) if cyclic_of[i] not in maximal}
+    conjugates = [frozenset(mult[mult[g][i]][inv[g]] for g in range(size)) for i in range(size)]
+    generators = {s: {i for i in s if cyclic_of[i] == s} for s in subgroups}
+    in_n = [index[x] for x in N.element_list]
+    witnesses: dict[str, tuple[str, ...]] = {}
+
+    outside = sorted(set(in_n) - minus)
+    if outside:
+        witnesses["cond_a"] = tuple(elems[i].cycle_string() for i in outside[:3])
+
+    cosets = sorted({frozenset(mult[x][n] for n in in_n) for x in range(size)}, key=min)
+    point = {x: p for p, c in enumerate(cosets) for x in c}
+
+    def times(p: int, q: int) -> int:
+        return point[mult[min(cosets[p])][min(cosets[q])]]
+
+    q_cyclic = []
+    for p in range(len(cosets)):
+        found, x = {0}, p
+        while x != 0:
+            found.add(x)
+            x = times(x, p)
+        q_cyclic.append(frozenset(found))
+    q_maximal = {s for s in q_cyclic if not any(s < t for t in q_cyclic)}
+    q_minus = {p for p, s in enumerate(q_cyclic) if s not in q_maximal}
+    covered = {p for p, c in enumerate(cosets) if c <= minus}
+    differ = sorted(q_minus ^ covered)
+    if differ:
+        witnesses["cond_b"] = tuple(str(p) for p in differ[:3])
+
+    bad_c: list[str] = []
+    bad_strong: list[str] = []
+    for x in G.element_list:
+        i = index[x]
+        if i in minus:
+            continue
+        for n in in_n:
+            j = mult[i][n]
+            if conjugates[j].isdisjoint(generators[cyclic_of[i]]):
+                pair = f"{x.cycle_string()} ~ {elems[j].cycle_string()}"
+                bad_strong.append(pair)
+                if j not in minus:
+                    bad_c.append(pair)
+    if bad_c:
+        witnesses["cond_c"] = tuple(bad_c[:3])
+    if bad_strong:
+        witnesses["strong"] = tuple(bad_strong[:3])
+    return not outside, not differ, not bad_c, not bad_strong, witnesses
 
 
 def outcome(fn: Callable, *args):

@@ -422,6 +422,19 @@ _W5_COND_C = [
     "(0 1 2 3 4) ~ (0 3 1 4 2)(5 7 9 6 8)(10 12 14 11 13)(15 17 19 16 18)(20 22 24 21 23)",
     "(0 1 2 3 4) ~ (0 4 3 2 1)(5 8 6 9 7)(10 13 11 14 12)(15 18 16 19 17)(20 23 21 24 22)",
 ]
+# ``quot S(7) --order 2520`` is pinned as the pair-by-pair scan printed it,
+# before the conditions were decided on class labels.
+_S7_COND_A = ["(1 2)(3 4 5 6)", "(1 2)(3 4 6 5)", "(1 2)(3 5 6 4)"]
+_S7_COND_C = [
+    "(0 1 2 3 4 5 6) ~ (0 1 2 4)(5 6)",
+    "(0 1 2 3 4 5 6) ~ (0 1 3 4)(5 6)",
+    "(0 1 2 3 4 5 6) ~ (0 2 3 4)(5 6)",
+]
+_S7_STRONG = [
+    "(0 1 2 3 4 5 6) ~ (0 1 2 3 5)",
+    "(0 1 2 3 4 5 6) ~ (0 1 2 4 5)",
+    "(0 1 2 3 4 5 6) ~ (0 1 3 4 5)",
+]
 CAP_QUOTIENTS = [
     (("quot", "S(7)", "--order", "1", "--index", "0"),
      ["eta(G): 6", "eta(G/N): 6", "equal: True", "cond_a (N in G^-): True",
@@ -444,11 +457,33 @@ CAP_QUOTIENTS = [
      ["|X|: 1", "generators: ()", "eta(G): 161", "eta(G/X): 161", "X cyclic: True"],
      {"x_order": 1, "generators": ["()"], "eta_g": 161, "eta_g_mod_x": 161,
       "cyclic": True}),
+    (("quot", "S(7)", "--order", "2520", "--index", "0"),
+     ["eta(G): 6", "eta(G/N): 1", "equal: False", "cond_a (N in G^-): False",
+      "cond_b (quotient non-generators are G^- cosets): False",
+      "cond_c (coset elements conjugate to generators): False",
+      "coset_union (G^- a union of N-cosets): False",
+      "witnesses[cond_a]: " + ", ".join(_S7_COND_A),
+      "witnesses[cond_b]: 0",
+      "witnesses[cond_c]: " + ", ".join(_S7_COND_C),
+      "witnesses[strong]: " + ", ".join(_S7_STRONG)],
+     {"eta_g": 6, "eta_quotient": 1, "equal": False, "cond_a": False, "cond_b": False,
+      "cond_c": False, "coset_union": False,
+      "witnesses": {"cond_a": _S7_COND_A, "cond_b": ["0"], "cond_c": _S7_COND_C,
+                    "strong": _S7_STRONG}}),
 ]
 
 
-@pytest.mark.parametrize("argv, text, payload", CAP_QUOTIENTS,
-                         ids=[" ".join(c[0][:2]) for c in CAP_QUOTIENTS])
+def _case_ids(cases) -> list[str]:
+    """Each case's command and group, and the normal's order too when the
+    command and group repeat an earlier case."""
+    ids: list[str] = []
+    for argv, *_ in cases:
+        name = " ".join(argv[:2])
+        ids.append(" ".join(argv[:4]) if name in ids else name)
+    return ids
+
+
+@pytest.mark.parametrize("argv, text, payload", CAP_QUOTIENTS, ids=_case_ids(CAP_QUOTIENTS))
 def test_quotients_at_cap_scale(capsys, argv, text, payload):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -487,6 +522,23 @@ LATTICE_PINS = [
 
 @pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=[" ".join(a) for a, _ in LATTICE_PINS])
 def test_lattice_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The whole corpus run, pinned before the quotient conditions were decided
+# on class labels and before eta(N) and eta*(N) were read off G's index.
+# The JSON holds every check's witnesses.
+VERIFY_PINS = [
+    (("verify",), "adc1f0ab5fae0a0821766fd005550482c942f5ac76f7df477d7fa86a23ce244f"),
+    (("verify", "--format", "json"),
+     "ae01378be6c6e15f9031d89067b1217433137d8275f25573db52bbcb6e354576"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", VERIFY_PINS, ids=[" ".join(a) for a, _ in VERIFY_PINS])
+def test_verify_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -26,8 +26,9 @@ from maxcyc import (
     subgroup_generated,
 )
 from maxcyc.core import closed_under_product, is_cyclic, is_p_group
+from maxcyc.corpus import default_corpus_text, parse_corpus
 from maxcyc.cyclic import eta_preserving_normals
-from maxcyc.theorems import check_eitheror, classify_prime_order_group
+from maxcyc.theorems import check_eitheror, check_quot_conditions, classify_prime_order_group
 
 from oracles import (
     classify_oracle,
@@ -38,6 +39,7 @@ from oracles import (
     greedy_generators,
     normal_subgroup_element_sets,
     outcome,
+    quot_conditions_oracle,
     relabelled,
     subgroup_closure,
 )
@@ -282,6 +284,31 @@ def test_conjugation_orbits_match_oracles(G):
                                   "EA(2,2) x C(4)"])
 def test_named_conjugation_orbits_match_oracles(text):
     assert_conjugation_orbits_match_oracles(realize_text(text))
+
+
+CORPUS_SPECS = [entry.spec_text for entry in parse_corpus(default_corpus_text())]
+
+
+def assert_quot_conditions_match_the_oracle(G):
+    """Conditions (a), (b), (c), the strong condition and their witnesses,
+    for every proper normal N, against their definitions."""
+    for N in normal_subgroups(G):
+        if N.order == G.order:
+            continue
+        rep = check_quot_conditions(G, N)
+        got = (rep.cond_a, rep.cond_b, rep.cond_c, rep.strong_generator_condition, rep.witnesses)
+        assert got == quot_conditions_oracle(G, N)
+
+
+@given(small_groups())
+@group_settings
+def test_quot_conditions_match_the_oracle(G):
+    assert_quot_conditions_match_the_oracle(G)
+
+
+@pytest.mark.parametrize("text", CORPUS_SPECS)
+def test_corpus_quot_conditions_match_the_oracle(text):
+    assert_quot_conditions_match_the_oracle(realize_text(text))
 
 
 @given(small_groups())
