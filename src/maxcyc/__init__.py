@@ -40,6 +40,7 @@ from .cyclic import (
     EtaReport,
     QuotientInvariants,
     SubgroupClassSet,
+    SubgroupInvariants,
     conjugacy_classes_of_subgroups,
     cyclic_subgroups,
     eta,
@@ -50,6 +51,7 @@ from .cyclic import (
     g_power_set,
     maximal_cyclic_subgroups,
     quotient_invariants,
+    subgroup_invariants,
 )
 from .errors import (
     ArityError,

@@ -89,13 +89,17 @@ class Group:
 
 
 def memo(fn: Callable) -> Callable:
-    """Memoize ``fn(G, *args)`` in ``G.derived``, so it lives as long as G."""
+    """Memoize ``fn(G, *args)`` in ``G.derived``, so it lives as long as G.
+
+    Keyword arguments are not part of the key: they pass on data that the
+    caller has already built for the same arguments, such as a coset
+    table, and never change the result."""
 
     @wraps(fn)
-    def cached(G: Group, *args):
+    def cached(G: Group, *args, **built):
         key = (fn, *args)
         if key not in G.derived:
-            G.derived[key] = fn(G, *args)
+            G.derived[key] = fn(G, *args, **built)
         return G.derived[key]
 
     return cached

@@ -32,7 +32,13 @@ The invariants of a quotient G/N (:func:`quotient_invariants`) come from
 the same index through the coset map, since <xN> is the image of <x>: the
 same scan and power route run on coset points, and the same orbit walk,
 :func:`maxcyc.core.orbits`, on the maximal images, and G/N is never built
-as a group.
+as a group.  The invariants of a normal subgroup N
+(:func:`subgroup_invariants`) come from the same index too: the cyclic
+subgroups of N are G's that lie in N, the same scan and power route run
+on them, and the orbit walk runs under N's generators, so N is never
+given an index of its own.  The label of an element, the class number of
+the subgroup it generates (:func:`_cyclic_labels`), decides the quotient
+conditions of :func:`maxcyc.theorems.check_quot_conditions`.
 """
 
 from __future__ import annotations
@@ -40,12 +46,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Collection, Iterable, Mapping
+from typing import Any, Collection, Iterable, Mapping, Sequence
 
 from .core import (
     CosetTable,
     Group,
     base_index,
+    conjugacy_classes,
     conjugation_orbits,
     coset_table,
     element_orders,
@@ -107,6 +114,7 @@ def _cyclic_index(G: Group) -> tuple[
     """
     base = base_index(G)
     ident = base.element_of[base.read_at]  # the identity fixes the base
+    limit = G.order
     subs: dict[frozenset[Permutation], CyclicSubgroup] = {}
     sub_of: dict[Permutation, CyclicSubgroup] = {}
     for g in G.element_list:
@@ -116,7 +124,7 @@ def _cyclic_index(G: Group) -> tuple[
         powers = [ident]
         x = g
         while x is not ident:
-            if len(powers) == G.order:
+            if len(powers) == limit:
                 raise InternalCheckError("a power list does not return to the identity")
             powers.append(x)
             x = times(x)
@@ -147,19 +155,14 @@ def _power_route(
     order is the lcm of their lengths, and g**q walks each base point q
     steps.  The cyclic index is never read.
 
-    For G, (h r h^-1)**q = h r**q h^-1, so G^- is the union of the
-    classes of :func:`maxcyc.core.conjugation_orbits` that meet a seed
-    r**q, for r the first member of a class and q a prime dividing its
-    order.  For G/N, one x per coset: the order of xN is the least
-    divisor d of o(x) with x**d in N, and (xN)**q is the coset of x**q.
+    For G, this is :func:`_powers_of_classes` on all of G's classes.  For
+    G/N, one x per coset: the order of xN is the least divisor d of o(x)
+    with x**d in N, and (xN)**q is the coset of x**q.
     """
     orders = element_orders(G)
-    power = base_index(G).power
     if table is None:
-        classes = conjugation_orbits(G)
-        seeds = {power(c[0], q) for c in classes for q in prime_factors(orders[c[0]])}
-        met = (c for c in classes if not seeds.isdisjoint(c))
-        return frozenset(chain.from_iterable(met)), orders
+        return _powers_of_classes(G, conjugation_orbits(G)), orders
+    power = base_index(G).power
     point_of = table.point_of
     minus = set()
     coset_orders = []
@@ -171,6 +174,19 @@ def _power_route(
         coset_orders.append(d)
         minus.update(point_of[power(x, q)] for q in prime_factors(d))
     return frozenset(minus), tuple(coset_orders)
+
+
+def _powers_of_classes(G: Group, classes: Sequence[list[Permutation]]) -> frozenset[Permutation]:
+    """The non-generators of the subgroup that the given conjugacy classes
+    of G make up: the union of those classes that meet a seed r**q, for r
+    the first member of a class and q a prime dividing its order.  As
+    (h r h^-1)**q = h r**q h^-1, the prime-index powers of a class are the
+    classes of its first member's powers."""
+    orders = element_orders(G)
+    power = base_index(G).power
+    seeds = {power(c[0], q) for c in classes for q in prime_factors(orders[c[0]])}
+    met = (c for c in classes if not seeds.isdisjoint(c))
+    return frozenset(chain.from_iterable(met))
 
 
 @memo
@@ -271,6 +287,16 @@ def _cyclic_classes(G: Group) -> dict[frozenset[Permutation], int]:
     return {s.elements: i for i, orbit in enumerate(orbits(subs.values(), maps)) for s in orbit}
 
 
+@memo
+def _cyclic_labels(G: Group) -> dict[Permutation, int]:
+    """The label of each element x of G: the class number, in
+    :func:`_cyclic_classes`, of <x>.  y is conjugate to a generator of <x>
+    exactly when y and x have the same label."""
+    class_of = _cyclic_classes(G)
+    _, sub_of = _cyclic_index(G)
+    return {x: class_of[s.elements] for x, s in sub_of.items()}
+
+
 def conjugacy_classes_of_subgroups(
     G: Group, subs: Iterable[CyclicSubgroup]
 ) -> SubgroupClassSet:
@@ -330,8 +356,10 @@ class QuotientInvariants:
 
 
 @memo
-def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
-    """The invariants of G/N for N normal in G, read off G's cyclic index.
+def quotient_invariants(G: Group, N: Group, *, table: CosetTable | None = None) -> QuotientInvariants:
+    """The invariants of G/N for N normal in G, read off G's cyclic index,
+    on `table`, the pair's :func:`maxcyc.core.coset_table` when the caller
+    has built it.
 
     <xN> is the image of <x>, so the cyclic subgroups of G/N are the images
     under the coset map of the subgroups that the coset representatives
@@ -341,7 +369,8 @@ def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
     where a generator g sends <xN> to the image of <g x g^-1>.  No
     permutation of degree |G:N| is built.
     """
-    table = coset_table(G, N)
+    if table is None:
+        table = coset_table(G, N)
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
     conjugators = [base_index(G).conjugator(g) for g in G.generators]
@@ -395,16 +424,66 @@ def eta_p(K: Group, p: int) -> int:
     return sum(1 for rep in maximal_cyclic_classes(K).representatives if rep.order % p == 0)
 
 
+@dataclass(frozen=True)
+class SubgroupInvariants:
+    """eta, l and |N^-| of a normal subgroup N, the values N has as a
+    group of its own, and the maximal cyclic subgroups of N."""
+
+    eta: int
+    l_value: int
+    gminus_size: int
+    maximal: tuple[CyclicSubgroup, ...]
+
+
+@memo
+def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
+    """The invariants of N, for N normal in G, read off G's cyclic index.
+
+    The cyclic subgroups of N are the <x> of G's index for x in N.  The
+    N-maximal ones come from the containment scan of :func:`_maximal`,
+    cross-checked against the power route on N: conjugation by G permutes
+    N and commutes with powers, so N^- is the union of the G-classes in N
+    that meet a seed, by :func:`_powers_of_classes` on those classes.  The
+    N-classes of cyclic subgroups are the :func:`maxcyc.core.orbits` under
+    conjugation by N's generators, and those of the maximal ones are the
+    orbits that start at a maximal one, since conjugates of a maximal
+    subgroup are maximal.  N is never given a base, an index or classes of
+    its own.
+    """
+    if not is_normal(G, N):
+        raise NotNormal("subgroup_invariants requires N normal in G")
+    _, sub_of = _cyclic_index(G)
+    in_n = {x: sub_of[x] for x in N.elements}
+    subs = {s.elements: s for s in in_n.values()}.values()
+    classes, index_of = conjugation_orbits(G), conjugacy_classes(G).index_of
+    minus = _powers_of_classes(G, [classes[i] for i in {index_of[x] for x in in_n}])
+    maximal = _maximal(subs, in_n, minus, element_orders(G))
+    conjugator = base_index(G).conjugator
+    maps = [
+        lambda s, conjugate=conjugator(n): sub_of[conjugate(s.canonical_generator)]
+        for n in N.generators
+    ]
+    n_classes = orbits(subs, maps)
+    starts = set(maximal)
+    return SubgroupInvariants(
+        eta=sum(orbit[0] in starts for orbit in n_classes),
+        l_value=len(n_classes),
+        gminus_size=len(minus),
+        maximal=tuple(maximal),
+    )
+
+
 def eta_star(G: Group, N: Group) -> int:
     """G-orbits on the N-conjugacy classes of maximal cyclic subgroups of N:
     the number of G-classes of cyclic subgroups, in :func:`_cyclic_classes`,
-    that the maximal cyclic subgroups of N fall in.  As N is normal, such a
-    class holds N-maximal subgroups only; one that holds another raises
+    that the maximal cyclic subgroups of N, from
+    :func:`subgroup_invariants`, fall in.  As N is normal, such a class
+    holds N-maximal subgroups only; one that holds another raises
     InternalCheckError."""
     if not is_normal(G, N):
         raise NotNormal("eta_star requires N normal in G")
     class_of = _cyclic_classes(G)
-    n_maximal = {s.elements for s in maximal_cyclic_subgroups(N)}
+    n_maximal = {s.elements for s in subgroup_invariants(G, N).maximal}
     met = {class_of[k] for k in n_maximal}
     if any(c in met and k not in n_maximal for k, c in class_of.items()):
         raise InternalCheckError("a G-class of N-maximal cyclic subgroups holds another subgroup")

@@ -17,7 +17,6 @@ from .core import (
     base_index,
     center,
     closed_under_product,
-    conjugacy_classes,
     coset_table,
     derived_subgroup,
     element_orders,
@@ -33,7 +32,7 @@ from .core import (
 )
 from .constructors import direct_product
 from .cyclic import (
-    _cyclic_index,
+    _cyclic_labels,
     eta,
     eta_p,
     eta_preserving_normals,
@@ -42,6 +41,7 @@ from .cyclic import (
     maximal_cyclic_classes,
     quotient_eta,
     quotient_invariants,
+    subgroup_invariants,
 )
 from .errors import (
     ClassificationFailed,
@@ -56,7 +56,6 @@ from .errors import (
     NotSubgroup,
 )
 from .numutil import is_prime, p_part, prime_factors
-from .perm import Permutation
 
 
 def _prime_power(n: int) -> bool:
@@ -182,7 +181,20 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     eta(G/N) = eta(G) holds exactly when (a) N lies in G^-, (b) the
     non-generators of the quotient are the cosets inside G^-, and (c) for
     every x outside G^-, each element of xN outside G^- is conjugate to a
-    generator of <x>.
+    generator of <x>.  The strong condition asks (c) of every element of
+    xN.
+
+    Both are decided on the label of each element, the class of the
+    cyclic subgroup it generates (:func:`maxcyc.cyclic._cyclic_labels`),
+    since y is conjugate to a generator of <x> exactly when <y> is
+    conjugate to <x>:
+    if y = g z g^-1 with <z> = <x>, then <y> = g <x> g^-1;
+    if <y> = g <x> g^-1, then g^-1 y g generates <x>.
+    So (c) holds when, in each coset of N, the elements outside G^- share
+    one label, and the strong condition when each coset that meets
+    G \\ G^- has one label throughout.  The witnesses are the first three
+    failing pairs ``x ~ y``, x in ``element_list`` order and y = x*n in
+    ``N.element_list`` order; only the cosets that fail are walked.
     """
     if not is_normal(G, N):
         raise NotNormal("check_quot_conditions requires N normal in G")
@@ -191,8 +203,8 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
 
     gminus_set = g_minus(G)
     eta_g = eta(G).eta
-    quotient = quotient_invariants(G, N)
     table = coset_table(G, N)
+    quotient = quotient_invariants(G, N, table=table)
     eta_q = quotient.eta
     equal = eta_g == eta_q
     witnesses: dict[str, tuple[str, ...]] = {}
@@ -203,56 +215,60 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
             x.cycle_string() for x in sorted(N.elements - gminus_set)[:3]
         )
 
+    label = _cyclic_labels(G)
+    covered_points = set()  # the cosets inside G^-
+    gminus_points = set()  # the cosets that meet G^-
+    fail_c = set()  # the cosets whose elements outside G^- differ in label
+    fail_strong = set()  # the cosets outside G^- with more than one label
+    for i, coset in enumerate(table.cosets):
+        outside = coset - gminus_set
+        if not outside:
+            covered_points.add(i)
+        if len(outside) < len(coset):
+            gminus_points.add(i)
+        if len({label[x] for x in outside}) > 1:
+            fail_c.add(i)
+        if outside and len({label[x] for x in coset}) > 1:
+            fail_strong.add(i)
+
     quotient_gminus_points = quotient.g_minus
-    covered_points = {
-        i for i, coset in enumerate(table.cosets) if coset <= gminus_set
-    }
     cond_b = quotient_gminus_points == covered_points
     if not cond_b:
         diff = quotient_gminus_points ^ covered_points
         witnesses["cond_b"] = tuple(str(i) for i in sorted(diff)[:3])
 
-    class_index = conjugacy_classes(G).index_of
-    _, sub_of = _cyclic_index(G)
-    gen_classes: dict[frozenset, frozenset[int]] = {}
-
-    def generator_classes_of(x: Permutation) -> frozenset[int]:
-        sub = sub_of[x]
-        got = gen_classes.get(sub.elements)
-        if got is None:
-            got = frozenset(
-                class_index[y] for y in sub.elements if sub_of[y] is sub
-            )
-            gen_classes[sub.elements] = got
-        return got
-
-    cond_c = True
-    strong = True
     bad_c: list[str] = []
     bad_strong: list[str] = []
-    movers = [base_index(G).times(n) for n in N.element_list]  # x -> x*n
-    for x in G.element_list:
-        if x in gminus_set:
-            continue
-        targets = generator_classes_of(x)
-        for move in movers:
-            y = move(x)
-            if class_index[y] in targets:
+    if fail_strong:  # every coset that fails (c) fails the strong condition too
+        point_of = table.point_of
+        movers = [base_index(G).times(n) for n in N.element_list]  # x -> x*n
+        for x in G.element_list:
+            if x in gminus_set:
                 continue
-            strong = False
-            if len(bad_strong) < 3:
-                bad_strong.append(f"{x.cycle_string()} ~ {y.cycle_string()}")
-            if y not in gminus_set:
-                cond_c = False
-                if len(bad_c) < 3:
-                    bad_c.append(f"{x.cycle_string()} ~ {y.cycle_string()}")
+            want_c = len(bad_c) < 3 and point_of[x] in fail_c
+            want_strong = len(bad_strong) < 3 and point_of[x] in fail_strong
+            if not (want_c or want_strong):
+                continue
+            for move in movers:
+                y = move(x)
+                if label[y] == label[x]:
+                    continue
+                to_strong = want_strong and len(bad_strong) < 3
+                to_c = want_c and len(bad_c) < 3 and y not in gminus_set
+                if to_strong or to_c:
+                    pair = f"{x.cycle_string()} ~ {y.cycle_string()}"
+                    if to_strong:
+                        bad_strong.append(pair)
+                    if to_c:
+                        bad_c.append(pair)
+            if len(bad_c) == len(bad_strong) == 3:
+                break
     if bad_c:
         witnesses["cond_c"] = tuple(bad_c)
     if bad_strong:
         witnesses["strong"] = tuple(bad_strong)
 
-    gminus_points = {table.point_of[g] for g in gminus_set}
-    coset_union = all(table.cosets[i] <= gminus_set for i in gminus_points)
+    coset_union = gminus_points <= covered_points
 
     gminus_n_stable: bool | None = None
     quotient_gminus_matches: bool | None = None
@@ -268,9 +284,9 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         equal=equal,
         cond_a=cond_a,
         cond_b=cond_b,
-        cond_c=cond_c,
+        cond_c=not fail_c,
         gminus_coset_union=coset_union,
-        strong_generator_condition=strong,
+        strong_generator_condition=not fail_strong,
         gminus_n_stable=gminus_n_stable,
         quotient_gminus_matches=quotient_gminus_matches,
         witnesses=witnesses,
@@ -346,17 +362,18 @@ def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
     contain N), and the matching structure is verified on the cosets.  The
     trivial group counts, vacuously, as a 2-group of exponent 2.
     """
-    orders = quotient_invariants(G, N).orders
-    index = len(orders)
+    index = G.order // N.order
+    primes = prime_factors(index)
+    # only a quotient of two primes reads the cosets themselves
+    table = coset_table(G, N) if len(primes) == 2 else None
+    orders = quotient_invariants(G, N, table=table).orders
     if any(o != 1 and not is_prime(o) for o in orders):
         return PrimeOrderClass("not_all_prime_order")
-    primes = prime_factors(index)
     if len(primes) <= 1:
         return PrimeOrderClass("exponent_p", p=primes[0] if primes else 2)
     if index == 60 and sum(N.elements <= M.elements for M in normal_subgroups(G)) == 2:
         return PrimeOrderClass("a5")
-    if len(primes) == 2:
-        table = coset_table(G, N)
+    if table is not None:
         reps, point_of = table.representatives, table.point_of
         conjugator = base_index(G).conjugator
         for kernel_p, comp_q in ((primes[0], primes[1]), (primes[1], primes[0])):
@@ -571,13 +588,15 @@ def check_frobenius_eta(G: Group, N: Group, H: Group) -> VerifyReport:
 
 
 def check_centre_bounds(G: Group, N: Group) -> VerifyReport:
-    """eta(G) >= eta*(N); the central and index-k refinements."""
+    """eta(G) >= eta*(N); the central and index-k refinements.  eta(N) and
+    eta*(N) are read off G's own index by
+    :func:`maxcyc.cyclic.subgroup_invariants`."""
     if not is_normal(G, N):
         raise NotNormal("check_centre_bounds requires N normal")
     e_g = eta(G).eta
     e_star = eta_star(G, N)
     checks = [Check("star_bound", e_g >= e_star, f"eta(G) >= {e_star}", e_g)]
-    e_n = eta(N).eta
+    e_n = subgroup_invariants(G, N).eta
     if N.elements <= center(G).elements:
         checks.append(Check("central_case", e_g >= e_n, f"eta(G) >= {e_n}", e_g))
     k = G.order // N.order

@@ -24,6 +24,7 @@ from maxcyc import (
     realize_text,
     render,
     subgroup_generated,
+    subgroup_invariants,
 )
 from maxcyc.core import closed_under_product, is_cyclic, is_p_group
 from maxcyc.corpus import default_corpus_text, parse_corpus
@@ -309,6 +310,34 @@ def test_quot_conditions_match_the_oracle(G):
 @pytest.mark.parametrize("text", CORPUS_SPECS)
 def test_corpus_quot_conditions_match_the_oracle(text):
     assert_quot_conditions_match_the_oracle(realize_text(text))
+
+
+def assert_subgroup_invariants_match_standalone(G):
+    """eta, l, |N^-| and the maximal cyclic subgroups of every normal N,
+    read off G's index, against N realized as a group of its own; eta*(N)
+    against the oracle; and N = G against eta(G)."""
+    for N in normal_subgroups(G):
+        own = enumerate_elements(G.degree, N.generators)
+        got = subgroup_invariants(G, N)
+        rep = eta(own)
+        assert (got.eta, got.l_value, got.gminus_size) == (rep.eta, rep.l_value, rep.gminus_size)
+        assert {s.elements for s in got.maximal} == {
+            s.elements for s in maximal_cyclic_subgroups(own)
+        }
+        assert eta_star(G, N) == eta_star_oracle(G, N)[0]
+    top, rep = subgroup_invariants(G, G), eta(G)
+    assert (top.eta, top.l_value, top.gminus_size) == (rep.eta, rep.l_value, rep.gminus_size)
+
+
+@given(small_groups())
+@group_settings
+def test_subgroup_invariants_match_standalone(G):
+    assert_subgroup_invariants_match_standalone(G)
+
+
+@pytest.mark.parametrize("text", CORPUS_SPECS)
+def test_corpus_subgroup_invariants_match_standalone(text):
+    assert_subgroup_invariants_match_standalone(realize_text(text))
 
 
 @given(small_groups())
