@@ -19,7 +19,6 @@ from .core import (
     element_orders,
     enumerate_elements,
     is_normal,
-    is_simple_nonabelian_60,
     normal_closure,
     normal_subgroups,
     point_stabilizer,
@@ -71,6 +70,6 @@ from .errors import (
     NotSubgroup,
     ParseError,
 )
-from .perm import Permutation, perm_order
+from .perm import Permutation
 
 __version__ = "0.1.0"

@@ -278,11 +278,12 @@ class FrobeniusAGL1(Family):
     d: int
 
     def __post_init__(self):
-        p = prime_power_base(self.q)
-        if self.q < 2 or p is None:
-            raise ArityError(f"AGL1({self.q},{self.d}): q must be a prime power >= 2")
+        # the bounds come first: factoring a huge q would take unbounded time
         if self.q > 128:
             raise ArityError(f"AGL1({self.q},{self.d}): q must be <= 128")
+        p = prime_power_base(self.q) if self.q >= 2 else None
+        if p is None:
+            raise ArityError(f"AGL1({self.q},{self.d}): q must be a prime power >= 2")
         if self.d < 1 or (p - 1) % self.d:
             raise ArityError(
                 f"AGL1({self.q},{self.d}): d must divide {p - 1} (base prime {p} minus 1)"

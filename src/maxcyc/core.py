@@ -648,15 +648,6 @@ def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
     return out
 
 
-def is_simple_nonabelian_60(G: Group) -> bool:
-    """Order 60 with no normal subgroups besides 1 and G.
-
-    Among groups of order 60 this characterizes the alternating group on
-    five points.
-    """
-    return G.order == 60 and len(normal_subgroups(G)) == 2
-
-
 def point_stabilizer(G: Group, point: int) -> Group:
     """The subgroup fixing the given point."""
     if not 0 <= point < G.degree:
@@ -688,10 +679,6 @@ def exponent(G: Group) -> int:
 
 def is_cyclic(G: Group) -> bool:
     return G.order in element_orders(G).values()
-
-
-def is_abelian(G: Group) -> bool:
-    return all(a * b == b * a for a in G.generators for b in G.generators)
 
 
 def is_p_group(G: Group) -> int | None:

@@ -2,7 +2,8 @@
 
 A corpus is a line-oriented file of records ``spec ; key=value ; ...``
 ('#' starts a comment).  Each suite runs over the entries it applies to
-and yields one report per (suite, entry); selector keys such as
+and yields one :class:`VerifyReport` per (suite, entry), built in one
+place from the checks of :mod:`maxcyc.theorems`; selector keys such as
 ``quot_eta[5,0]`` address the normal subgroup of order 5 at index 0 in
 the deterministic ordering of :func:`maxcyc.core.normal_subgroups`.
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from typing import Callable, Iterable
 
@@ -23,7 +25,6 @@ from .core import (
     DEFAULT_ORDER_CAP,
     Group,
     derived_subgroup,
-    element_orders,
     is_cyclic,
     is_p_group,
     is_solvable,
@@ -42,11 +43,10 @@ from .cyclic import (
     quotient_eta,
 )
 from .errors import CorpusError, InternalCheckError, MaxcycError, NotExponentP, NotFrobenius
-from .numutil import prime_factors
 from .theorems import (
     Check,
-    VerifyReport,
     _noncyclic_sylows_of_abelianization,
+    all_prime_power_orders,
     check_centre_bounds,
     check_derived_criterion,
     check_dirproduct_laws,
@@ -62,7 +62,6 @@ from .theorems import (
     classify_prime_order_group,
     compute_X,
     gk_graph,
-    make_report,
     quot_report_checks,
 )
 
@@ -102,14 +101,16 @@ class CorpusEntry:
     tag: str
     expect: dict[str, str]
 
-    def selected(self, name: str) -> list[tuple[tuple[int, ...], str]]:
-        """All ``name[a,b,...]=value`` expectations, as (selector, value)."""
+    def selected(self, name: str) -> list[tuple[str, tuple[int, ...], str]]:
+        """All ``name[a,b,...]=value`` expectations, as (check name,
+        selector, value) in selector order; the check name is the key with
+        its integers written out plainly."""
         out = []
         for key, value in self.expect.items():
             m = _SELECTOR_RE.match(key)
             if m and m.group(1) == name:
                 out.append((tuple(int(v) for v in m.group(2).split(",")), value))
-        return sorted(out)
+        return [(f"{name}[{','.join(map(str, sel))}]", sel, value) for sel, value in sorted(out)]
 
 
 def _split_fields(line: str) -> list[str]:
@@ -202,28 +203,68 @@ def realize_entry(
                     order_cap, degree_cap)
 
 
-def _flatten(parts: Iterable[tuple[str, VerifyReport]]) -> list[Check]:
-    checks = []
-    for prefix, rep in parts:
-        for c in rep.checks:
-            name = f"{prefix}.{c.name}" if prefix else c.name
-            checks.append(Check(name, c.passed, c.expected, c.actual))
-    return checks
+@dataclass(frozen=True)
+class VerifyReport:
+    """Outcome of one suite on one corpus entry."""
+
+    suite: str
+    instance: str
+    checks: tuple[Check, ...]
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def to_dict(self) -> dict:
+        return {
+            "suite": self.suite,
+            "instance": self.instance,
+            "passed": self.passed,
+            "checks": [
+                {
+                    "name": c.name,
+                    "passed": c.passed,
+                    "expected": repr(c.expected),
+                    "actual": repr(c.actual),
+                }
+                for c in self.checks
+            ],
+        }
 
 
-def _merge(suite: str, instance: str, parts: Iterable[tuple[str, VerifyReport]]) -> VerifyReport:
-    return make_report(suite, instance, _flatten(parts))
+def _flatten(parts: Iterable[tuple[str, list[Check]]]) -> list[Check]:
+    """The checks of every (label, checks) part, each named ``label.name``."""
+    return [Check(f"{label}.{c.name}", c.passed, c.expected, c.actual)
+            for label, checks in parts for c in checks]
+
+
+def _per_normal(G: Group, check: Callable, *, proper: bool = False) -> list[Check]:
+    """check(G, N) for each normal N of G, or each proper one, labelled
+    ``N[order,index]``."""
+    return _flatten((f"N[{o},{i}]", check(G, N)) for o, i, N in labelled_normals(G)
+                    if not (proper and N.order == G.order))
+
+
+def _per_pair(G: Group, check: Callable, firsts: list, seconds: list) -> list[Check]:
+    """check(G, N, M) for each labelled normal N of `firsts` and M of
+    `seconds`, labelled ``N[order,index]vM[order,index]``."""
+    return _flatten((f"N[{o1},{i1}]vM[{o2},{i2}]", check(G, N, M))
+                    for o1, i1, N in firsts for o2, i2, M in seconds)
 
 
 def _int_check(name: str, expected: str, actual: int) -> Check:
     return Check(name, int(expected) == actual, int(expected), actual)
 
 
+def _flag_check(name: str, expected: str, actual: bool) -> Check:
+    return Check(name, (expected == "1") == actual, expected == "1", actual)
+
+
 # ---------------------------------------------------------------------------
-# Suite runners (each returns a VerifyReport, or None when not applicable)
+# Suite runners (each returns its checks, or None when not applicable)
 # ---------------------------------------------------------------------------
 
-def run_values(inst: Instance) -> VerifyReport | None:
+def run_values(inst: Instance) -> list[Check] | None:
     e = inst.entry.expect
     keys = {"eta", "l", "gminus", "maxcyc", "normals"} & e.keys()
     if not keys:
@@ -245,10 +286,10 @@ def run_values(inst: Instance) -> VerifyReport | None:
         want = sorted(int(v) for v in e["normals"].split(":"))
         got = sorted(N.order for N in normal_subgroups(G))
         checks.append(Check("normal_subgroup_orders", want == got, want, got))
-    return make_report("values", inst.entry.spec_text, checks)
+    return checks
 
 
-def run_pgrp_lemma(inst: Instance) -> VerifyReport:
+def run_pgrp_lemma(inst: Instance) -> list[Check]:
     G = inst.group
     gm = g_minus(G)
     gm_pow = g_minus_via_powers(G)
@@ -259,33 +300,27 @@ def run_pgrp_lemma(inst: Instance) -> VerifyReport:
         pw = g_power_set(G, p)
         checks.append(Check("pgroup_gminus_is_pth_powers", gm == pw,
                             f"G^- == G^{{{p}}}", len(gm ^ pw)))
-    return make_report("pgrp-lemma", inst.entry.spec_text, checks)
+    return checks
 
 
-def run_gminus_subgroup(inst: Instance) -> VerifyReport:
-    rep = check_gminus_subgroup_lemma(inst.group)
-    return _merge("gminus-subgroup", inst.entry.spec_text, [("", rep)])
+def run_gminus_subgroup(inst: Instance) -> list[Check]:
+    return check_gminus_subgroup_lemma(inst.group)
 
 
-def run_gminus_containment(inst: Instance) -> VerifyReport:
-    G = inst.group
-    parts = []
-    for order, idx, N in labelled_normals(G):
-        parts.append((f"N[{order},{idx}]", check_gminus_containment(G, N)))
-    return _merge("gminus-containment", inst.entry.spec_text, parts)
+def run_gminus_containment(inst: Instance) -> list[Check]:
+    return _per_normal(inst.group, check_gminus_containment)
 
 
-def run_l_relation(inst: Instance) -> VerifyReport | None:
+def run_l_relation(inst: Instance) -> list[Check] | None:
     if inst.group.order == 1:
         return None
-    return _merge("l-relation", inst.entry.spec_text,
-                  [("", check_l_relation(inst.group))])
+    return check_l_relation(inst.group)
 
 
-def run_gk_graph(inst: Instance) -> VerifyReport:
+def run_gk_graph(inst: Instance) -> list[Check]:
     G = inst.group
     graph = gk_graph(G)
-    all_ppo = all(len(prime_factors(n)) <= 1 for n in element_orders(G).values())
+    all_ppo = all_prime_power_orders(G)
     checks = [
         Check("no_edges_iff_prime_power_orders",
               (not graph.edges) == all_ppo,
@@ -303,7 +338,7 @@ def run_gk_graph(inst: Instance) -> VerifyReport:
         checks.append(Check("edges", want == got, want, got))
     if "gk_comps" in e:
         checks.append(_int_check("components", e["gk_comps"], graph.component_count()))
-    return make_report("gk-graph", inst.entry.spec_text, checks)
+    return checks
 
 
 _CLASSIFY_RENDER = {
@@ -314,27 +349,26 @@ _CLASSIFY_RENDER = {
 }
 
 
-def run_first_main(inst: Instance) -> VerifyReport:
+def run_first_main(inst: Instance) -> list[Check]:
     G = inst.group
-    checks = list(check_first_main(G).checks)
+    checks = check_first_main(G)
     expected = inst.entry.expect.get("classify")
     if expected is not None:
         cls = classify_prime_order_group(G, normal_subgroups(G)[0])
         got = _CLASSIFY_RENDER[cls.kind](cls)
         checks.append(Check("classify", got == expected, expected, got))
-    return make_report("first-main", inst.entry.spec_text, checks)
+    return checks
 
 
-def run_dirproduct(inst: Instance) -> VerifyReport | None:
+def run_dirproduct(inst: Instance) -> list[Check] | None:
     if not isinstance(inst.spec, DirectProductSpec):
         return None
     H = realize(inst.spec.left, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
     K = realize(inst.spec.right, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
-    return _merge("dirproduct", inst.entry.spec_text,
-                  [("", check_dirproduct_laws(H, K))])
+    return check_dirproduct_laws(H, K)
 
 
-def run_frobenius(inst: Instance) -> VerifyReport | None:
+def run_frobenius(inst: Instance) -> list[Check] | None:
     e = inst.entry.expect.get("frobenius")
     if e is None:
         return None
@@ -342,142 +376,104 @@ def run_frobenius(inst: Instance) -> VerifyReport | None:
     kernel_order_text, _, mode = e.partition(":")
     N = named_normal(G, int(kernel_order_text), 0)
     H = point_stabilizer(G, 0)
-    checks: list[Check] = []
-    if mode == "eq":
-        try:
-            rep = check_frobenius_eta(G, N, H)
-            checks.extend(rep.checks)
-        except NotFrobenius as exc:
-            checks.append(Check("frobenius_sum", False, "Frobenius structure", str(exc)))
-    else:  # notfrob
-        try:
-            check_frobenius_eta(G, N, H)
-            checks.append(Check("rejected_as_frobenius", False,
-                                "NotFrobenius raised", "structure accepted"))
-        except NotFrobenius as exc:
-            checks.append(Check("rejected_as_frobenius", True,
-                                "NotFrobenius raised", str(exc)))
+    try:
+        checks, rejection = check_frobenius_eta(G, N, H), None
+    except NotFrobenius as exc:
+        checks, rejection = [], str(exc)
+    if mode == "notfrob":
+        checks = [Check("rejected_as_frobenius", rejection is not None,
+                        "NotFrobenius raised", rejection or "structure accepted")]
+    elif rejection is not None:
+        checks = [Check("frobenius_sum", False, "Frobenius structure", rejection)]
     gap = inst.entry.expect.get("frob_gap")
     if gap is not None:
         actual = eta_star(G, N) + eta(H).eta - eta(G).eta
         checks.append(_int_check("sum_minus_eta_gap", gap, actual))
-    return make_report("frobenius", inst.entry.spec_text, checks)
+    return checks
 
 
-def run_centre(inst: Instance) -> VerifyReport:
+def run_centre(inst: Instance) -> list[Check]:
     G = inst.group
-    parts = []
-    for order, idx, N in labelled_normals(G):
-        parts.append((f"N[{order},{idx}]", check_centre_bounds(G, N)))
-    checks = _flatten(parts)
-    for selector, value in inst.entry.selected("eta_star"):
-        N = named_normal(G, selector[0], selector[1])
-        checks.append(_int_check(f"eta_star[{selector[0]},{selector[1]}]",
-                                 value, eta_star(G, N)))
-    return make_report("centre", inst.entry.spec_text, checks)
+    checks = _per_normal(G, check_centre_bounds)
+    for label, selector, value in inst.entry.selected("eta_star"):
+        checks.append(_int_check(label, value, eta_star(G, named_normal(G, *selector))))
+    return checks
 
 
-def run_quot(inst: Instance) -> VerifyReport:
+def run_quot(inst: Instance) -> list[Check]:
+    G = inst.group
+    checks = _per_normal(
+        G, lambda G, N: quot_report_checks(G, check_quot_conditions(G, N)), proper=True
+    )
+    for label, selector, value in inst.entry.selected("quot_eta"):
+        rep = check_quot_conditions(G, named_normal(G, *selector))
+        checks.append(_int_check(label, value, rep.eta_q))
+    for label, selector, value in inst.entry.selected("quot_union"):
+        rep = check_quot_conditions(G, named_normal(G, *selector))
+        checks.append(_flag_check(label, value, rep.gminus_coset_union))
+    return checks
+
+
+def run_products_join(inst: Instance) -> list[Check] | None:
     G = inst.group
     checks: list[Check] = []
-    for order, idx, N in labelled_normals(G):
-        if N.order == G.order:
-            continue
-        rep = check_quot_conditions(G, N)
-        checks.extend(quot_report_checks(G, N, rep, f"N[{order},{idx}]"))
-    for selector, value in inst.entry.selected("quot_eta"):
-        rep = check_quot_conditions(G, named_normal(G, *selector))
-        checks.append(_int_check(f"quot_eta[{selector[0]},{selector[1]}]",
-                                 value, rep.eta_q))
-    for selector, value in inst.entry.selected("quot_union"):
-        rep = check_quot_conditions(G, named_normal(G, *selector))
-        want = value == "1"
-        checks.append(Check(f"quot_union[{selector[0]},{selector[1]}]",
-                            want == rep.gminus_coset_union, want, rep.gminus_coset_union))
-    return make_report("quot", inst.entry.spec_text, checks)
-
-
-def run_products_join(inst: Instance) -> VerifyReport | None:
-    G = inst.group
-    checks: list[Check] = []
-    p = is_p_group(G)
-    if p is not None and not is_cyclic(G):
+    if is_p_group(G) is not None and not is_cyclic(G):
         preserving = eta_preserving_normals(G)
         qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
-        checks = _flatten(
-            (f"N[{o1},{i1}]vM[{o2},{i2}]", check_quotient_join(G, N, M))
-            for o1, i1, N in qualifying
-            for o2, i2, M in qualifying
-        )
-    for selector, value in inst.entry.selected("join_eta"):
-        o1, i1, o2, i2 = selector
+        checks = _per_pair(G, check_quotient_join, qualifying, qualifying)
+    for label, (o1, i1, o2, i2), value in inst.entry.selected("join_eta"):
         J = join(G, (named_normal(G, o1, i1), named_normal(G, o2, i2)))
-        checks.append(_int_check(f"join_eta[{o1},{i1},{o2},{i2}]", value,
-                                 quotient_eta(G, J)))
-    if not checks:
-        return None
-    return make_report("products-join", inst.entry.spec_text, checks)
+        checks.append(_int_check(label, value, quotient_eta(G, J)))
+    return checks or None
 
 
-def run_xsub(inst: Instance) -> VerifyReport | None:
+def run_xsub(inst: Instance) -> list[Check] | None:
     G = inst.group
     if is_p_group(G) is None or is_cyclic(G):
         return None
-    checks: list[Check] = []
     try:
         X = compute_X(G)
     except InternalCheckError as exc:
-        return make_report("xsub", inst.entry.spec_text,
-                           [Check("compute_X", False, "well-defined join", str(exc))])
+        return [Check("compute_X", False, "well-defined join", str(exc))]
     target = eta(G).eta
     preserving = eta_preserving_normals(G)
     scan_ok = all(
         (M in preserving) == (M.elements <= X.elements) for M in normal_subgroups(G)
     )
     e_x = quotient_eta(G, X)
-    checks.append(Check("eta_preserved", e_x == target, target, e_x))
-    checks.append(Check("maximality_scan", scan_ok,
-                        "M qualifies <=> M <= X", scan_ok))
+    checks = [
+        Check("eta_preserved", e_x == target, target, e_x),
+        Check("maximality_scan", scan_ok, "M qualifies <=> M <= X", scan_ok),
+    ]
     e = inst.entry.expect
     if "x_order" in e:
         checks.append(_int_check("x_order", e["x_order"], X.order))
     if "x_cyclic" in e:
-        want = e["x_cyclic"] == "1"
-        checks.append(Check("x_cyclic", want == is_cyclic(X), want, is_cyclic(X)))
-    return make_report("xsub", inst.entry.spec_text, checks)
+        checks.append(_flag_check("x_cyclic", e["x_cyclic"], is_cyclic(X)))
+    return checks
 
 
-def run_derived(inst: Instance) -> VerifyReport:
+def run_derived(inst: Instance) -> list[Check]:
     G = inst.group
-    parts = []
-    for order, idx, N in labelled_normals(G):
-        if N.order == G.order:
-            continue
-        parts.append((f"N[{order},{idx}]", check_derived_criterion(G, N)))
-    checks = _flatten(parts)
+    checks = _per_normal(G, check_derived_criterion, proper=True)
     D = derived_subgroup(G)
-    for selector, value in inst.entry.selected("in_derived"):
-        N = named_normal(G, selector[0], selector[1])
-        inside = N.elements <= D.elements
-        want = value == "1"
-        checks.append(Check(f"in_derived[{selector[0]},{selector[1]}]",
-                            want == inside, want, inside))
+    for label, selector, value in inst.entry.selected("in_derived"):
+        inside = named_normal(G, *selector).elements <= D.elements
+        checks.append(_flag_check(label, value, inside))
     if "derived_hyp" in inst.entry.expect:
         hyp, _ = _noncyclic_sylows_of_abelianization(G)
-        want = inst.entry.expect["derived_hyp"] == "1"
-        checks.append(Check("derived_hyp", want == hyp, want, hyp))
-    return make_report("derived", inst.entry.spec_text, checks)
+        checks.append(_flag_check("derived_hyp", inst.entry.expect["derived_hyp"], hyp))
+    return checks
 
 
-def run_exp_bound(inst: Instance) -> VerifyReport | None:
+def run_exp_bound(inst: Instance) -> list[Check] | None:
     try:
-        rep = check_exp_bound(inst.group)
+        return check_exp_bound(inst.group)
     except NotExponentP:
         return None
-    return _merge("exp-bound", inst.entry.spec_text, [("", rep)])
 
 
-def run_eitheror(inst: Instance) -> VerifyReport | None:
+def run_eitheror(inst: Instance) -> list[Check] | None:
     G = inst.group
     if is_p_group(G) is None or is_cyclic(G):
         return None
@@ -485,33 +481,37 @@ def run_eitheror(inst: Instance) -> VerifyReport | None:
     labelled = labelled_normals(G)
     qualifying = [(o, i, N) for o, i, N in labelled if N.order > 1 and N in preserving]
     if not qualifying:
-        return make_report("eitheror", inst.entry.spec_text,
-                           [Check("vacuous (no eta-preserving nontrivial N)",
-                                  True, "skip", "skip")])
-    return _merge("eitheror", inst.entry.spec_text, (
-        (f"N[{o1},{i1}]vM[{o2},{i2}]", check_eitheror(G, N, M))
-        for o1, i1, N in qualifying
-        for o2, i2, M in labelled
-    ))
+        return [Check("vacuous (no eta-preserving nontrivial N)", True, "skip", "skip")]
+    return _per_pair(G, check_eitheror, qualifying, labelled)
+
+
+def _report(name: str, run: Callable[[Instance], list[Check] | None],
+            inst: Instance) -> VerifyReport | None:
+    """Suite `name`'s report on an instance: the checks of its runner, or
+    None when the runner finds that the suite does not apply."""
+    checks = run(inst)
+    return None if checks is None else VerifyReport(name, inst.entry.spec_text, tuple(checks))
 
 
 SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
-    "values": run_values,
-    "dirproduct": run_dirproduct,
-    "frobenius": run_frobenius,
-    "centre": run_centre,
-    "pgrp-lemma": run_pgrp_lemma,
-    "gminus-containment": run_gminus_containment,
-    "gminus-subgroup": run_gminus_subgroup,
-    "quot": run_quot,
-    "products-join": run_products_join,
-    "xsub": run_xsub,
-    "derived": run_derived,
-    "exp-bound": run_exp_bound,
-    "eitheror": run_eitheror,
-    "l-relation": run_l_relation,
-    "first-main": run_first_main,
-    "gk-graph": run_gk_graph,
+    name: partial(_report, name, run) for name, run in {
+        "values": run_values,
+        "dirproduct": run_dirproduct,
+        "frobenius": run_frobenius,
+        "centre": run_centre,
+        "pgrp-lemma": run_pgrp_lemma,
+        "gminus-containment": run_gminus_containment,
+        "gminus-subgroup": run_gminus_subgroup,
+        "quot": run_quot,
+        "products-join": run_products_join,
+        "xsub": run_xsub,
+        "derived": run_derived,
+        "exp-bound": run_exp_bound,
+        "eitheror": run_eitheror,
+        "l-relation": run_l_relation,
+        "first-main": run_first_main,
+        "gk-graph": run_gk_graph,
+    }.items()
 }
 
 

@@ -143,25 +143,17 @@ def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(sorted(subs.values(), key=CyclicSubgroup.sort_key))
 
 
-def _power_route(
-    G: Group, table: CosetTable | None = None
-) -> tuple[frozenset, Mapping[Any, int]]:
-    """G^- by its prime-power characterization, with the order of each
-    element; given the coset table of a normal N, (G/N)^- as coset points,
-    with the order of each coset.
+def _power_route(G: Group, table: CosetTable) -> tuple[frozenset[int], tuple[int, ...]]:
+    """(G/N)^- by its prime-power characterization, as the coset points of
+    `table` (that of a normal N), with the order of each coset.
 
-    ``G^- = {g**q : q prime, q | order(g)}``.  Orders and powers come from
-    the cycles of the base points of :func:`maxcyc.core.base_index`: the
-    order is the lcm of their lengths, and g**q walks each base point q
-    steps.  The cyclic index is never read.
-
-    For G, this is :func:`_powers_of_classes` on all of G's classes.  For
-    G/N, one x per coset: the order of xN is the least divisor d of o(x)
-    with x**d in N, and (xN)**q is the coset of x**q.
+    ``(G/N)^- = {(xN)**q : q prime, q | order(xN)}``, taken on one x per
+    coset: the order of xN is the least divisor d of o(x) with x**d in N,
+    and (xN)**q is the coset of x**q.  Orders and powers come from the
+    cycles of the base points of :func:`maxcyc.core.base_index`, and the
+    cyclic index is never read.
     """
     orders = element_orders(G)
-    if table is None:
-        return _powers_of_classes(G, conjugation_orbits(G)), orders
     power = base_index(G).power
     point_of = table.point_of
     minus = set()
@@ -191,8 +183,9 @@ def _powers_of_classes(G: Group, classes: Sequence[list[Permutation]]) -> frozen
 
 @memo
 def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
-    """{ g**q : g in G, q a prime dividing the order of g }."""
-    return _power_route(G)[0]
+    """{ g**q : g in G, q a prime dividing the order of g }, by
+    :func:`_powers_of_classes` on all of G's conjugacy classes."""
+    return _powers_of_classes(G, conjugation_orbits(G))
 
 
 def _maximal(

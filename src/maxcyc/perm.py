@@ -15,7 +15,6 @@ from :func:`word_conjugator`.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter, methodcaller
 from typing import Callable, Iterable, Sequence
 
@@ -219,9 +218,3 @@ def word_conjugator(g: Permutation) -> Callable:
         n, table, maketrans = len(gw), gw + _PAD[len(gw)], bytes.maketrans
         return lambda w: maketrans(gw, w.translate(table))[:n]
     return lambda w: Permutation._unchecked(w).conjugate_by(g).word
-
-
-def perm_order(a: Permutation) -> int:
-    """Least n >= 1 with a**n the identity; the lcm of the cycle lengths."""
-    lengths = [len(c) for c in a.cycles()]
-    return math.lcm(*lengths) if lengths else 1

@@ -1,16 +1,18 @@
 """Executable verifiers for the structural facts about eta and G^-.
 
-Each verifier returns a structured report rather than a bare boolean, so
-a failing instance carries witnesses.  Negative controls (inputs expected
-to violate a hypothesis) are handled by the suite layer in
-:mod:`maxcyc.corpus`.
+Each verifier returns its list of named :class:`Check` results rather
+than a bare boolean, so a failing instance carries its expected and
+actual values.  The suite layer in :mod:`maxcyc.corpus` names each suite
+and corpus entry, prefixes the checks of each normal subgroup with its
+label, and handles negative controls (inputs expected to violate a
+hypothesis).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any
 
 from .core import (
     Group,
@@ -62,6 +64,11 @@ def _prime_power(n: int) -> bool:
     return len(prime_factors(n)) <= 1
 
 
+def all_prime_power_orders(G: Group) -> bool:
+    """Whether every element order of G is a prime power (or 1)."""
+    return all(map(_prime_power, element_orders(G).values()))
+
+
 def _require_noncyclic_p_group(G: Group, caller: str) -> None:
     if not is_p_group(G):
         raise NotPGroup(f"{caller} requires a p-group")
@@ -70,7 +77,7 @@ def _require_noncyclic_p_group(G: Group, caller: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Report types
+# Result types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -81,36 +88,6 @@ class Check:
     passed: bool
     expected: Any = True
     actual: Any = None
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    """Outcome of one verifier on one instance."""
-
-    suite: str
-    instance: str
-    passed: bool
-    checks: tuple[Check, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instance": self.instance,
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "expected": repr(c.expected),
-                    "actual": repr(c.actual),
-                }
-                for c in self.checks
-            ],
-        }
-
-
-def make_report(suite: str, instance: str, checks: Sequence[Check]) -> VerifyReport:
-    return VerifyReport(suite, instance, all(c.passed for c in checks), tuple(checks))
 
 
 @dataclass(frozen=True)
@@ -293,18 +270,17 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     )
 
 
-def quot_report_checks(G: Group, N: Group, rep: QuotCheckReport, label: str) -> list[Check]:
+def quot_report_checks(G: Group, rep: QuotCheckReport) -> list[Check]:
     """Turn one QuotCheckReport into named sub-checks, including the
     biconditional, monotonicity and the p-group/coset-union refinements."""
     conds = rep.cond_a and rep.cond_b and rep.cond_c
     checks = [
-        Check(f"{label}.monotone", rep.eta_q <= rep.eta_g, "eta(G/N) <= eta(G)",
-              (rep.eta_q, rep.eta_g)),
-        Check(f"{label}.biconditional", rep.equal == conds,
+        Check("monotone", rep.eta_q <= rep.eta_g, "eta(G/N) <= eta(G)", (rep.eta_q, rep.eta_g)),
+        Check("biconditional", rep.equal == conds,
               "equal <=> (a and b and c)",
               {"equal": rep.equal, "a": rep.cond_a, "b": rep.cond_b,
                "c": rep.cond_c, "witnesses": rep.witnesses}),
-        Check(f"{label}.union_biconditional",
+        Check("union_biconditional",
               (rep.equal and rep.gminus_coset_union) == rep.strong_generator_condition,
               "(equal and union) <=> all of xN conjugate to generators",
               {"equal": rep.equal, "union": rep.gminus_coset_union,
@@ -312,15 +288,14 @@ def quot_report_checks(G: Group, N: Group, rep: QuotCheckReport, label: str) -> 
     ]
     if is_p_group(G):
         checks.append(
-            Check(f"{label}.pgroup_union", (not rep.equal) or rep.gminus_coset_union,
+            Check("pgroup_union", (not rep.equal) or rep.gminus_coset_union,
                   "p-group: equal => G^- a union of N-cosets",
                   {"equal": rep.equal, "union": rep.gminus_coset_union})
         )
     if rep.gminus_n_stable is not None:
-        checks.append(Check(f"{label}.gminusN", rep.gminus_n_stable, True,
-                            rep.gminus_n_stable))
-        checks.append(Check(f"{label}.quotient_gminus", rep.quotient_gminus_matches,
-                            True, rep.quotient_gminus_matches))
+        checks.append(Check("gminusN", rep.gminus_n_stable, True, rep.gminus_n_stable))
+        checks.append(Check("quotient_gminus", rep.quotient_gminus_matches, True,
+                            rep.quotient_gminus_matches))
     return checks
 
 
@@ -394,18 +369,17 @@ def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
     )
 
 
-def check_first_main(G: Group) -> VerifyReport:
+def check_first_main(G: Group) -> list[Check]:
     """If <G^-> is proper, the quotient by it must be an exponent-p group,
     a Frobenius group with prime-order complement, or the simple group of
     order 60.  The quotient is classified on G's coset data by
     :func:`classify_prime_order_group` and never realized as a group."""
-    instance = f"order {G.order}"
     H = subgroup_generated(G, g_minus(G))
     normal = is_normal(G, H)
     checks = [Check("gminus_closure_normal", normal, True, normal)]
     if H.order == G.order:
         checks.append(Check("vacuous (<G^-> = G)", True, "skip", "skip"))
-        return make_report("first-main", instance, checks)
+        return checks
     try:
         cls = classify_prime_order_group(G, H)
         checks.append(
@@ -414,14 +388,14 @@ def check_first_main(G: Group) -> VerifyReport:
         )
     except ClassificationFailed as exc:
         checks.append(Check("quotient_class", False, "a known class", str(exc)))
-    return make_report("first-main", instance, checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # G^- as a set
 # ---------------------------------------------------------------------------
 
-def check_gminus_containment(G: Group, N: Group) -> VerifyReport:
+def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     """G^- lies in N exactly when everything outside N has prime power
     order and the quotient has prime element orders; plus the prime-index
     and exponent-p refinements."""
@@ -457,21 +431,21 @@ def check_gminus_containment(G: Group, N: Group) -> VerifyReport:
             Check("part3", contained, "p-group with exponent-p quotient: G^- in N",
                   contained)
         )
-    return make_report("gminus-containment", f"order {G.order}, N order {N.order}", checks)
+    return checks
 
 
-def check_gminus_subgroup_lemma(G: Group) -> VerifyReport:
+def check_gminus_subgroup_lemma(G: Group) -> list[Check]:
     """When G^- is closed under the product, every element order must be a
     prime power; vacuous when G^- is not a subgroup."""
     gm = g_minus(G)
     closed = closed_under_product(gm)
     checks = [Check("gminus_is_subgroup", True, None, closed)]
     if closed:
-        all_ppo = all(_prime_power(n) for n in element_orders(G).values())
+        all_ppo = all_prime_power_orders(G)
         checks.append(Check("all_prime_power_orders", all_ppo, True, all_ppo))
     else:
         checks.append(Check("vacuous (G^- not a subgroup)", True, "skip", "skip"))
-    return make_report("gminus-subgroup", f"order {G.order}", checks)
+    return checks
 
 
 def gk_graph(G: Group) -> GKGraph:
@@ -487,7 +461,7 @@ def gk_graph(G: Group) -> GKGraph:
     return GKGraph(vertices, tuple(sorted(edges)))
 
 
-def check_l_relation(G: Group) -> VerifyReport:
+def check_l_relation(G: Group) -> list[Check]:
     """eta(G) = l(G) - 1 exactly when every nonidentity element has prime
     order."""
     if G.order == 1:
@@ -502,18 +476,17 @@ def check_l_relation(G: Group) -> VerifyReport:
               "eta = l - 1 <=> all prime element orders",
               {"eta": rep.eta, "l": rep.l_value, "all_prime": rhs}),
     ]
-    return make_report("l-relation", f"order {G.order}", checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Products and Frobenius groups
 # ---------------------------------------------------------------------------
 
-def check_dirproduct_laws(H: Group, K: Group) -> VerifyReport:
+def check_dirproduct_laws(H: Group, K: Group) -> list[Check]:
     """The five direct-product laws, each evaluated when applicable."""
     G = direct_product(H, K)
     e_h, e_k, e_g = eta(H).eta, eta(K).eta, eta(G).eta
-    instance = f"|H|={H.order}, |K|={K.order}"
     checks = [
         Check("i.product_lower_bound", e_g >= e_h * e_k,
               f"eta >= {e_h}*{e_k}", e_g)
@@ -542,7 +515,7 @@ def check_dirproduct_laws(H: Group, K: Group) -> VerifyReport:
         checks.append(
             Check("v.same_prime_pgroups", e_g >= bound, f"eta >= {bound}", e_g)
         )
-    return make_report("dirproduct", instance, checks)
+    return checks
 
 
 def verify_frobenius(G: Group, N: Group, H: Group) -> None:
@@ -574,7 +547,7 @@ def verify_frobenius(G: Group, N: Group, H: Group) -> None:
         raise NotFrobenius(f"H meets its conjugate by {g.cycle_string()} nontrivially")
 
 
-def check_frobenius_eta(G: Group, N: Group, H: Group) -> VerifyReport:
+def check_frobenius_eta(G: Group, N: Group, H: Group) -> list[Check]:
     """eta of a Frobenius group is eta*(kernel) + eta(complement)."""
     verify_frobenius(G, N, H)
     e_star = eta_star(G, N)
@@ -584,10 +557,10 @@ def check_frobenius_eta(G: Group, N: Group, H: Group) -> VerifyReport:
         Check("frobenius_sum", e_g == e_star + e_h,
               f"eta(G) == {e_star} + {e_h}", e_g)
     ]
-    return make_report("frobenius", f"|G|={G.order}, |N|={N.order}, |H|={H.order}", checks)
+    return checks
 
 
-def check_centre_bounds(G: Group, N: Group) -> VerifyReport:
+def check_centre_bounds(G: Group, N: Group) -> list[Check]:
     """eta(G) >= eta*(N); the central and index-k refinements.  eta(N) and
     eta*(N) are read off G's own index by
     :func:`maxcyc.cyclic.subgroup_invariants`."""
@@ -603,7 +576,7 @@ def check_centre_bounds(G: Group, N: Group) -> VerifyReport:
     checks.append(
         Check("index_k_case", k * e_g >= e_n, f"{k}*eta(G) >= {e_n}", k * e_g)
     )
-    return make_report("centre", f"order {G.order}, N order {N.order}", checks)
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -623,18 +596,16 @@ def _noncyclic_sylows_of_abelianization(G: Group) -> tuple[bool, Group]:
     return hyp, D
 
 
-def check_derived_criterion(G: Group, N: Group) -> VerifyReport:
+def check_derived_criterion(G: Group, N: Group) -> list[Check]:
     """When eta survives G -> G/N and no Sylow subgroup of G/G' is cyclic,
     N must lie inside the derived subgroup."""
     if not is_normal(G, N):
         raise NotNormal("check_derived_criterion requires N normal")
-    instance = f"order {G.order}, N order {N.order}"
     e_g = eta(G).eta
     e_q = quotient_eta(G, N)
     if e_q != e_g:
-        return make_report("derived", instance,
-                           [Check("vacuous (eta not preserved)", True, "skip",
-                                  {"eta_g": e_g, "eta_q": e_q})])
+        return [Check("vacuous (eta not preserved)", True, "skip",
+                      {"eta_g": e_g, "eta_q": e_q})]
     hyp, D = _noncyclic_sylows_of_abelianization(G)
     inside = N.elements <= D.elements
     checks = [Check("hypothesis_noncyclic_sylows", True, None, hyp)]
@@ -643,10 +614,10 @@ def check_derived_criterion(G: Group, N: Group) -> VerifyReport:
     else:
         checks.append(Check("vacuous (some Sylow of G/G' cyclic)", True, "skip",
                             {"N_inside_derived": inside}))
-    return make_report("derived", instance, checks)
+    return checks
 
 
-def check_exp_bound(G: Group) -> VerifyReport:
+def check_exp_bound(G: Group) -> list[Check]:
     """eta >= n + p - 1 for an exponent-p group of order p**n, n >= 2."""
     p = is_p_group(G)
     if p is None or exponent(G) != p:
@@ -656,14 +627,10 @@ def check_exp_bound(G: Group) -> VerifyReport:
         raise NotExponentP("check_exp_bound requires order >= p**2")
     e_g = eta(G).eta
     bound = n + p - 1
-    return make_report(
-        "exp-bound",
-        f"order {G.order} = {p}^{n}",
-        [Check("growth_bound", e_g >= bound, f"eta >= {bound}", e_g)],
-    )
+    return [Check("growth_bound", e_g >= bound, f"eta >= {bound}", e_g)]
 
 
-def check_eitheror(G: Group, N: Group, M: Group) -> VerifyReport:
+def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
     """For a noncyclic p-group with eta(G/N) = eta(G) and N nontrivial:
     every normal M satisfies N <= M or M <= G^-; a normal maximal cyclic
     subgroup, when present, must contain N."""
@@ -687,14 +654,10 @@ def check_eitheror(G: Group, N: Group, M: Group) -> VerifyReport:
             checks.append(
                 Check(f"normal_maximal_cyclic_order_{cls[0].order}_contains_N", inside, True, inside)
             )
-    return make_report(
-        "eitheror",
-        f"order {G.order}, N order {N.order}, M order {M.order}",
-        checks,
-    )
+    return checks
 
 
-def check_quotient_join(G: Group, N: Group, M: Group) -> VerifyReport:
+def check_quotient_join(G: Group, N: Group, M: Group) -> list[Check]:
     """For a noncyclic p-group, two eta-preserving normal subgroups have an
     eta-preserving join."""
     _require_noncyclic_p_group(G, "check_quotient_join")
@@ -705,8 +668,4 @@ def check_quotient_join(G: Group, N: Group, M: Group) -> VerifyReport:
         if quotient_eta(G, s) != e_g:
             raise HypothesisFailed("eta(G/N) = eta(G/M) = eta(G) required")
     e_join = quotient_eta(G, join(G, (N, M)))
-    return make_report(
-        "products-join",
-        f"order {G.order}, |N|={N.order}, |M|={M.order}",
-        [Check("join_preserves_eta", e_join == e_g, e_g, e_join)],
-    )
+    return [Check("join_preserves_eta", e_join == e_g, e_g, e_join)]

@@ -15,11 +15,15 @@ its definition, one element at a time, where maxcyc.cyclic takes one
 power per conjugacy class.  :func:`quot_conditions_oracle` decides the
 quotient conditions pair by pair from element classes, where
 maxcyc.theorems compares the class labels of cyclic subgroups once per
-coset.
+coset.  :func:`perm_order`, :func:`is_abelian` and
+:func:`is_simple_nonabelian_60` are reference predicates that the library
+itself no longer needs; the last reads the subgroup oracle.  :func:`passed`
+reads a verifier's list of checks.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from functools import wraps
 from typing import Callable, Collection, Iterable
@@ -28,8 +32,23 @@ from maxcyc.constructors import realize_text
 from maxcyc.core import Group
 from maxcyc.errors import ClassificationFailed, NotFrobenius
 from maxcyc.numutil import is_prime, prime_factors
-from maxcyc.perm import Permutation, perm_order
+from maxcyc.perm import Permutation
 from maxcyc.theorems import PrimeOrderClass
+
+
+def passed(checks: Iterable) -> bool:
+    """Whether every check of a ``maxcyc.theorems`` verifier passed."""
+    return all(c.passed for c in checks)
+
+
+def perm_order(a: Permutation) -> int:
+    """Least n >= 1 with a**n the identity; the lcm of the cycle lengths."""
+    lengths = [len(c) for c in a.cycles()]
+    return math.lcm(*lengths) if lengths else 1
+
+
+def is_abelian(G: Group) -> bool:
+    return all(a * b == b * a for a in G.generators for b in G.generators)
 
 
 def relabelled(G: Group, seed: int) -> Group:
@@ -180,6 +199,15 @@ def normal_subgroup_element_sets(G: Group) -> set[frozenset]:
         ):
             out.add(members)
     return out
+
+
+def is_simple_nonabelian_60(G: Group) -> bool:
+    """Order 60 with no normal subgroups besides 1 and G.
+
+    Among groups of order 60 this characterizes the alternating group on
+    five points.
+    """
+    return G.order == 60 and len(normal_subgroup_element_sets(G)) == 2
 
 
 def g_minus_oracle(G: Group) -> frozenset[Permutation]:

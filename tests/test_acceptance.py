@@ -37,7 +37,7 @@ from maxcyc.theorems import (
     compute_X,
 )
 
-from oracles import normal_subgroup_element_sets
+from oracles import normal_subgroup_element_sets, passed
 
 
 ENTRIES = parse_corpus(default_corpus_text())
@@ -149,7 +149,7 @@ def test_criterion_04_monotonicity_and_centre_bounds(groups):
     for e in ENTRIES:
         G = groups[e.spec_text]
         for N in normal_subgroups(G):
-            if not check_centre_bounds(G, N).passed:
+            if not passed(check_centre_bounds(G, N)):
                 failures.append(f"{e.spec_text}: centre bounds N={N.order}")
     record(4, "eta monotone under quotients; eta* and central/index bounds",
            not failures, "; ".join(failures[:5]))
@@ -164,7 +164,7 @@ def test_criterion_05_direct_product_laws(groups):
         H = realize(spec.left)
         K = realize(spec.right)
         rep = check_dirproduct_laws(H, K)
-        if not rep.passed:
+        if not passed(rep):
             failures.append(e.spec_text)
     record(5, f"direct-product laws on {len(products)} products (need >= 20)",
            len(products) >= 20 and not failures, "; ".join(failures))
@@ -197,7 +197,7 @@ def test_criterion_07_classification_and_first_main(groups):
         if cls.kind == "not_all_prime_order":
             failures.append(f"{text}: classified as composite-order")
     for e in ENTRIES:
-        if not check_first_main(groups[e.spec_text]).passed:
+        if not passed(check_first_main(groups[e.spec_text])):
             failures.append(f"{e.spec_text}: first-main")
     record(7, "classification succeeds; quotient-by-<G^-> law on every entry",
            not failures, "; ".join(failures[:5]))

@@ -4,6 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,14 @@ import maxcyc
 from maxcyc import core, cyclic, theorems
 from maxcyc.cli import main
 from maxcyc.core import coset_table
-from maxcyc.corpus import PLAIN_KEYS, SELECTOR_KEYS, default_corpus_text, parse_corpus
+from maxcyc.corpus import (
+    PLAIN_KEYS,
+    SELECTOR_KEYS,
+    SUITES,
+    default_corpus_text,
+    parse_corpus,
+    run_suites,
+)
 from maxcyc.errors import CorpusError, ParseError
 
 
@@ -151,6 +159,43 @@ def test_degree_cap_is_checked_before_generators_are_built(tmp_path, spec):
         assert proc.stdout == ""
         assert f"degree {OVERSIZED[spec]} exceeds degree cap 128" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# 10**18 + 3 is prime: each family takes it, and only the degree cap (or
+# AGL1's bound on q) rejects the spec.
+HUGE = 10**18 + 3
+
+
+@pytest.mark.parametrize("spec", [f"EA({HUGE},1)", f"AGL1({HUGE},1)", f"W({HUGE})",
+                                  f"Heis({HUGE})", f"C({HUGE})"])
+def test_huge_parameters_are_rejected_at_once(tmp_path, capsys, spec):
+    # the parameter checks cost time bounded by the number of digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "eta", spec)
+    assert (code, out) == (2, "") and err.startswith("maxcyc: error: ")
+    assert time.perf_counter() - start < 1
+
+    start = time.perf_counter()
+    with pytest.raises(CorpusError) as info:
+        run_suites(list(SUITES), parse_corpus(f"{spec} ; eta=1\n"))
+    assert info.value.line_no == 1
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("EA(4,2)", "EA(4,2): p must be prime"),
+    (f"EA({HUGE - 1},1)", f"EA({HUGE - 1},1): p must be prime"),
+    ("Heis(2)", "Heis(2): p must be an odd prime"),
+    ("W(6)", "W(6): p must be prime"),
+    ("AGL1(1,1)", "AGL1(1,1): q must be a prime power >= 2"),
+    ("AGL1(10,3)", "AGL1(10,3): q must be a prime power >= 2"),
+    ("AGL1(256,1)", "AGL1(256,1): q must be <= 128"),
+    ("AGL1(7,4)", "AGL1(7,4): d must divide 6 (base prime 7 minus 1)"),
+])
+def test_parameter_errors_keep_their_messages(capsys, spec, message):
+    code, _, err = run(capsys, "eta", spec)
+    assert code == 2
+    assert err == f"maxcyc: error: {message}\n"
 
 
 def test_output_determinism(capsys):

@@ -20,9 +20,10 @@ from maxcyc.constructors import (
     FrobeniusAGL1,
     Symmetric,
 )
-from maxcyc.core import center, exponent, is_abelian, is_normal, point_stabilizer
+from maxcyc.core import center, exponent, is_normal, point_stabilizer
 from maxcyc.cyclic import cyclic_subgroups, maximal_cyclic_subgroups
-from maxcyc.perm import perm_order
+
+from oracles import is_abelian, perm_order
 
 
 # --- parsing ----------------------------------------------------------------

@@ -20,11 +20,9 @@ from maxcyc import (
     enumerate_elements,
     eta,
     is_normal,
-    is_simple_nonabelian_60,
     maximal_cyclic_subgroups,
     normal_closure,
     normal_subgroups,
-    perm_order,
     quotient_group,
     realize_text,
     subgroup_generated,
@@ -33,7 +31,6 @@ from maxcyc.core import (
     base_index,
     exponent,
     group_from_elements,
-    is_abelian,
     is_cyclic,
     is_nilpotent,
     is_p_group,
@@ -41,7 +38,15 @@ from maxcyc.core import (
     point_stabilizer,
 )
 
-from oracles import bfs_closure, greedy_generators, normal_subgroup_element_sets, relabelled
+from oracles import (
+    bfs_closure,
+    greedy_generators,
+    is_abelian,
+    is_simple_nonabelian_60,
+    normal_subgroup_element_sets,
+    perm_order,
+    relabelled,
+)
 from test_properties import group_settings, small_groups
 
 

@@ -2,7 +2,9 @@ import pickle
 
 import pytest
 
-from maxcyc.perm import Permutation, perm_order, word_conjugator
+from maxcyc.perm import Permutation, word_conjugator
+
+from oracles import perm_order
 
 
 def test_identity_roundtrip():

@@ -18,7 +18,6 @@ from maxcyc import (
     normal_closure,
     normal_subgroups,
     parse_spec,
-    perm_order,
     quotient_group,
     quotient_invariants,
     realize_text,
@@ -40,6 +39,7 @@ from oracles import (
     greedy_generators,
     normal_subgroup_element_sets,
     outcome,
+    perm_order,
     quot_conditions_oracle,
     relabelled,
     subgroup_closure,
@@ -268,7 +268,7 @@ def assert_conjugation_orbits_match_oracles(G):
     for N in eta_preserving_normals(G):
         if N.order == 1:
             continue
-        checks = check_eitheror(G, N, N).checks
+        checks = check_eitheror(G, N, N)
         assert [(c.name, c.passed) for c in checks if c.name.startswith("normal_maximal")] == [
             (f"normal_maximal_cyclic_order_{len(s)}_contains_N", N.elements <= s) for s in fixed
         ]
