@@ -10,9 +10,9 @@ from .core import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_ORDER_CAP,
     CosetTable,
-    ElementClassPartition,
     Group,
     center,
+    class_index,
     conjugacy_classes,
     coset_table,
     derived_subgroup,

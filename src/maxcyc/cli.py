@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .core import (
@@ -28,33 +27,6 @@ from .errors import MaxcycError
 from .theorems import check_quot_conditions, compute_X, gk_graph
 
 CORPUS_ENV = "MAXCYC_CORPUS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by every subcommand."""
-
-    order_cap: int = DEFAULT_ORDER_CAP
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    jobs: int = 1
-    output_format: str = "text"
-    corpus_path: str | None = None
-
-    def __post_init__(self):
-        if self.order_cap < 1 or self.degree_cap < 1:
-            raise ValueError("caps must be >= 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            order_cap=args.order_cap,
-            degree_cap=args.degree_cap,
-            jobs=getattr(args, "jobs", 1),
-            output_format=args.format,
-            corpus_path=getattr(args, "corpus", None) or os.environ.get(CORPUS_ENV),
-        )
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -111,21 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _realize(args: argparse.Namespace, cfg: RunConfig) -> Group:
+def _realize(args: argparse.Namespace) -> Group:
     spec = parse_spec(args.spec)
-    return realize(spec, order_cap=cfg.order_cap, degree_cap=cfg.degree_cap)
+    return realize(spec, order_cap=args.order_cap, degree_cap=args.degree_cap)
 
 
-def _emit(cfg: RunConfig, payload: dict, text_lines: list[str]) -> None:
-    if cfg.output_format == "json":
+def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
+    if args.format == "json":
         print(json.dumps(payload))
     else:
         for line in text_lines:
             print(line)
 
 
-def cmd_eta(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _realize(args, cfg)
+def cmd_eta(args: argparse.Namespace) -> int:
+    G = _realize(args)
     rep = eta(G)
     payload = {
         "order": G.order,
@@ -145,12 +117,12 @@ def cmd_eta(args: argparse.Namespace, cfg: RunConfig) -> int:
         "classes (subgroup order, class size): "
         + ", ".join(f"({o}, {s})" for o, s in rep.class_reps),
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_normals(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _realize(args, cfg)
+def cmd_normals(args: argparse.Namespace) -> int:
+    G = _realize(args)
     rows = [
         {"order": order, "index": idx,
          "generators": [g.cycle_string() for g in N.generators] or ["()"]}
@@ -159,12 +131,12 @@ def cmd_normals(args: argparse.Namespace, cfg: RunConfig) -> int:
     payload = {"order": G.order, "normal_subgroups": rows}
     lines = [f"{r['order']:>6}  {r['index']:>3}  {' '.join(r['generators'])}" for r in rows]
     lines.insert(0, f"{'order':>6}  {'idx':>3}  generators")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_quot(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _realize(args, cfg)
+def cmd_quot(args: argparse.Namespace) -> int:
+    G = _realize(args)
     N = named_normal(G, args.order, args.index)
     rep = check_quot_conditions(G, N)
     payload = {
@@ -188,12 +160,12 @@ def cmd_quot(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     for key, vals in sorted(rep.witnesses.items()):
         lines.append(f"witnesses[{key}]: {', '.join(vals)}")
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_xsub(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _realize(args, cfg)
+def cmd_xsub(args: argparse.Namespace) -> int:
+    G = _realize(args)
     X = compute_X(G)
     e_g = eta(G).eta
     e_q = quotient_eta(G, X)
@@ -212,12 +184,12 @@ def cmd_xsub(args: argparse.Namespace, cfg: RunConfig) -> int:
         f"eta(G/X): {e_q}",
         f"X cyclic: {is_cyclic(X)}",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_gminus(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _realize(args, cfg)
+def cmd_gminus(args: argparse.Namespace) -> int:
+    G = _realize(args)
     gm = sorted(g_minus(G))
     payload = {
         "order": G.order,
@@ -229,12 +201,12 @@ def cmd_gminus(args: argparse.Namespace, cfg: RunConfig) -> int:
         f"gminus_size: {len(gm)}",
         "elements: " + ", ".join(g.cycle_string() for g in gm),
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_gkgraph(args: argparse.Namespace, cfg: RunConfig) -> int:
-    G = _realize(args, cfg)
+def cmd_gkgraph(args: argparse.Namespace) -> int:
+    G = _realize(args)
     graph = gk_graph(G)
     payload = {
         "vertices": list(graph.vertices),
@@ -246,29 +218,27 @@ def cmd_gkgraph(args: argparse.Namespace, cfg: RunConfig) -> int:
         "edges: " + (", ".join(f"{a}-{b}" for a, b in graph.edges) or "none"),
         f"components: {graph.component_count()}",
     ]
-    _emit(cfg, payload, lines)
+    _emit(args, payload, lines)
     return 0
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITES)
-    if cfg.corpus_path:
-        text = Path(cfg.corpus_path).read_text("utf-8")
-    else:
-        text = default_corpus_text()
+    corpus_path = args.corpus or os.environ.get(CORPUS_ENV)
+    text = Path(corpus_path).read_text("utf-8") if corpus_path else default_corpus_text()
     entries = parse_corpus(text)
     reports = run_suites(
         names,
         entries,
-        order_cap=cfg.order_cap,
-        degree_cap=cfg.degree_cap,
-        jobs=cfg.jobs,
+        order_cap=args.order_cap,
+        degree_cap=args.degree_cap,
+        jobs=args.jobs,
     )
     failures = 0
     for rep in reports:
-        if cfg.output_format == "json":
+        if args.format == "json":
             print(json.dumps(rep.to_dict()))
         else:
             mark = "PASS" if rep.passed else "FAIL"
@@ -279,7 +249,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
                         print(f"     {c.name}: expected {c.expected!r}, got {c.actual!r}")
         if not rep.passed:
             failures += 1
-    if cfg.output_format == "text":
+    if args.format == "text":
         print(f"{len(reports) - failures}/{len(reports)} reports passed")
     return 1 if failures else 0
 
@@ -299,12 +269,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return _COMMANDS[args.command](args, cfg)
-    except MaxcycError as exc:
-        print(f"maxcyc: error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        if args.order_cap < 1 or args.degree_cap < 1:
+            raise ValueError("caps must be >= 1")
+        if getattr(args, "jobs", 1) < 1:
+            raise ValueError("jobs must be >= 1")
+        return _COMMANDS[args.command](args)
+    except (MaxcycError, OSError, ValueError) as exc:
         print(f"maxcyc: error: {exc}", file=sys.stderr)
         return 2
 

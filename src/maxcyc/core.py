@@ -353,21 +353,12 @@ def orbits(items: Iterable, maps: Sequence[Callable]) -> list[list]:
     return found
 
 
-@dataclass(eq=False)
-class ElementClassPartition:
-    """Conjugacy classes of group elements, ordered by minimum."""
-
-    classes: tuple[frozenset[Permutation], ...]
-    index_of: dict[Permutation, int]
-
-
 @memo
-def conjugation_orbits(G: Group) -> tuple[list[Permutation], ...]:
+def conjugacy_classes(G: Group) -> tuple[list[Permutation], ...]:
     """The conjugacy classes of G as lists, ordered by minimum, each listed
     from its minimum in the order met under conjugation by the generators.
-    The one conjugation walk per group, which :func:`conjugacy_classes`,
-    :func:`element_orders` and the power route of :mod:`maxcyc.cyclic`
-    read.
+    The one conjugation walk per group, which the element orders, G^-,
+    the centre and the normal subgroups read.
 
     The walk runs on words (:func:`maxcyc.perm.word_conjugator`): each
     conjugate's word is popped from the words of the elements not yet
@@ -391,13 +382,9 @@ def conjugation_orbits(G: Group) -> tuple[list[Permutation], ...]:
 
 
 @memo
-def conjugacy_classes(G: Group) -> ElementClassPartition:
-    """Orbit partition of G under conjugation; classes ordered by minimum.
-    The classes of :func:`conjugation_orbits`, as sets, with the class
-    number of each element."""
-    classes = tuple(map(frozenset, conjugation_orbits(G)))
-    index_of = {x: i for i, c in enumerate(classes) for x in c}
-    return ElementClassPartition(classes, index_of)
+def class_index(G: Group) -> dict[Permutation, int]:
+    """The number of each element's class in :func:`conjugacy_classes`."""
+    return {x: i for i, c in enumerate(conjugacy_classes(G)) for x in c}
 
 
 @memo
@@ -415,12 +402,12 @@ def normal_closure(G: Group, seed: Iterable[Permutation]) -> Group:
     """Smallest normal subgroup of G containing the seed: the subgroup
     generated by the union of the seed's conjugacy classes, with the greedy
     generators of that sorted union as its generators."""
-    part = conjugacy_classes(G)
+    classes, index_of = conjugacy_classes(G), class_index(G)
     try:
-        met = {part.index_of[x] for x in seed}
+        met = {index_of[x] for x in seed}
     except KeyError:
         raise ValueError("seed element is not in the parent group") from None
-    return subgroup_generated(G, (x for i in met for x in part.classes[i]))
+    return subgroup_generated(G, (x for i in met for x in classes[i]))
 
 
 @dataclass(eq=False)
@@ -492,7 +479,7 @@ def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
 def center(G: Group) -> Group:
     """The elements that are their own conjugacy class: those commuting
     with every element of G."""
-    members = [x for c in conjugacy_classes(G).classes if len(c) == 1 for x in c]
+    members = [c[0] for c in conjugacy_classes(G) if len(c) == 1]
     return group_from_elements(G.degree, members)
 
 
@@ -541,9 +528,8 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
     materialized as a Group only at the end, by :func:`group_from_elements`:
     its generators are found, and its ``element_list`` waits for a reader.
     """
-    part = conjugacy_classes(G)
-    classes, index_of = part.classes, part.index_of
-    reps = [min(c, key=_word) for c in classes]
+    classes, index_of = conjugacy_classes(G), class_index(G)
+    reps = [c[0] for c in classes]  # each class's minimum
     base = base_index(G)
     class_at = {key: index_of[x] for key, x in base.element_of.items()}
     bit = [1 << i for i in range(len(classes))]
@@ -661,13 +647,13 @@ def element_orders(G: Group) -> dict[Permutation, int]:
     """The order of each element of G, in ``element_list`` order.
 
     Conjugate elements have equal orders, so the order is taken once per
-    class of :func:`conjugation_orbits`, from its first member: the lcm of
+    class of :func:`conjugacy_classes`, from its first member: the lcm of
     the cycle lengths of the base points of :func:`base_index`, which is
     exact, since x**m = 1 exactly when x**m fixes every base point."""
     order = base_index(G).order
     orders: dict[Permutation, int] = dict.fromkeys(G.element_list)
-    for orbit in conjugation_orbits(G):
-        orders.update(zip(orbit, repeat(order(orbit[0]))))
+    for c in conjugacy_classes(G):
+        orders.update(zip(c, repeat(order(c[0]))))
     return orders
 
 

@@ -65,7 +65,9 @@ from .theorems import (
     quot_report_checks,
 )
 
-_SELECTOR_RE = re.compile(r"^([a-z_]+)\[([0-9]+(?:,[0-9]+)*)\]$")
+# Selector integers have no leading zeros, so each selector has one spelling
+# and a repeated selector is a repeated key.
+_SELECTOR_RE = re.compile(r"^([a-z_]+)\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)\]$")
 
 # The expectation keys the suites read (``tag`` aside): plain keys, and
 # selector keys with the number of integers in their brackets.
@@ -365,7 +367,7 @@ def run_dirproduct(inst: Instance) -> list[Check] | None:
         return None
     H = realize(inst.spec.left, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
     K = realize(inst.spec.right, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
-    return check_dirproduct_laws(H, K)
+    return check_dirproduct_laws(inst.group, H, K)
 
 
 def run_frobenius(inst: Instance) -> list[Check] | None:

@@ -23,7 +23,7 @@ larger one, and the prime-power characterization
 ``G^- = {g**q : q prime, q | order(g)}``, which takes orders and powers
 from the cycles of the base points and never reads the index.  Both are
 class functions, so the power route takes them once per conjugacy class
-of :func:`maxcyc.core.conjugation_orbits`.  The two routes must agree on
+of :func:`maxcyc.core.conjugacy_classes`.  The two routes must agree on
 every call; any disagreement raises InternalCheckError immediately, so
 the identity is a permanent self-test, of the class walk too, rather
 than an assumption.
@@ -52,8 +52,8 @@ from .core import (
     CosetTable,
     Group,
     base_index,
+    class_index,
     conjugacy_classes,
-    conjugation_orbits,
     coset_table,
     element_orders,
     is_normal,
@@ -185,7 +185,7 @@ def _powers_of_classes(G: Group, classes: Sequence[list[Permutation]]) -> frozen
 def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
     """{ g**q : g in G, q a prime dividing the order of g }, by
     :func:`_powers_of_classes` on all of G's conjugacy classes."""
-    return _powers_of_classes(G, conjugation_orbits(G))
+    return _powers_of_classes(G, conjugacy_classes(G))
 
 
 def _maximal(
@@ -448,7 +448,7 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     _, sub_of = _cyclic_index(G)
     in_n = {x: sub_of[x] for x in N.elements}
     subs = {s.elements: s for s in in_n.values()}.values()
-    classes, index_of = conjugation_orbits(G), conjugacy_classes(G).index_of
+    classes, index_of = conjugacy_classes(G), class_index(G)
     minus = _powers_of_classes(G, [classes[i] for i in {index_of[x] for x in in_n}])
     maximal = _maximal(subs, in_n, minus, element_orders(G))
     conjugator = base_index(G).conjugator

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator
 
 from .core import (
     Group,
@@ -32,7 +33,6 @@ from .core import (
     normal_subgroups,
     subgroup_generated,
 )
-from .constructors import direct_product
 from .cyclic import (
     _cyclic_labels,
     eta,
@@ -214,36 +214,24 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         diff = quotient_gminus_points ^ covered_points
         witnesses["cond_b"] = tuple(str(i) for i in sorted(diff)[:3])
 
-    bad_c: list[str] = []
-    bad_strong: list[str] = []
-    if fail_strong:  # every coset that fails (c) fails the strong condition too
-        point_of = table.point_of
-        movers = [base_index(G).times(n) for n in N.element_list]  # x -> x*n
+    def mismatches(failing: set[int], outside_only: bool) -> Iterator[str]:
+        """The pairs ``x ~ y``, x outside G^- in a failing coset and y = x*n
+        of another label, and outside G^- too when outside_only."""
+        point_of, times = table.point_of, base_index(G).times
+        movers = [times(n) for n in N.element_list]  # x -> x*n
         for x in G.element_list:
-            if x in gminus_set:
-                continue
-            want_c = len(bad_c) < 3 and point_of[x] in fail_c
-            want_strong = len(bad_strong) < 3 and point_of[x] in fail_strong
-            if not (want_c or want_strong):
+            if x in gminus_set or point_of[x] not in failing:
                 continue
             for move in movers:
                 y = move(x)
-                if label[y] == label[x]:
-                    continue
-                to_strong = want_strong and len(bad_strong) < 3
-                to_c = want_c and len(bad_c) < 3 and y not in gminus_set
-                if to_strong or to_c:
-                    pair = f"{x.cycle_string()} ~ {y.cycle_string()}"
-                    if to_strong:
-                        bad_strong.append(pair)
-                    if to_c:
-                        bad_c.append(pair)
-            if len(bad_c) == len(bad_strong) == 3:
-                break
-    if bad_c:
-        witnesses["cond_c"] = tuple(bad_c)
-    if bad_strong:
-        witnesses["strong"] = tuple(bad_strong)
+                if label[y] != label[x] and not (outside_only and y in gminus_set):
+                    yield f"{x.cycle_string()} ~ {y.cycle_string()}"
+
+    # a failing coset has a failing pair for each of its x outside G^-
+    if fail_c:
+        witnesses["cond_c"] = tuple(islice(mismatches(fail_c, True), 3))
+    if fail_strong:
+        witnesses["strong"] = tuple(islice(mismatches(fail_strong, False), 3))
 
     coset_union = gminus_points <= covered_points
 
@@ -483,9 +471,9 @@ def check_l_relation(G: Group) -> list[Check]:
 # Products and Frobenius groups
 # ---------------------------------------------------------------------------
 
-def check_dirproduct_laws(H: Group, K: Group) -> list[Check]:
-    """The five direct-product laws, each evaluated when applicable."""
-    G = direct_product(H, K)
+def check_dirproduct_laws(G: Group, H: Group, K: Group) -> list[Check]:
+    """The five direct-product laws for G = H x K, each evaluated when
+    applicable."""
     e_h, e_k, e_g = eta(H).eta, eta(K).eta, eta(G).eta
     checks = [
         Check("i.product_lower_bound", e_g >= e_h * e_k,

@@ -210,6 +210,17 @@ def is_simple_nonabelian_60(G: Group) -> bool:
     return G.order == 60 and len(normal_subgroup_element_sets(G)) == 2
 
 
+def element_classes_oracle(G: Group) -> list[frozenset[Permutation]]:
+    """The conjugacy classes of G, ordered by their least elements, from
+    conjugating every element by every element on G's integer
+    multiplication table."""
+    elems, _, mult = _table(G)
+    inv = [row.index(0) for row in mult]
+    everyone = range(len(elems))
+    classes = {frozenset(mult[mult[g][i]][inv[g]] for g in everyone) for i in everyone}
+    return [frozenset(elems[i] for i in c) for c in sorted(classes, key=min)]
+
+
 def g_minus_oracle(G: Group) -> frozenset[Permutation]:
     """G^- by its power characterization, element by element: x**q for
     every x in G and every prime q dividing :func:`perm_order` of x, with

@@ -163,7 +163,7 @@ def test_criterion_05_direct_product_laws(groups):
         spec = parse_spec(e.spec_text)
         H = realize(spec.left)
         K = realize(spec.right)
-        rep = check_dirproduct_laws(H, K)
+        rep = check_dirproduct_laws(groups[e.spec_text], H, K)
         if not passed(rep):
             failures.append(e.spec_text)
     record(5, f"direct-product laws on {len(products)} products (need >= 20)",

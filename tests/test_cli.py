@@ -395,6 +395,8 @@ def test_exit_code_table(tmp_path, capsys, argv, want):
     "C(6) ; quot_eta=1",
     "C(6) ; join_eta[3,0]=1",
     "C(6) ; quot_eta[3,,0]=1",
+    # one spelling per selector, so no normal gets two expectations
+    "D(30) ; quot_eta[5,0]=2 ; quot_eta[05,0]=3",
 ])
 def test_unknown_corpus_key_is_rejected(tmp_path, capsys, record):
     with pytest.raises(CorpusError, match="line 2: unknown key"):
@@ -405,6 +407,19 @@ def test_unknown_corpus_key_is_rejected(tmp_path, capsys, record):
     assert code == 2
     assert out == ""
     assert "line 2" in err
+
+
+def test_dirproduct_suite_keeps_the_caps(tmp_path, capsys):
+    # the product has degree 140, above the default degree cap of 128
+    corpus = tmp_path / "wide.corpus"
+    corpus.write_text("C(20) x C(120)\n", encoding="utf-8")
+    argv = ["verify", "--corpus", str(corpus), "--suite", "dirproduct"]
+    code, out, err = run(capsys, *argv, "--degree-cap", "140")
+    assert (code, err) == (0, "")
+    assert out == "PASS dirproduct C(20) x C(120)\n1/1 reports passed\n"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "degree 140 exceeds degree cap 128" in err
 
 
 def test_bundled_corpus_uses_exactly_the_key_vocabulary():
@@ -587,6 +602,18 @@ def test_verify_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_output_does_not_depend_on_the_hash_seed():
+    # str hashes are salted per process, so only fresh processes can vary it
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
+    argv, digest = VERIFY_PINS[1]
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "maxcyc.cli", *argv], env={**env, "PYTHONHASHSEED": seed},
+            capture_output=True, check=True, timeout=300,
+        )
+        assert hashlib.sha256(proc.stdout).hexdigest() == digest, seed
 
 
 def test_xsub_reads_one_quotient(monkeypatch, capsys):

@@ -21,8 +21,15 @@ from maxcyc import (
     realize_text,
     subgroup_generated,
 )
-from maxcyc.core import BaseIndex, conjugacy_classes, element_orders, enumerate_elements
+from maxcyc.core import (
+    BaseIndex,
+    class_index,
+    conjugacy_classes,
+    element_orders,
+    enumerate_elements,
+)
 from maxcyc.numutil import prime_factors
+from maxcyc.theorems import gk_graph
 
 from oracles import perm_order, relabelled
 
@@ -247,17 +254,27 @@ def test_orders_and_powers_are_taken_once_per_class(monkeypatch, text):
     for name in ("order", "power"):
         monkeypatch.setattr(BaseIndex, name, counted(name))
     orders = element_orders(G)
-    classes = conjugacy_classes(G).classes
+    classes = conjugacy_classes(G)
     assert calls == {"order": len(classes)}
     g_minus_via_powers(G)
     assert calls["power"] <= sum(len(prime_factors(orders[min(c)])) for c in classes)
+
+
+@pytest.mark.parametrize("text", ["AGL1(7,6)", "S(4) x C(2)"])
+def test_eta_and_gkgraph_build_no_class_index(text):
+    # the element -> class map has |G| entries, which eta does not need
+    G = realize_text(text)
+    eta(G)
+    gk_graph(G)
+    assert (conjugacy_classes.__wrapped__,) in G.derived
+    assert (class_index.__wrapped__,) not in G.derived
 
 
 @pytest.mark.parametrize("text", ["S(4)", "AGL1(7,6)", "W(3)"])
 def test_a_merged_class_walk_is_caught(monkeypatch, text):
     # merge the first nontrivial class with the first later class of another
     # order: the merged class takes one order, which the scan contradicts
-    real = maxcyc.core.conjugation_orbits
+    real = maxcyc.core.conjugacy_classes
 
     def merged(G):
         classes = list(real(G))
@@ -267,8 +284,8 @@ def test_a_merged_class_walk_is_caught(monkeypatch, text):
         classes[a] = classes[a] + classes.pop(b)
         return tuple(classes)
 
-    monkeypatch.setattr(maxcyc.core, "conjugation_orbits", merged)
-    monkeypatch.setattr(maxcyc.cyclic, "conjugation_orbits", merged)
+    monkeypatch.setattr(maxcyc.core, "conjugacy_classes", merged)
+    monkeypatch.setattr(maxcyc.cyclic, "conjugacy_classes", merged)
     with pytest.raises(InternalCheckError):
         maximal_cyclic_subgroups(realize_text(text))
 

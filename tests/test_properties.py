@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from maxcyc import (
     Permutation,
     center,
+    class_index,
     conjugacy_classes,
     conjugacy_classes_of_subgroups,
     enumerate_elements,
@@ -33,6 +34,7 @@ from maxcyc.theorems import check_eitheror, check_quot_conditions, classify_prim
 from oracles import (
     classify_oracle,
     closed_pairwise,
+    element_classes_oracle,
     eta_oracle,
     eta_star_oracle,
     g_minus_oracle,
@@ -83,9 +85,34 @@ def test_composition_is_associative(a, b, c):
 @given(small_groups())
 @group_settings
 def test_conjugacy_classes_partition_the_group(G):
-    part = conjugacy_classes(G)
-    assert sum(len(c) for c in part.classes) == G.order
-    assert all(G.order % len(c) == 0 for c in part.classes)
+    classes = conjugacy_classes(G)
+    assert sum(len(c) for c in classes) == G.order
+    assert all(G.order % len(c) == 0 for c in classes)
+
+
+def assert_element_classes_match_the_oracle(G):
+    """The same partition as the oracle's, classes ordered by minimum and
+    each listed from its minimum, which the lattice takes as the class's
+    representative, and the class number of every element."""
+    want = element_classes_oracle(G)
+    classes = conjugacy_classes(G)
+    assert [frozenset(c) for c in classes] == want
+    assert [len(c) for c in classes] == [len(c) for c in want]
+    assert [c[0] for c in classes] == [min(c) for c in want]
+    assert class_index(G) == {x: i for i, c in enumerate(want) for x in c}
+
+
+@given(small_groups())
+@group_settings
+def test_element_classes_match_the_oracle(G):
+    assume(G.order <= 120)
+    assert_element_classes_match_the_oracle(G)
+
+
+@pytest.mark.parametrize("text", ["S(4)", "A(5)", "D(30)", "Q(16)", "SG72_50", "AGL1(7,3)",
+                                  "Heis(3)", "W(3)", "EA(2,2) x C(4)"])
+def test_named_element_classes_match_the_oracle(text):
+    assert_element_classes_match_the_oracle(realize_text(text))
 
 
 @given(small_groups())

@@ -312,10 +312,15 @@ def test_l_relation_examples():
 
 # --- products -------------------------------------------------------------------
 
+def _dirproduct_laws(left: str, right: str) -> list:
+    return check_dirproduct_laws(realize_text(f"{left} x {right}"), realize_text(left),
+                                 realize_text(right))
+
+
 def test_dirproduct_laws_examples():
-    assert passed(check_dirproduct_laws(realize_text("S(3)"), realize_text("D(10)")))
-    assert passed(check_dirproduct_laws(realize_text("C(2)"), realize_text("C(3)")))
-    rep = check_dirproduct_laws(realize_text("C(2)"), realize_text("C(2)"))
+    assert passed(_dirproduct_laws("S(3)", "D(10)"))
+    assert passed(_dirproduct_laws("C(2)", "C(3)"))
+    rep = _dirproduct_laws("C(2)", "C(2)")
     assert passed(rep)
     assert any(c.name == "v.same_prime_pgroups" for c in rep)
 
