@@ -38,9 +38,8 @@ from .cyclic import (
     CyclicSubgroup,
     EtaReport,
     QuotientInvariants,
-    SubgroupClassSet,
     SubgroupInvariants,
-    conjugacy_classes_of_subgroups,
+    cyclic_classes,
     cyclic_subgroups,
     eta,
     eta_p,

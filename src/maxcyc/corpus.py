@@ -539,22 +539,25 @@ def run_suites(
     degree_cap: int = DEFAULT_DEGREE_CAP,
     jobs: int = 1,
 ) -> list[VerifyReport]:
-    """Run the named suites over the corpus, reports in (suite, entry) order.
+    """Run the named suites over the corpus, reports in (suite, entry) order;
+    a suite named twice runs once, where it is first named.
 
     Each entry is one task that realizes its group once and runs every suite
-    on it, in a process pool when jobs > 1; transposing the per-entry results
-    makes the output identical either way.
+    on it, in a pool of at most one process per entry when jobs > 1;
+    transposing the per-entry results makes the output identical either way.
     """
+    suite_names = list(dict.fromkeys(suite_names))
     for name in suite_names:
         if name not in SUITES:
             raise MaxcycError(f"unknown suite {name!r}")
     tasks = [(suite_names, entry, order_cap, degree_cap) for entry in entries]
-    if jobs > 1:
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         # Imported here: only --jobs needs it, and every CLI process would
         # pay for the import.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             per_entry = list(pool.map(_run_entry, tasks))
     else:
         per_entry = list(map(_run_entry, tasks))

@@ -8,9 +8,10 @@ G^{p} (p-th powers).
 All of it reads one index per group (:func:`_cyclic_index`): every cyclic
 subgroup, built once from a power list, and the map from each element to
 the subgroup it generates.  The conjugacy classes of cyclic subgroups come
-from one walk per group (:func:`_cyclic_classes`), which looks each
-conjugate up in that map and numbers every cyclic subgroup by its class;
-the classes of the maximal ones, eta, l and eta* all read those numbers.
+from one walk per group (:func:`cyclic_classes`), which looks each
+conjugate up in that map; eta and l read the classes, and the callers that
+map elements to classes, eta* and the quotient conditions, number them
+(:func:`_cyclic_labels`).
 
 Products, powers and conjugates of G's elements go through
 :func:`maxcyc.core.base_index`: each reads the images of a short base
@@ -46,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Collection, Iterable, Mapping, Sequence
+from typing import Any, Collection, Mapping, Sequence
 
 from .core import (
     CosetTable,
@@ -237,16 +238,16 @@ def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(sorted(maximal, key=CyclicSubgroup.sort_key))
 
 
-@memo
 def g_minus(G: Group) -> frozenset[Permutation]:
-    """Elements whose generated subgroup is not maximal cyclic.
+    """Elements whose generated subgroup is not maximal cyclic:
+    :func:`g_minus_via_powers`, once :func:`maximal_cyclic_subgroups` has
+    checked that the containment scan finds the same set.
 
     In a nontrivial group the identity always belongs here; in the trivial
     group the trivial subgroup counts as maximal cyclic, so the set is empty.
     """
-    _, sub_of = _cyclic_index(G)
-    max_keys = {s.elements for s in maximal_cyclic_subgroups(G)}
-    return frozenset(g for g in G.element_list if sub_of[g].elements not in max_keys)
+    maximal_cyclic_subgroups(G)
+    return g_minus_via_powers(G)
 
 
 def g_power_set(G: Group, p: int) -> frozenset[Permutation]:
@@ -257,56 +258,29 @@ def g_power_set(G: Group, p: int) -> frozenset[Permutation]:
     return frozenset(power(g, p) for g in G.element_list)
 
 
-@dataclass(eq=False)
-class SubgroupClassSet:
-    """Conjugacy classes of a set of cyclic subgroups."""
-
-    classes: tuple[tuple[CyclicSubgroup, ...], ...]
-    representatives: tuple[CyclicSubgroup, ...]
-
-
 @memo
-def _cyclic_classes(G: Group) -> dict[frozenset[Permutation], int]:
-    """The conjugacy-class number of each cyclic subgroup of G, keyed by
-    its element set: the :func:`maxcyc.core.orbits` of the cyclic index,
-    in its order, under conjugation by G's generators.  The conjugate of a
-    subgroup is the subgroup that the conjugate of its canonical generator
-    generates, looked up in the index."""
+def cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
+    """The conjugacy classes of the cyclic subgroups of G: the
+    :func:`maxcyc.core.orbits` of the cyclic index, in its order, under
+    conjugation by G's generators.  The conjugate of a subgroup is the
+    subgroup that the conjugate of its canonical generator generates,
+    looked up in the index."""
     subs, sub_of = _cyclic_index(G)
     maps = [
         lambda s, conjugate=base_index(G).conjugator(g): sub_of[conjugate(s.canonical_generator)]
         for g in G.generators
     ]
-    return {s.elements: i for i, orbit in enumerate(orbits(subs.values(), maps)) for s in orbit}
+    return tuple(orbits(subs.values(), maps))
 
 
 @memo
 def _cyclic_labels(G: Group) -> dict[Permutation, int]:
-    """The label of each element x of G: the class number, in
-    :func:`_cyclic_classes`, of <x>.  y is conjugate to a generator of <x>
-    exactly when y and x have the same label."""
-    class_of = _cyclic_classes(G)
+    """The label of each element x of G: the number of the class of <x> in
+    :func:`cyclic_classes`.  y is conjugate to a generator of <x> exactly
+    when y and x have the same label."""
+    number = {s: i for i, c in enumerate(cyclic_classes(G)) for s in c}
     _, sub_of = _cyclic_index(G)
-    return {x: class_of[s.elements] for x, s in sub_of.items()}
-
-
-def conjugacy_classes_of_subgroups(
-    G: Group, subs: Iterable[CyclicSubgroup]
-) -> SubgroupClassSet:
-    """Partition of `subs` by conjugacy in G: the subgroups grouped by their
-    class numbers in :func:`_cyclic_classes`, each class sorted, and the
-    classes ordered by their first member."""
-    class_of = _cyclic_classes(G)
-    grouped: dict[int, dict[frozenset, CyclicSubgroup]] = {}
-    for s in subs:
-        if s.elements not in class_of:
-            raise ValueError("subgroup is not contained in G")
-        grouped.setdefault(class_of[s.elements], {})[s.elements] = s
-    classes = sorted(
-        (tuple(sorted(c.values(), key=CyclicSubgroup.sort_key)) for c in grouped.values()),
-        key=lambda cls: cls[0].sort_key(),
-    )
-    return SubgroupClassSet(tuple(classes), tuple(cls[0] for cls in classes))
+    return {x: number[s] for x, s in sub_of.items()}
 
 
 @dataclass(frozen=True)
@@ -320,9 +294,14 @@ class EtaReport:
 
 
 @memo
-def maximal_cyclic_classes(G: Group) -> SubgroupClassSet:
-    """Conjugacy classes of the maximal cyclic subgroups of G."""
-    return conjugacy_classes_of_subgroups(G, maximal_cyclic_subgroups(G))
+def maximal_cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
+    """The conjugacy classes of the maximal cyclic subgroups of G: the
+    classes of :func:`cyclic_classes` whose first member is maximal, as
+    conjugates of a maximal subgroup are maximal, ordered by their least
+    member."""
+    maximal = set(maximal_cyclic_subgroups(G))
+    found = [c for c in cyclic_classes(G) if c[0] in maximal]
+    return tuple(sorted(found, key=lambda c: min(map(CyclicSubgroup.sort_key, c))))
 
 
 @memo
@@ -331,9 +310,9 @@ def eta(G: Group) -> EtaReport:
     cyclic subgroups, as l_value)."""
     max_classes = maximal_cyclic_classes(G)
     return EtaReport(
-        eta=len(max_classes.classes),
-        class_reps=tuple((cls[0].order, len(cls)) for cls in max_classes.classes),
-        l_value=len(set(_cyclic_classes(G).values())),
+        eta=len(max_classes),
+        class_reps=tuple((c[0].order, len(c)) for c in max_classes),
+        l_value=len(cyclic_classes(G)),
         gminus_size=len(g_minus(G)),
     )
 
@@ -414,7 +393,7 @@ def eta_p(K: Group, p: int) -> int:
     """Classes of maximal cyclic subgroups of K whose order p divides."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return sum(1 for rep in maximal_cyclic_classes(K).representatives if rep.order % p == 0)
+    return sum(1 for c in maximal_cyclic_classes(K) if c[0].order % p == 0)
 
 
 @dataclass(frozen=True)
@@ -468,16 +447,18 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
 
 def eta_star(G: Group, N: Group) -> int:
     """G-orbits on the N-conjugacy classes of maximal cyclic subgroups of N:
-    the number of G-classes of cyclic subgroups, in :func:`_cyclic_classes`,
+    the number of G-classes of cyclic subgroups, in :func:`cyclic_classes`,
     that the maximal cyclic subgroups of N, from
     :func:`subgroup_invariants`, fall in.  As N is normal, such a class
-    holds N-maximal subgroups only; one that holds another raises
-    InternalCheckError."""
+    holds N-maximal subgroups only, so the classes met hold exactly as many
+    subgroups as N has maximal ones; if they hold more, InternalCheckError
+    is raised."""
     if not is_normal(G, N):
         raise NotNormal("eta_star requires N normal in G")
-    class_of = _cyclic_classes(G)
-    n_maximal = {s.elements for s in subgroup_invariants(G, N).maximal}
-    met = {class_of[k] for k in n_maximal}
-    if any(c in met and k not in n_maximal for k, c in class_of.items()):
+    label = _cyclic_labels(G)
+    n_maximal = subgroup_invariants(G, N).maximal
+    met = {label[s.canonical_generator] for s in n_maximal}
+    classes = cyclic_classes(G)
+    if sum(len(classes[c]) for c in met) != len(n_maximal):
         raise InternalCheckError("a G-class of N-maximal cyclic subgroups holds another subgroup")
     return len(met)

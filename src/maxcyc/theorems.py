@@ -636,7 +636,7 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
               {"N_in_M": N.elements <= M.elements, "M_in_gminus": M.elements <= gm})
     ]
     # a maximal cyclic subgroup is normal exactly when it is its own class
-    for cls in maximal_cyclic_classes(G).classes:
+    for cls in maximal_cyclic_classes(G):
         if len(cls) == 1:
             inside = N.elements <= cls[0].elements
             checks.append(

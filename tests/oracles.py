@@ -243,9 +243,12 @@ def _conjugate(mult: list[list[int]], inv: list[int], s: frozenset[int], g: int)
     return frozenset(mult[mult[g][x]][inv[g]] for x in s)
 
 
-def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, set[frozenset]]:
+def eta_oracle(
+    G: Group,
+) -> tuple[int, tuple[tuple[int, int], ...], int, int, set[frozenset], set[frozenset]]:
     """Brute-force (eta, class_reps, l_value, gminus_size, maximal element
-    sets), sharing no code with maxcyc.cyclic.
+    sets, classes of all cyclic subgroups as sets of element sets), sharing
+    no code with maxcyc.cyclic.
 
     Works on the integer multiplication table: the cyclic subgroup of every
     element is its power orbit, maximality is containment in no larger
@@ -272,11 +275,15 @@ def eta_oracle(G: Group) -> tuple[int, tuple[tuple[int, int], ...], int, int, se
             left -= orbit
         return out
 
+    def element_set(s: frozenset[int]) -> frozenset[Permutation]:
+        return frozenset(elems[i] for i in s)
+
     max_classes = classes(maximal)
+    all_classes = {frozenset(map(element_set, cls)) for cls in classes(subgroups)}
     class_reps = tuple((len(cls[0]), len(cls)) for cls in max_classes)
     gminus_size = sum(1 for s in cyclic_of if s not in maximal)
-    maximal_sets = {frozenset(elems[i] for i in s) for s in maximal}
-    return len(max_classes), class_reps, len(classes(subgroups)), gminus_size, maximal_sets
+    maximal_sets = set(map(element_set, maximal))
+    return len(max_classes), class_reps, len(all_classes), gminus_size, maximal_sets, all_classes
 
 
 def eta_star_oracle(G: Group, N: Group) -> tuple[int, list[set[frozenset[Permutation]]]]:

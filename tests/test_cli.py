@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -277,6 +278,48 @@ def test_verify_jobs_matches_serial(tmp_path, capsys):
         assert code == want
         assert run(capsys, "verify", *args, "--jobs", "2")[:2] == (code, serial)
     assert "FAIL values EA(3,2)" in serial
+
+
+def test_verify_runs_a_repeated_suite_once(tmp_path, capsys):
+    corpus = tmp_path / "d30.corpus"
+    corpus.write_text("D(30) ; eta=3\n", encoding="utf-8")
+    once = run(capsys, "verify", "--corpus", str(corpus), "--suite", "values")
+    twice = run(capsys, "verify", "--corpus", str(corpus), "--suite", "values", "--suite", "values")
+    assert twice == once
+    assert once[0] == 1
+    assert once[1].count("FAIL values D(30)") == 1
+    assert once[1].endswith("0/1 reports passed\n")
+
+
+def test_verify_jobs_starts_no_more_workers_than_entries(tmp_path, capsys, monkeypatch):
+    # a fake pool that records its size and maps in this process, so that no
+    # worker is started
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    corpus = tmp_path / "small.corpus"
+    for text, want in (("C(2) ; eta=1\nS(3) ; eta=2\n", [2]), ("C(2) ; eta=1\n", []), ("", [])):
+        asked.clear()
+        corpus.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "verify", "--corpus", str(corpus), "--suite", "values",
+                           "--jobs", "64")
+        assert code == 0
+        assert asked == want
+        n = text.count("\n")
+        assert out.endswith(f"{n}/{n} reports passed\n")
 
 
 def test_verify_unresolvable_selector_exits_2(tmp_path, capsys):
@@ -582,6 +625,34 @@ LATTICE_PINS = [
 
 @pytest.mark.parametrize("argv, digest", LATTICE_PINS, ids=[" ".join(a) for a, _ in LATTICE_PINS])
 def test_lattice_output_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# eta near the order cap, pinned before the classes of maximal cyclic
+# subgroups were read off the one walk of the classes of cyclic subgroups.
+# The text lists the classes in order, by their least member: on W(5),
+# 156 classes of (5, 5), then (5, 625), then 4 of (25, 125).
+ETA_PINS = [
+    (("eta", "S(7)"), "d59660c07a231cc9fc33f132a7586ea51fb09555aeb0336e7f6a936599d2f556"),
+    (("eta", "S(7)", "--format", "json"),
+     "9db17cf83fc9904c2054830cec296001956730e25a74e527a9aa21a99fd086a1"),
+    (("eta", "W(5)"), "f01f6458875a3fef0988518f23488b0c5d3e6642c5418e1a2f1a8fd5d11186dd"),
+    (("eta", "W(5)", "--format", "json"),
+     "4e11fe22efa8f179d514254f99216a36395b209dcec5f556e607a78b77e33f1a"),
+    (("eta", "AGL1(127,126)"),
+     "648154225a029c41f02f0f3104633486a3d50aab297723e6e0480386a4327c0c"),
+    (("eta", "AGL1(127,126)", "--format", "json"),
+     "ead5bf0be82a81bc7e951d598106d6d6466809db77b87fe17139d2b44c514769"),
+    (("eta", "A(7)"), "8e2b0d8e374c39143084758364b4005859fe2a48125aaeb8b09f4be5f8ffd603"),
+    (("eta", "A(7)", "--format", "json"),
+     "5155557e9aed75bf76ba940e542db2089c3392e05b885572c86fa55485f0688c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", ETA_PINS, ids=[" ".join(a) for a, _ in ETA_PINS])
+def test_eta_output_is_pinned(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -7,7 +7,7 @@ import maxcyc.cyclic
 from maxcyc import (
     InternalCheckError,
     NotNormal,
-    conjugacy_classes_of_subgroups,
+    cyclic_classes,
     cyclic_subgroups,
     eta,
     eta_p,
@@ -28,6 +28,7 @@ from maxcyc.core import (
     element_orders,
     enumerate_elements,
 )
+from maxcyc.cyclic import maximal_cyclic_classes
 from maxcyc.numutil import prime_factors
 from maxcyc.theorems import gk_graph
 
@@ -81,7 +82,7 @@ def test_maximal_cyclic_union_covers_group():
 def test_covering_by_classes_is_irredundant():
     for text in ["S(4)", "D(30)", "Q(8)", "W(3)"]:
         G = realize_text(text)
-        classes = conjugacy_classes_of_subgroups(G, maximal_cyclic_subgroups(G)).classes
+        classes = maximal_cyclic_classes(G)
         for dropped in range(len(classes)):
             union = set()
             for i, cls in enumerate(classes):
@@ -94,14 +95,13 @@ def test_covering_by_classes_is_irredundant():
 
 def test_subgroup_class_partition():
     d30 = realize_text("D(30)")
-    twos = [s for s in maximal_cyclic_subgroups(d30) if s.order == 2]
-    part = conjugacy_classes_of_subgroups(d30, twos)
-    assert len(part.classes) == 1
-    assert len(part.classes[0]) == 15
+    twos = [c for c in maximal_cyclic_classes(d30) if c[0].order == 2]
+    assert len(twos) == 1
+    assert len(twos[0]) == 15
 
     abelian = realize_text("EA(3,2)")
-    part = conjugacy_classes_of_subgroups(abelian, maximal_cyclic_subgroups(abelian))
-    assert all(len(c) == 1 for c in part.classes)
+    assert all(len(c) == 1 for c in maximal_cyclic_classes(abelian))
+    assert all(len(c) == 1 for c in cyclic_classes(abelian))
 
 
 def test_eta_values_match_pinned_examples():
@@ -205,25 +205,24 @@ def test_eta_star_counts_fused_classes():
     # the four order-3 subgroups of the translation plane fall in two orbits
     sg = realize_text("SG72_50")
     N = named_normal(sg, 9, 0)
-    n_classes = conjugacy_classes_of_subgroups(N, maximal_cyclic_subgroups(N))
-    assert len(n_classes.classes) == 4
+    assert len(maximal_cyclic_classes(N)) == 4
     assert eta_star(sg, N) == 2
 
 
 def test_eta_star_cross_check_fires(monkeypatch):
     # put the trivial subgroup, which is not N-maximal, in the class of an
     # N-maximal one
-    real = maxcyc.cyclic._cyclic_classes
+    real = maxcyc.cyclic.cyclic_classes
 
     def merged(G):
-        class_of = dict(real(G))
-        class_of[frozenset({G.identity})] = class_of[maximal_cyclic_subgroups(N)[0].elements]
-        return class_of
+        trivial = next(s for s in cyclic_subgroups(G) if s.order == 1)
+        target = maximal_cyclic_subgroups(N)[0]
+        return tuple(c + [trivial] if target in c else c for c in real(G))
 
     sg = realize_text("SG72_50")
     N = named_normal(sg, 9, 0)
     assert eta_star(sg, N) == 2
-    monkeypatch.setattr(maxcyc.cyclic, "_cyclic_classes", merged)
+    monkeypatch.setattr(maxcyc.cyclic, "cyclic_classes", merged)
     with pytest.raises(InternalCheckError):
         eta_star(sg, N)
 
@@ -262,12 +261,15 @@ def test_orders_and_powers_are_taken_once_per_class(monkeypatch, text):
 
 @pytest.mark.parametrize("text", ["AGL1(7,6)", "S(4) x C(2)"])
 def test_eta_and_gkgraph_build_no_class_index(text):
-    # the element -> class map has |G| entries, which eta does not need
+    # the element -> class maps have |G| entries, which eta does not need,
+    # for the element classes and for the classes of cyclic subgroups
     G = realize_text(text)
     eta(G)
     gk_graph(G)
     assert (conjugacy_classes.__wrapped__,) in G.derived
     assert (class_index.__wrapped__,) not in G.derived
+    assert (cyclic_classes.__wrapped__,) in G.derived
+    assert (maxcyc.cyclic._cyclic_labels.__wrapped__,) not in G.derived
 
 
 @pytest.mark.parametrize("text", ["S(4)", "AGL1(7,6)", "W(3)"])

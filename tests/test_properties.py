@@ -8,7 +8,7 @@ from maxcyc import (
     center,
     class_index,
     conjugacy_classes,
-    conjugacy_classes_of_subgroups,
+    cyclic_classes,
     enumerate_elements,
     eta,
     eta_star,
@@ -28,7 +28,7 @@ from maxcyc import (
 )
 from maxcyc.core import closed_under_product, is_cyclic, is_p_group
 from maxcyc.corpus import default_corpus_text, parse_corpus
-from maxcyc.cyclic import eta_preserving_normals
+from maxcyc.cyclic import eta_preserving_normals, maximal_cyclic_classes
 from maxcyc.theorems import check_eitheror, check_quot_conditions, classify_prime_order_group
 
 from oracles import (
@@ -109,8 +109,11 @@ def test_element_classes_match_the_oracle(G):
     assert_element_classes_match_the_oracle(G)
 
 
-@pytest.mark.parametrize("text", ["S(4)", "A(5)", "D(30)", "Q(16)", "SG72_50", "AGL1(7,3)",
-                                  "Heis(3)", "W(3)", "EA(2,2) x C(4)"])
+NAMED_GROUPS = ["S(4)", "A(5)", "D(30)", "Q(16)", "SG72_50", "AGL1(7,3)", "Heis(3)", "W(3)",
+                "EA(2,2) x C(4)"]
+
+
+@pytest.mark.parametrize("text", NAMED_GROUPS)
 def test_named_element_classes_match_the_oracle(text):
     assert_element_classes_match_the_oracle(realize_text(text))
 
@@ -118,7 +121,7 @@ def test_named_element_classes_match_the_oracle(text):
 @given(small_groups())
 @group_settings
 def test_gminus_power_characterization(G):
-    assert g_minus(G) == g_minus_via_powers(G)
+    assert g_minus(G) == g_minus_oracle(G)
 
 
 @given(small_groups(), st.integers(min_value=0, max_value=2**16))
@@ -181,7 +184,7 @@ def assert_quotients_match_the_regular_realization(G):
     for N in normal_subgroups(G):
         Q, table = quotient_group(G, N)
         got = quotient_invariants(G, N)
-        eta_value, _, _, _, maximal_sets = eta_oracle(Q)
+        eta_value, _, _, _, maximal_sets, _ = eta_oracle(Q)
         # the quotient element carrying the coset at point c sends 0 to c
         point = {q: q.images[0] for q in Q.element_list}
         generates_maximal = {
@@ -241,15 +244,27 @@ def test_closures_match_oracles(G, data):
         assert closed_under_product(S) == closed_pairwise(S)
 
 
-@given(small_groups())
-@group_settings
-def test_eta_matches_oracle(G):
-    eta_value, class_reps, l_value, gminus_size, maximal_sets = eta_oracle(G)
+def assert_eta_matches_oracle(G):
+    """eta, its classes in order, l and |G^-|, the maximal cyclic subgroups
+    and the classes of all cyclic subgroups, against the oracle."""
+    eta_value, class_reps, l_value, gminus_size, maximal_sets, all_classes = eta_oracle(G)
     rep = eta(G)
     assert (rep.eta, rep.class_reps, rep.l_value, rep.gminus_size) == (
         eta_value, class_reps, l_value, gminus_size
     )
     assert {s.elements for s in maximal_cyclic_subgroups(G)} == maximal_sets
+    assert {frozenset(s.elements for s in c) for c in cyclic_classes(G)} == all_classes
+
+
+@given(small_groups())
+@group_settings
+def test_eta_matches_oracle(G):
+    assert_eta_matches_oracle(G)
+
+
+@pytest.mark.parametrize("text", NAMED_GROUPS)
+def test_named_eta_matches_the_oracle(text):
+    assert_eta_matches_oracle(realize_text(text))
 
 
 def assert_eta_preserving_normals_match_the_oracle(G):
@@ -371,8 +386,7 @@ def test_corpus_subgroup_invariants_match_standalone(text):
 @group_settings
 def test_subgroup_classes_partition_input(G):
     subs = maximal_cyclic_subgroups(G)
-    part = conjugacy_classes_of_subgroups(G, subs)
-    seen = [s for cls in part.classes for s in cls]
+    seen = [s for cls in maximal_cyclic_classes(G) for s in cls]
     assert sorted(s.sort_key() for s in seen) == sorted(s.sort_key() for s in subs)
 
 
