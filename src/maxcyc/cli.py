@@ -3,6 +3,8 @@
 Subcommands: eta, normals, quot, xsub, gminus, gkgraph, verify.  Output is
 deterministic: identical invocations produce byte-identical output.  Exit
 codes: 0 success, 1 verification failure, 2 usage/parse/realization error.
+Each command imports what it runs: :mod:`maxcyc.theorems` for quot, xsub
+and gkgraph, :mod:`maxcyc.corpus` for verify alone.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from typing import Callable, Iterable
 
 from .core import (
     DEFAULT_DEGREE_CAP,
@@ -21,15 +23,15 @@ from .core import (
     labelled_normals,
 )
 from .constructors import named_normal, parse_spec, realize
-from .corpus import SUITES, default_corpus_text, parse_corpus, run_suites
 from .cyclic import eta, g_minus, quotient_eta
 from .errors import MaxcycError
-from .theorems import check_quot_conditions, compute_X, gk_graph
 
 CORPUS_ENV = "MAXCYC_CORPUS"
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace], int]) -> None:
+    """The flags every command takes, and `run`, the function that carries it out."""
+    p.set_defaults(run=run)
     p.add_argument("--format", choices=("text", "json"), default="text",
                    help="output format (default text)")
     p.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
@@ -38,7 +40,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="largest allowed permutation degree when realizing specs")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(suites: Iterable[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxcyc",
         description="Maximal cyclic subgroup invariants of finite permutation groups.",
@@ -47,38 +49,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eta", help="eta, l, |G^-| and the maximal cyclic classes")
     p.add_argument("spec", help="group spec, e.g. 'S(3) x D(10)'")
-    _common_flags(p)
+    _common_flags(p, cmd_eta)
 
     p = sub.add_parser("normals", help="list every normal subgroup")
     p.add_argument("spec")
-    _common_flags(p)
+    _common_flags(p, cmd_normals)
 
     p = sub.add_parser("quot", help="quotient conditions for one normal subgroup")
     p.add_argument("spec")
     p.add_argument("--order", type=int, required=True, help="order of the normal subgroup")
     p.add_argument("--index", type=int, default=0, help="index among that order (default 0)")
-    _common_flags(p)
+    _common_flags(p, cmd_quot)
 
     p = sub.add_parser("xsub", help="largest eta-preserving normal subgroup of a p-group")
     p.add_argument("spec")
-    _common_flags(p)
+    _common_flags(p, cmd_xsub)
 
     p = sub.add_parser("gminus", help="the set of non-generators of maximal cyclic subgroups")
     p.add_argument("spec")
-    _common_flags(p)
+    _common_flags(p, cmd_gminus)
 
     p = sub.add_parser("gkgraph", help="prime graph of the group")
     p.add_argument("spec")
-    _common_flags(p)
+    _common_flags(p, cmd_gkgraph)
 
     p = sub.add_parser("verify", help="run verification suites over a corpus")
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable; default all); one of: "
-                        + ", ".join(SUITES) + ", all")
+                        + ", ".join(suites) + ", all")
     p.add_argument("--corpus", default=None,
                    help=f"corpus path (default ${CORPUS_ENV} or the bundled corpus)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
-    _common_flags(p)
+    _common_flags(p, cmd_verify)
 
     return parser
 
@@ -136,6 +138,7 @@ def cmd_normals(args: argparse.Namespace) -> int:
 
 
 def cmd_quot(args: argparse.Namespace) -> int:
+    from .theorems import check_quot_conditions
     G = _realize(args)
     N = named_normal(G, args.order, args.index)
     rep = check_quot_conditions(G, N)
@@ -165,6 +168,7 @@ def cmd_quot(args: argparse.Namespace) -> int:
 
 
 def cmd_xsub(args: argparse.Namespace) -> int:
+    from .theorems import compute_X
     G = _realize(args)
     X = compute_X(G)
     e_g = eta(G).eta
@@ -206,6 +210,7 @@ def cmd_gminus(args: argparse.Namespace) -> int:
 
 
 def cmd_gkgraph(args: argparse.Namespace) -> int:
+    from .theorems import gk_graph
     G = _realize(args)
     graph = gk_graph(G)
     payload = {
@@ -223,6 +228,9 @@ def cmd_gkgraph(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from pathlib import Path
+    from .corpus import SUITES, default_corpus_text, parse_corpus, run_suites
+
     names = args.suite or ["all"]
     if "all" in names:
         names = list(SUITES)
@@ -254,26 +262,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failures else 0
 
 
-_COMMANDS = {
-    "eta": cmd_eta,
-    "normals": cmd_normals,
-    "quot": cmd_quot,
-    "xsub": cmd_xsub,
-    "gminus": cmd_gminus,
-    "gkgraph": cmd_gkgraph,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    suites: Iterable[str] = ()
+    if argv[:1] == ["verify"]:  # the one parser that lists the suites
+        from .corpus import SUITES as suites
+    args = build_parser(suites).parse_args(argv)
     try:
         if args.order_cap < 1 or args.degree_cap < 1:
             raise ValueError("caps must be >= 1")
         if getattr(args, "jobs", 1) < 1:
             raise ValueError("jobs must be >= 1")
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (MaxcycError, OSError, ValueError) as exc:
         print(f"maxcyc: error: {exc}", file=sys.stderr)
         return 2

@@ -17,8 +17,7 @@ Parse errors carry character indices; parameter violations raise ArityError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import ClassVar, Union
+from typing import ClassVar, NamedTuple, Union
 
 from .core import (
     DEFAULT_DEGREE_CAP,
@@ -40,9 +39,43 @@ def _cycle(degree: int, points: list[int]) -> Permutation:
     return Permutation.from_cycles(degree, [points])
 
 
-class Family:
-    """A group family of the spec language; each subclass is a frozen
-    dataclass whose fields are the family's integer parameters.
+class _Node:
+    """A frozen node of the spec syntax tree.  Its fields, the names annotated
+    in its class's own body, are all that ``vars`` holds, in order; it
+    compares, hashes and reprs (``Name(field=value, ...)``) by them."""
+
+    _fields: ClassVar[tuple[str, ...]]
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} values")
+        self.__dict__.update(zip(self._fields, values))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to or delete {name!r}: a spec is frozen")
+
+    __delattr__ = __setattr__
+
+
+class Family(_Node):
+    """A group family of the spec language; each subclass is a spec node
+    whose fields, annotated in its body, are the family's parameters.
 
     A subclass sets ``keyword``, checks its parameters in ``__post_init__``,
     and gives ``degree``, read off the parameters alone so that the degree
@@ -57,14 +90,14 @@ class Family:
         raise NotImplementedError
 
     def render(self) -> str:
-        params = ",".join(str(getattr(self, f.name)) for f in fields(self))
+        params = ",".join(map(str, vars(self).values()))
         return f"{self.keyword}({params})" if params else self.keyword
 
     @classmethod
     def read(cls, parser: _Parser) -> Family:
         """The atom whose keyword the parser has just taken: its parameters
         as ``(p1,p2,...)``, or nothing when the family has none."""
-        arity = len(fields(cls))
+        arity = len(cls._fields)
         if not arity:
             return cls()
         args = parser.int_args()
@@ -74,7 +107,6 @@ class Family:
         return cls(*args)
 
 
-@dataclass(frozen=True)
 class Cyclic(Family):
     keyword = "C"
     n: int
@@ -92,7 +124,6 @@ class Cyclic(Family):
         return [] if n == 1 else [_cycle(n, list(range(n)))]
 
 
-@dataclass(frozen=True)
 class Dihedral(Family):
     """Dihedral group given by its total order (even).
 
@@ -122,7 +153,6 @@ class Dihedral(Family):
         return [rot, ref]
 
 
-@dataclass(frozen=True)
 class Symmetric(Family):
     keyword = "S"
     n: int
@@ -145,7 +175,6 @@ class Symmetric(Family):
         return gens
 
 
-@dataclass(frozen=True)
 class Alternating(Family):
     keyword = "A"
     n: int
@@ -167,7 +196,6 @@ class Alternating(Family):
         return gens
 
 
-@dataclass(frozen=True)
 class ElemAbelian(Family):
     keyword = "EA"
     p: int
@@ -188,7 +216,6 @@ class ElemAbelian(Family):
         return [_cycle(self.degree, list(range(i * p, (i + 1) * p))) for i in range(self.k)]
 
 
-@dataclass(frozen=True)
 class Heisenberg(Family):
     """Extraspecial group of order p**3 and exponent p, p an odd prime."""
 
@@ -215,7 +242,6 @@ class Heisenberg(Family):
         return [shear, lift]
 
 
-@dataclass(frozen=True)
 class GeneralizedQuaternion(Family):
     keyword = "Q"
     n: int
@@ -241,7 +267,6 @@ class GeneralizedQuaternion(Family):
         return [Permutation(a), Permutation(b)]
 
 
-@dataclass(frozen=True)
 class WreathCpCp(Family):
     keyword = "W"
     p: int
@@ -263,7 +288,6 @@ class WreathCpCp(Family):
         return [base, shift]
 
 
-@dataclass(frozen=True)
 class FrobeniusAGL1(Family):
     """Affine maps x -> a*x + b on Z/q, a in the order-d unit subgroup.
 
@@ -305,7 +329,6 @@ class FrobeniusAGL1(Family):
         return [shift, scale]
 
 
-@dataclass(frozen=True)
 class Dicyclic12(Family):
     """Z3 : Z4 with Z4 inverting Z3, acting faithfully on 7 points."""
 
@@ -318,7 +341,6 @@ class Dicyclic12(Family):
         return [a, b]
 
 
-@dataclass(frozen=True)
 class SG7250(Family):
     """Translations of F3^2 extended by a dihedral-of-order-8 group of its
     linear maps; order 72, degree 9."""
@@ -341,7 +363,6 @@ class SG7250(Family):
         return [t1, t2, rot, ref]
 
 
-@dataclass(frozen=True)
 class ModularM16(Family):
     """Modular group of order 16: normal C8 with a square-fixing outer
     generator (x -> 5x on Z/8)."""
@@ -355,7 +376,6 @@ class ModularM16(Family):
         return [a, b]
 
 
-@dataclass(frozen=True)
 class ExplicitPerms(Family):
     keyword = "Perm"
     degree: int
@@ -396,10 +416,9 @@ class ExplicitPerms(Family):
         return cls(degree, tuple(gens))
 
 
-@dataclass(frozen=True)
-class DirectProductSpec:
-    left: "GroupSpec"
-    right: "GroupSpec"
+class DirectProductSpec(_Node):
+    left: GroupSpec
+    right: GroupSpec
 
     def render(self) -> str:
         return f"{self.left.render()} x {self.right.render()}"
@@ -423,8 +442,7 @@ def render(spec: GroupSpec) -> str:
 # Tokenizer / recursive-descent parser
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'name' | 'int' | '(' | ')' | ',' | ';' | 'x' | 'end'
     text: str
     pos: int

@@ -9,7 +9,6 @@ in the group it describes and never changes observable results.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import wraps
 from itertools import repeat
 from operator import attrgetter, itemgetter
@@ -93,7 +92,8 @@ def memo(fn: Callable) -> Callable:
 
     Keyword arguments are not part of the key: they pass on data that the
     caller has already built for the same arguments, such as a coset
-    table, and never change the result."""
+    table, and never change the result.  ``record(G, *args, result=r)``
+    holds r as the result, for a caller that has proved it."""
 
     @wraps(fn)
     def cached(G: Group, *args, **built):
@@ -102,6 +102,7 @@ def memo(fn: Callable) -> Callable:
             G.derived[key] = fn(G, *args, **built)
         return G.derived[key]
 
+    cached.record = lambda G, *args, result: G.derived.__setitem__((fn, *args), result)
     return cached
 
 
@@ -410,7 +411,6 @@ def normal_closure(G: Group, seed: Iterable[Permutation]) -> Group:
     return subgroup_generated(G, (x for i in met for x in classes[i]))
 
 
-@dataclass(eq=False)
 class CosetTable:
     """Left cosets of a normal subgroup, in the quotient's point order.
 
@@ -419,9 +419,12 @@ class CosetTable:
     ``point_of`` maps each parent element to the point its coset occupies.
     """
 
-    cosets: tuple[frozenset[Permutation], ...]
-    representatives: tuple[Permutation, ...]
-    point_of: dict[Permutation, int]
+    __slots__ = ("cosets", "representatives", "point_of")
+
+    def __init__(self, cosets, representatives, point_of):
+        self.cosets: tuple[frozenset[Permutation], ...] = cosets
+        self.representatives: tuple[Permutation, ...] = representatives
+        self.point_of: dict[Permutation, int] = point_of
 
     @property
     def index(self) -> int:
@@ -608,6 +611,8 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
         for mask in found
     ]
     groups.sort(key=lambda H: (H.order, H.key()))
+    for H in groups:  # each is normal by construction
+        is_normal.record(G, H, result=True)
     return tuple(groups)
 
 

@@ -14,10 +14,8 @@ passes its suite exactly when the Frobenius verification rejects it.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
-from importlib import resources
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .constructors import DirectProductSpec, GroupSpec, named_normal, parse_spec, realize
 from .core import (
@@ -94,8 +92,7 @@ VALUE_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     """One corpus record: a group spec plus optional expectations."""
 
     line_no: int
@@ -181,11 +178,12 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
 
 
 def default_corpus_text() -> str:
+    from importlib import resources
+
     return resources.files("maxcyc").joinpath("data/default.corpus").read_text("utf-8")
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     """A realized corpus entry."""
 
     entry: CorpusEntry
@@ -205,8 +203,7 @@ def realize_entry(
                     order_cap, degree_cap)
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """Outcome of one suite on one corpus entry."""
 
     suite: str

@@ -45,9 +45,8 @@ conditions of :func:`maxcyc.theorems.check_quot_conditions`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Collection, Mapping, Sequence
+from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 from .core import (
     CosetTable,
@@ -283,8 +282,7 @@ def _cyclic_labels(G: Group) -> dict[Permutation, int]:
     return {x: number[s] for x, s in sub_of.items()}
 
 
-@dataclass(frozen=True)
-class EtaReport:
+class EtaReport(NamedTuple):
     """Headline cyclic-structure invariants of one group."""
 
     eta: int
@@ -317,14 +315,19 @@ def eta(G: Group) -> EtaReport:
     )
 
 
-@dataclass(frozen=True)
-class QuotientInvariants:
+class QuotientInvariants(NamedTuple):
     """eta(G/N), the non-generators (G/N)^- as coset points, and the order
     of each coset, by point, in the numbering of :func:`maxcyc.core.coset_table`."""
 
     eta: int
     g_minus: frozenset[int]
     orders: tuple[int, ...]
+
+
+def _moving(G: Group, gens: Sequence[Permutation]) -> list[Permutation]:
+    """The members of `gens` outside G's centre: a central conjugator moves nothing."""
+    classes, index_of = conjugacy_classes(G), class_index(G)
+    return [g for g in gens if len(classes[index_of[g]]) > 1]
 
 
 @memo
@@ -337,15 +340,15 @@ def quotient_invariants(G: Group, N: Group, *, table: CosetTable | None = None) 
     under the coset map of the subgroups that the coset representatives
     generate, each projected once.  The maximal ones come from the
     containment scan, cross-checked against the power route on the cosets;
-    their classes are the :func:`maxcyc.core.orbits` under the generators,
-    where a generator g sends <xN> to the image of <g x g^-1>.  No
-    permutation of degree |G:N| is built.
+    their classes are the :func:`maxcyc.core.orbits` under the generators
+    outside the centre, where a generator g sends <xN> to the image of
+    <g x g^-1>.  No permutation of degree |G:N| is built.
     """
     if table is None:
         table = coset_table(G, N)
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
-    conjugators = [base_index(G).conjugator(g) for g in G.generators]
+    conjugators = [base_index(G).conjugator(g) for g in _moving(G, G.generators)]
     images: dict[CyclicSubgroup, CyclicSubgroup] = {}
     image_of: dict[int, CyclicSubgroup] = {}
     for c, r in enumerate(reps):
@@ -396,8 +399,7 @@ def eta_p(K: Group, p: int) -> int:
     return sum(1 for c in maximal_cyclic_classes(K) if c[0].order % p == 0)
 
 
-@dataclass(frozen=True)
-class SubgroupInvariants:
+class SubgroupInvariants(NamedTuple):
     """eta, l and |N^-| of a normal subgroup N, the values N has as a
     group of its own, and the maximal cyclic subgroups of N."""
 
@@ -417,10 +419,10 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     N and commutes with powers, so N^- is the union of the G-classes in N
     that meet a seed, by :func:`_powers_of_classes` on those classes.  The
     N-classes of cyclic subgroups are the :func:`maxcyc.core.orbits` under
-    conjugation by N's generators, and those of the maximal ones are the
-    orbits that start at a maximal one, since conjugates of a maximal
-    subgroup are maximal.  N is never given a base, an index or classes of
-    its own.
+    conjugation by N's generators outside the centre of G, and those of
+    the maximal ones are the orbits that start at a maximal one, since
+    conjugates of a maximal subgroup are maximal.  N is never given a
+    base, an index or classes of its own.
     """
     if not is_normal(G, N):
         raise NotNormal("subgroup_invariants requires N normal in G")
@@ -433,7 +435,7 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     conjugator = base_index(G).conjugator
     maps = [
         lambda s, conjugate=conjugator(n): sub_of[conjugate(s.canonical_generator)]
-        for n in N.generators
+        for n in _moving(G, N.generators)
     ]
     n_classes = orbits(subs, maps)
     starts = set(maximal)

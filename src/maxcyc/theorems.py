@@ -11,9 +11,8 @@ hypothesis).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .core import (
     Group,
@@ -80,8 +79,7 @@ def _require_noncyclic_p_group(G: Group, caller: str) -> None:
 # Result types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named sub-check with its expected and actual values."""
 
     name: str
@@ -90,8 +88,7 @@ class Check:
     actual: Any = None
 
 
-@dataclass(frozen=True)
-class PrimeOrderClass:
+class PrimeOrderClass(NamedTuple):
     """Structure of a group all of whose nonidentity elements have prime order.
 
     kind is one of ``exponent_p``, ``frobenius_pq``, ``a5`` and
@@ -103,8 +100,7 @@ class PrimeOrderClass:
     q: int | None = None
 
 
-@dataclass(frozen=True)
-class GKGraph:
+class GKGraph(NamedTuple):
     """Prime graph: vertices are primes dividing |G|, p-q an edge when some
     element order is divisible by p*q."""
 
@@ -125,8 +121,7 @@ class GKGraph:
         return len({find(v) for v in self.vertices})
 
 
-@dataclass(frozen=True)
-class QuotCheckReport:
+class QuotCheckReport(NamedTuple):
     """All coset-condition data for one pair (G, N).
 
     ``equal`` must coincide with ``cond_a and cond_b and cond_c``; the
@@ -144,7 +139,7 @@ class QuotCheckReport:
     strong_generator_condition: bool
     gminus_n_stable: bool | None
     quotient_gminus_matches: bool | None
-    witnesses: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    witnesses: dict[str, tuple[str, ...]]
 
 
 # ---------------------------------------------------------------------------

@@ -702,3 +702,86 @@ def test_xsub_reads_one_quotient(monkeypatch, capsys):
     assert code == 0
     assert "|X|: 1" in out
     assert met == [1]
+
+
+# Startup: each command imports what it runs.  The child prints the modules
+# that importing the CLI, and then running the command, add to sys.modules.
+_ADDED_MODULES = """
+import contextlib, io, sys
+before = set(sys.modules)
+import maxcyc.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = maxcyc.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+# What every command needs: `maxcyc/__init__` and the modules it imports.
+_CORE_MODULES = {
+    "maxcyc", "maxcyc.cli", "maxcyc.constructors", "maxcyc.core", "maxcyc.cyclic",
+    "maxcyc.errors", "maxcyc.numutil", "maxcyc.perm",
+}
+
+
+def _modules_added(*argv: str) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ADDED_MODULES, *argv], env=env, capture_output=True,
+        text=True, check=True, timeout=120,
+    )
+    code, *added = proc.stdout.split()
+    assert code == "0", argv
+    return set(added)
+
+
+@pytest.mark.parametrize("argv", [(), ("eta", "S(3)"), ("normals", "S(3)")],
+                         ids=["import", "eta", "normals"])
+def test_cli_import_and_plain_commands_load_only_the_core_modules(argv):
+    added = _modules_added(*argv)
+    assert {m for m in added if m.partition(".")[0] == "maxcyc"} == _CORE_MODULES
+    assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize("argv", [("xsub", "EA(2,2)"), ("gkgraph", "S(3)"),
+                                  ("quot", "S(3)", "--order", "3")],
+                         ids=["xsub", "gkgraph", "quot"])
+def test_theorem_commands_load_the_theorems_but_not_the_corpus(argv):
+    added = _modules_added(*argv)
+    assert {m for m in added if m.partition(".")[0] == "maxcyc"} == _CORE_MODULES | {
+        "maxcyc.theorems"
+    }
+    assert not added & {"dataclasses", "inspect"}
+
+
+def _help(*argv: str) -> str:
+    # argparse wraps help text to $COLUMNS, so it is fixed here
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1]), "COLUMNS": "80"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxcyc.cli", *argv, "--help"], env=env, capture_output=True,
+        text=True, check=True, timeout=60,
+    )
+    return proc.stdout
+
+
+def test_verify_help_lists_every_suite_in_order():
+    # the text is wrapped, and a name may be broken after a hyphen
+    assert "oneof:" + ",".join(SUITES) + ",all" in "".join(_help("verify").split())
+
+
+# The help text, pinned before the CLI imported the suites for verify alone.
+HELP_PINS = [
+    ((), "443376e9dc228ca31f0c914ba3e34f341d95cd9e0961064909b8a9dfe16f5fd2"),
+    (("verify",), "d627ef55d9325e61d4508e9fef5e2d94f83446434d76ee318870253992dfcd25"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", HELP_PINS, ids=["maxcyc", "verify"])
+def test_help_output_is_pinned(argv, digest):
+    assert hashlib.sha256(_help(*argv).encode()).hexdigest() == digest
+
+
+def test_verify_report_survives_pickling():
+    # --jobs sends each worker's reports back pickled
+    rep = run_suites(["values"], parse_corpus("S(3) ; eta=2"))[0]
+    back = pickle.loads(pickle.dumps(rep))
+    assert back == rep
+    assert back.to_dict() == rep.to_dict()

@@ -21,7 +21,9 @@ from maxcyc.constructors import (
     Symmetric,
 )
 from maxcyc.core import center, exponent, is_normal, point_stabilizer
-from maxcyc.cyclic import cyclic_subgroups, maximal_cyclic_subgroups
+from maxcyc.corpus import parse_corpus
+from maxcyc.cyclic import cyclic_subgroups, eta, maximal_cyclic_subgroups
+from maxcyc.theorems import gk_graph
 
 from oracles import is_abelian, perm_order
 
@@ -89,6 +91,38 @@ def test_bad_parameters_raise_arity_error(text):
 def test_render_parse_roundtrip(text):
     spec = parse_spec(text)
     assert parse_spec(render(spec)) == spec
+
+
+def test_specs_are_frozen_records():
+    assert Cyclic(3) == Cyclic(3) and hash(Cyclic(3)) == hash(Cyclic(3))
+    assert Cyclic(3) != Cyclic(4)
+    assert Cyclic(6) != Dihedral(6)  # same parameter, another family
+    assert {Cyclic(3), Cyclic(3), Cyclic(4)} == {Cyclic(4), Cyclic(3)}
+    assert repr(Cyclic(3)) == "Cyclic(n=3)"
+    assert repr(ExplicitPerms(3, (((0, 1),),))) == "ExplicitPerms(degree=3, gens=(((0, 1),),))"
+    assert repr(parse_spec("C(2) x S(3)")) == (
+        "DirectProductSpec(left=Cyclic(n=2), right=Symmetric(n=3))"
+    )
+    spec = parse_spec("AGL1(7,3) x C(2)")
+    for node, field in ((spec, "left"), (spec.left, "q"), (spec.right, "n")):
+        with pytest.raises(AttributeError):
+            setattr(node, field, 5)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert render(spec) == "AGL1(7,3) x C(2)"
+    with pytest.raises(TypeError):
+        Cyclic(3, 4)
+    with pytest.raises(ArityError):
+        Cyclic(0)  # the family's own check still runs
+
+
+def test_records_are_read_only():
+    G = realize_text("S(3)")
+    for record, field in ((eta(G), "eta"), (gk_graph(G), "edges"),
+                          (parse_corpus("S(3) ; eta=2")[0], "tag")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+    assert repr(gk_graph(G)) == "GKGraph(vertices=(2, 3), edges=())"
 
 
 # --- realization ------------------------------------------------------------

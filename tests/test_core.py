@@ -167,6 +167,24 @@ def test_is_normal():
             is_normal(s3, d30)
 
 
+def test_lattice_members_are_known_normal(monkeypatch):
+    # normal_subgroups builds normal subgroups only, so is_normal conjugates
+    # nothing for its members, and still decides any other subgroup
+    G = realize_text("EA(2,3) x S(3)")
+    normals = normal_subgroups(G)
+    calls = []
+    conjugate_by = Permutation.conjugate_by
+    monkeypatch.setattr(Permutation, "conjugate_by",
+                        lambda h, g: calls.append(g) or conjugate_by(h, g))
+    assert all(is_normal(G, N) for N in normals)
+    assert calls == []
+    swap = next(x for x in G if perm_order(x) == 2 and x.images[:6] == (0, 1, 2, 3, 4, 5))
+    assert not is_normal(G, subgroup_generated(G, [swap]))
+    assert calls
+    with pytest.raises(NotSubgroup):
+        is_normal(G, realize_text("S(4)"))
+
+
 def test_normal_closure():
     s3 = realize_text("S(3)")
     three = next(x for x in s3 if perm_order(x) == 3)

@@ -20,13 +20,16 @@ from maxcyc import (
     quotient_invariants,
     realize_text,
     subgroup_generated,
+    subgroup_invariants,
 )
 from maxcyc.core import (
     BaseIndex,
+    center,
     class_index,
     conjugacy_classes,
     element_orders,
     enumerate_elements,
+    normal_subgroups,
 )
 from maxcyc.cyclic import maximal_cyclic_classes
 from maxcyc.numutil import prime_factors
@@ -257,6 +260,23 @@ def test_orders_and_powers_are_taken_once_per_class(monkeypatch, text):
     assert calls == {"order": len(classes)}
     g_minus_via_powers(G)
     assert calls["power"] <= sum(len(prime_factors(orders[min(c)])) for c in classes)
+
+
+def test_central_generators_give_no_conjugator(monkeypatch):
+    # conjugation by a central element moves nothing, so the orbit walks of
+    # the quotient and subgroup invariants leave EA(2,3)'s generators out
+    G = realize_text("EA(2,3) x S(3)")
+    normals = normal_subgroups(G)
+    requested = []
+    conjugator = BaseIndex.conjugator
+    monkeypatch.setattr(BaseIndex, "conjugator",
+                        lambda base, g: requested.append(g) or conjugator(base, g))
+    for N in normals:
+        quotient_invariants(G, N)
+        subgroup_invariants(G, N)
+    assert requested
+    assert center(G).elements.isdisjoint(requested)
+    assert set(G.generators[:3]) <= center(G).elements
 
 
 @pytest.mark.parametrize("text", ["AGL1(7,6)", "S(4) x C(2)"])
