@@ -40,6 +40,14 @@ def _common_flags(p: argparse.ArgumentParser, run: Callable[[argparse.Namespace]
                    help="largest allowed permutation degree when realizing specs")
 
 
+class _WholeWords(argparse.HelpFormatter):
+    """Wraps help at spaces only, so that no suite name breaks at a hyphen."""
+
+    def _split_lines(self, text: str, width: int) -> list[str]:
+        import textwrap  # as argparse does: only help output needs it
+        return textwrap.wrap(" ".join(text.split()), width, break_on_hyphens=False)
+
+
 def build_parser(suites: Iterable[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxcyc",
@@ -73,7 +81,8 @@ def build_parser(suites: Iterable[str]) -> argparse.ArgumentParser:
     p.add_argument("spec")
     _common_flags(p, cmd_gkgraph)
 
-    p = sub.add_parser("verify", help="run verification suites over a corpus")
+    p = sub.add_parser("verify", help="run verification suites over a corpus",
+                       formatter_class=_WholeWords)
     p.add_argument("--suite", action="append", default=None,
                    help="suite name (repeatable; default all); one of: "
                         + ", ".join(suites) + ", all")

@@ -24,7 +24,7 @@ from .core import (
     DEFAULT_ORDER_CAP,
     Group,
     enumerate_elements,
-    normal_subgroups,
+    normal_lattice,
 )
 from .errors import ArityError, CapExceeded, InternalCheckError, NoSuchNormal, ParseError
 from .numutil import is_prime, multiplicative_order, prime_power_base
@@ -603,12 +603,9 @@ def realize_text(
 
 
 def named_normal(G: Group, order: int, index: int) -> Group:
-    """The index-th normal subgroup of the given order, in the deterministic
-    ordering of normal_subgroups."""
-    matching = [N for N in normal_subgroups(G) if N.order == order]
-    if index < 0 or index >= len(matching):
-        raise NoSuchNormal(
-            f"no normal subgroup of order {order} with index {index} "
-            f"({len(matching)} candidates)"
-        )
-    return matching[index]
+    """The normal subgroup labelled ``[order,index]`` in :func:`normal_lattice`."""
+    named = normal_lattice(G).named
+    if (order, index) in named:
+        return named[order, index]
+    count = sum(o == order for o, _ in named)
+    raise NoSuchNormal(f"no normal subgroup of order {order} with index {index} ({count} candidates)")

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from functools import wraps
-from itertools import repeat
+from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
-from typing import Callable, Collection, Iterable, Iterator, Sequence
+from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
@@ -28,11 +28,10 @@ class Group:
     """A finite permutation group with its full element table.
 
     Instances are immutable except for the :func:`memo` table ``derived``
-    and the ``element_list`` filled on first read.  ``element_list``
-    enumerates the closure breadth-first from the identity with generators
-    applied in the given order, so iteration order is reproducible across
-    runs.  :func:`enumerate_elements` keeps the given generators; every
-    subgroup keeps the greedy generators of :func:`_reduced_generators`.
+    and the ``element_list`` filled on first read: the closure, breadth
+    first from the identity with generators applied in the given order.
+    :func:`enumerate_elements` keeps the given generators; every subgroup
+    keeps the greedy generators of :func:`_reduced_generators`.
     """
 
     __slots__ = ("degree", "generators", "elements", "_element_list", "derived")
@@ -113,9 +112,7 @@ class BaseIndex:
     in G is trivial, so an element x of G is fixed by its base images
     (x(b_1), ..., x(b_k)).  ``element_of`` maps these, read by ``read``
     from an element's word, to G's own element object.  Products, powers
-    and conjugates of G's elements read k points and look the result up,
-    instead of building a permutation of degree n; they return G's own
-    objects.
+    and conjugates of G's elements read k points and look the result up.
     """
 
     __slots__ = ("points", "on_base", "read_at", "read", "element_of")
@@ -177,12 +174,11 @@ class BaseIndex:
 
 @memo
 def base_index(G: Group) -> BaseIndex:
-    """The base of G and its elements keyed by their base images.
-
-    The base walks down the pointwise stabilizers: the next point is the
-    first one moved by some element of the current stabilizer, and the
-    walk stops when that stabilizer is trivial (C. C. Sims, 1970).  Raises
-    InternalCheckError if the base images do not separate G's elements.
+    """The base of G and its elements keyed by their base images.  The
+    base walks down the pointwise stabilizers: the next point is the first
+    one moved by some element of the current stabilizer, until it is
+    trivial (C. C. Sims, 1970).  Raises InternalCheckError if the base
+    images do not separate G's elements.
     """
     stabilizer = [x for x in G.element_list if not x.is_identity()]
     points: list[int] = []
@@ -202,12 +198,10 @@ def base_index(G: Group) -> BaseIndex:
 
 def _close(degree: int, seed: Sequence[Permutation], order_cap: int) -> list:
     """Breadth-first closure of the seed under composition, as the words
-    of its elements in discovery order.
-
-    Raises CapExceeded as soon as the closure is known to be larger than
-    order_cap.  The closure runs on words: each element is made into a
-    table once (:func:`maxcyc.perm.table_of`), and x*g is one C-level call
-    of g's :func:`maxcyc.perm.right_multiplier` on it.
+    of its elements in discovery order; CapExceeded as soon as it is known
+    to be larger than order_cap.  Each element is made into a table once
+    (:func:`maxcyc.perm.table_of`), and x*g is one C-level call of g's
+    :func:`maxcyc.perm.right_multiplier` on it.
     """
     ident = Permutation.identity(degree).word
     found = {ident}
@@ -258,12 +252,10 @@ def _reduced_generators(
 ) -> list[Permutation]:
     """Greedy generators of the subgroup the candidates generate: each
     candidate, in the given order, that those kept before it do not reach.
-
     A new generator multiplies only the elements already reached, and only
     the elements that adds are closed under all generators, on words as in
     :func:`_close`.  Given the candidates' words as `within`, raises
-    ValueError unless the subgroup is exactly `within`: as soon as it
-    leaves it, or at the end.
+    ValueError unless the subgroup is exactly `within`.
     """
     gens: list[Permutation] = []
     movers: list[Callable] = []
@@ -307,15 +299,11 @@ def closed_under_product(elements: Collection[Permutation]) -> bool:
 
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
     """Wrap an already-closed element set as a Group, generated by the
-    greedy generators of the sorted elements.
-
-    The generators come from one run of :func:`_reduced_generators`, which
-    also checks that the set is closed.  The Group holds the given element
-    objects, not the copies that :func:`_close` makes: the normal
-    subgroups of a large lattice hold millions of elements between them.
-    Its breadth-first ``element_list`` is built only when something reads
-    it, so a lattice whose members are only counted, sorted and listed by
-    generators closes each member once.
+    greedy generators of the sorted elements, from one run of
+    :func:`_reduced_generators`, which also checks that the set is closed.
+    The Group holds the given element objects, not copies: the members of
+    a large lattice hold millions of elements between them.  Its
+    ``element_list`` is built only when something reads it.
     """
     own = {p.word: p for p in elements}
     gens = _reduced_generators(degree, map(own.__getitem__, sorted(own)), own)
@@ -357,16 +345,15 @@ def orbits(items: Iterable, maps: Sequence[Callable]) -> list[list]:
 @memo
 def conjugacy_classes(G: Group) -> tuple[list[Permutation], ...]:
     """The conjugacy classes of G as lists, ordered by minimum, each listed
-    from its minimum in the order met under conjugation by the generators.
-    The one conjugation walk per group, which the element orders, G^-,
-    the centre and the normal subgroups read.
-
-    The walk runs on words (:func:`maxcyc.perm.word_conjugator`): each
-    conjugate's word is popped from the words of the elements not yet
-    met, which gives G's own element object the first time and nothing
-    after, so no conjugate outlives its step.
+    from its minimum in the order met under conjugation by the generators:
+    the one conjugation walk per group.  It runs on words
+    (:func:`maxcyc.perm.word_conjugator`), each conjugate's word popped
+    from those of the elements not yet met, and leaves out a generator
+    that commutes with every generator, which is central and moves nothing.
     """
-    conjugators = [word_conjugator(g) for g in G.generators]
+    gens, table = G.generators, table_of(G.degree)
+    conjugators = [word_conjugator(g) for g in gens if any(
+        right_multiplier(h)(table(g.word)) != right_multiplier(g)(table(h.word)) for h in gens)]
     ordered = sorted(G.element_list, key=_word)
     unmet = {x.word: x for x in ordered}
     found = []
@@ -460,10 +447,8 @@ def coset_table(G: Group, N: Group) -> CosetTable:
 @memo
 def quotient_group(G: Group, N: Group) -> tuple[Group, CosetTable]:
     """G/N realized faithfully by the regular action on the cosets of N,
-    of degree |G:N|, which no verifier builds.  The invariants of G/N that
-    they read (eta, G^-, element orders, the class) come from G's cosets
-    through :func:`maxcyc.cyclic.quotient_invariants`, which builds no
-    permutation of that degree."""
+    of degree |G:N|, which no verifier builds: they read G/N off G's
+    cosets (:func:`maxcyc.cyclic.quotient_invariants`) or classes."""
     table = coset_table(G, N)
     index = table.index
     qgens = [
@@ -505,31 +490,56 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def class_members(G: Group, mask: int) -> Iterator[Permutation]:
+    """The elements of the classes of :func:`conjugacy_classes` in `mask`."""
+    classes = conjugacy_classes(G)
+    return (x for i in _bits(mask) for x in classes[i])
+
+
 @memo
-def normal_subgroups(G: Group) -> tuple[Group, ...]:
-    """Every normal subgroup of G, sorted by order then canonical key.
+def class_mask(G: Group, members: frozenset[Permutation]) -> int:
+    """The bitmask of the classes of :func:`conjugacy_classes` whose first
+    member lies in `members`: for a union of classes, such as G^-, Z(G),
+    G' or a normal subgroup, the classes it is made of, held once per set."""
+    return sum(1 << i for i, c in enumerate(conjugacy_classes(G)) if c[0] in members)
+
+
+class NormalLattice(NamedTuple):
+    """The normal subgroups of G (:func:`normal_lattice`), sorted by order,
+    then canonical key: as ``groups``; as ``named``, by ``[order,index]``
+    label, the index counting the members of that order; and as ``mask``,
+    with the bitmask of class indices of :func:`conjugacy_classes` of each,
+    which ``member`` maps back.  ``close(mask, a)``, the class step, closes
+    a set of classes under multiplication by class a: N becomes N<C_a>."""
+
+    groups: tuple[Group, ...]
+    named: dict[tuple[int, int], Group]
+    mask: dict[Group, int]
+    member: dict[int, Group]
+    close: Callable[[int, int], int]
+
+
+@memo
+def normal_lattice(G: Group) -> NormalLattice:
+    """Every normal subgroup of G, with its class mask and its label.
 
     A normal subgroup is a union of conjugacy classes, and exactly a join of
-    the class atoms <C_a> it contains.  The lattice is therefore built on
-    bitmasks of class indices: closing a mask S under S <- S | S*C_a turns
-    a normal N into N<C_a>, and the set of classes met by C_i*C_a is read
-    off the smaller class times the other class's representative r, once
-    per pair.  Each x*y in C_i*C_a is conjugate to x'*r and to r*y', and
-    r*y' = r(y'*r)r^-1 is conjugate to y'*r, so either class may be the
-    smaller one.  The products are :func:`base_index` products, G's own
-    element objects, so no permutation is built per product.
+    the class atoms <C_a> it contains, so the lattice is built on bitmasks
+    of class indices, and they stay in the record for the containments,
+    joins and labels.  The classes met by C_i*C_a are read off the smaller
+    class times the other's representative r, once per pair, as
+    :func:`base_index` products: x*y in C_i*C_a is conjugate to x'*r and to
+    r*y', which is conjugate to y'*r.
 
     The normals are the closed sets of atoms, enumerated once each by Fast
     Close-by-One (Outrata and Vychodil, 2012).  Atom j stands for its first
-    class a_j, and a normal contains atom j exactly when it contains class
-    a_j, so the atoms of a mask are the mask itself restricted to those
+    class a_j, so the atoms of a mask are the mask restricted to those
     classes.  From a normal B reached by adding atom y, each atom j > y
     outside B gives D = B<C_{a_j}>, accepted only when D has no atom below
     j that B lacks.  A rejected D is handed down as the failure at j: a
     descendant that lacks one of its atoms below j would be rejected at j
-    too, so it skips j without a closure.  Each normal subgroup is
-    materialized as a Group only at the end, by :func:`group_from_elements`:
-    its generators are found, and its ``element_list`` waits for a reader.
+    too, so it skips j without a closure.  The members become Groups only
+    at the end, by :func:`group_from_elements`.
     """
     classes, index_of = conjugacy_classes(G), class_index(G)
     reps = [c[0] for c in classes]  # each class's minimum
@@ -606,37 +616,47 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
 
     generate(1, -1, [0] * len(firsts))
 
-    groups = [
-        group_from_elements(G.degree, (x for i in _bits(mask) for x in classes[i]))
-        for mask in found
-    ]
-    groups.sort(key=lambda H: (H.order, H.key()))
-    for H in groups:  # each is normal by construction
+    member = {m: group_from_elements(G.degree, class_members(G, m)) for m in found}
+    mask_of = {H: m for m, H in sorted(member.items(), key=lambda mH: (mH[1].order, mH[1].key()))}
+    for H in mask_of:  # each is normal by construction
         is_normal.record(G, H, result=True)
-    return tuple(groups)
+    named = {(o, i): H for o, same in groupby(mask_of, attrgetter("order"))
+             for i, H in enumerate(same)}
+    return NormalLattice(tuple(mask_of), named, mask_of, member, close)
+
+
+def normal_subgroups(G: Group) -> tuple[Group, ...]:
+    """Every normal subgroup of G, sorted by order then canonical key: the
+    members of :func:`normal_lattice`."""
+    return normal_lattice(G).groups
+
+
+def normal_mask(G: Group, N: Group) -> int:
+    """The class mask of N, normal in G: its member's in
+    :func:`normal_lattice`, or :func:`class_mask` of another Group's."""
+    mask = normal_lattice(G).mask.get(N)
+    return class_mask(G, N.elements) if mask is None else mask
 
 
 def join(G: Group, normals: Iterable[Group]) -> Group:
     """The join of normal subgroups of G, as the member of
-    :func:`normal_subgroups` with its element set, so that data memoized
-    on it is shared.  It is generated by the union of their generators."""
-    elements = subgroup_generated(G, (g for N in normals for g in N.generators)).elements
-    for N in normal_subgroups(G):
-        if N.elements == elements:
-            return N
-    raise InternalCheckError(f"no normal subgroup of order {len(elements)} has this element set")
+    :func:`normal_lattice`, so that data memoized on it is shared: the
+    trivial subgroup closed by the class step under each of their classes."""
+    lattice = normal_lattice(G)
+    joined = 1
+    for N in normals:
+        for a in _bits(normal_mask(G, N)):
+            if not joined >> a & 1:
+                joined = lattice.close(joined, a)
+    if joined not in lattice.member:
+        raise InternalCheckError(f"the join, of {joined.bit_count()} classes, is no lattice member")
+    return lattice.member[joined]
 
 
 def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
     """(order, index among that order, subgroup) for each normal subgroup:
-    the ``[order,index]`` labels of :func:`normal_subgroups`."""
-    out = []
-    counts: dict[int, int] = {}
-    for N in normal_subgroups(G):
-        idx = counts.get(N.order, 0)
-        counts[N.order] = idx + 1
-        out.append((N.order, idx, N))
-    return out
+    the ``[order,index]`` labels of :func:`normal_lattice`."""
+    return [(o, i, N) for (o, i), N in normal_lattice(G).named.items()]
 
 
 def point_stabilizer(G: Group, point: int) -> Group:
@@ -652,9 +672,8 @@ def element_orders(G: Group) -> dict[Permutation, int]:
     """The order of each element of G, in ``element_list`` order.
 
     Conjugate elements have equal orders, so the order is taken once per
-    class of :func:`conjugacy_classes`, from its first member: the lcm of
-    the cycle lengths of the base points of :func:`base_index`, which is
-    exact, since x**m = 1 exactly when x**m fixes every base point."""
+    class of :func:`conjugacy_classes`, from its first member, by
+    :meth:`BaseIndex.order`."""
     order = base_index(G).order
     orders: dict[Permutation, int] = dict.fromkeys(G.element_list)
     for c in conjugacy_classes(G):

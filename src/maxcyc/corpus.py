@@ -22,12 +22,15 @@ from .core import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_ORDER_CAP,
     Group,
+    class_mask,
     derived_subgroup,
     is_cyclic,
     is_p_group,
     is_solvable,
     join,
     labelled_normals,
+    normal_lattice,
+    normal_mask,
     normal_subgroups,
     point_stabilizer,
 )
@@ -436,9 +439,8 @@ def run_xsub(inst: Instance) -> list[Check] | None:
         return [Check("compute_X", False, "well-defined join", str(exc))]
     target = eta(G).eta
     preserving = eta_preserving_normals(G)
-    scan_ok = all(
-        (M in preserving) == (M.elements <= X.elements) for M in normal_subgroups(G)
-    )
+    x = normal_mask(G, X)
+    scan_ok = all((M in preserving) == (not m & ~x) for M, m in normal_lattice(G).mask.items())
     e_x = quotient_eta(G, X)
     checks = [
         Check("eta_preserved", e_x == target, target, e_x),
@@ -455,9 +457,9 @@ def run_xsub(inst: Instance) -> list[Check] | None:
 def run_derived(inst: Instance) -> list[Check]:
     G = inst.group
     checks = _per_normal(G, check_derived_criterion, proper=True)
-    D = derived_subgroup(G)
+    derived = class_mask(G, derived_subgroup(G).elements)
     for label, selector, value in inst.entry.selected("in_derived"):
-        inside = named_normal(G, *selector).elements <= D.elements
+        inside = not normal_mask(G, named_normal(G, *selector)) & ~derived
         checks.append(_flag_check(label, value, inside))
     if "derived_hyp" in inst.entry.expect:
         hyp, _ = _noncyclic_sylows_of_abelianization(G)
@@ -515,11 +517,9 @@ SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
 
 
 def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyReport | None]:
-    """Realize one corpus record once and run every named suite on it.
-
-    An error from either step, or a value the suites cannot read (such as
-    ``frobenius=x:eq``), is re-raised naming the record's line.
-    """
+    """Realize one corpus record once and run every named suite on it.  An
+    error from either step, or a value the suites cannot read (such as
+    ``frobenius=x:eq``), is re-raised naming the record's line."""
     suite_names, entry, order_cap, degree_cap = task
     try:
         inst = realize_entry(entry, order_cap, degree_cap)
@@ -537,11 +537,10 @@ def run_suites(
     jobs: int = 1,
 ) -> list[VerifyReport]:
     """Run the named suites over the corpus, reports in (suite, entry) order;
-    a suite named twice runs once, where it is first named.
-
-    Each entry is one task that realizes its group once and runs every suite
-    on it, in a pool of at most one process per entry when jobs > 1;
-    transposing the per-entry results makes the output identical either way.
+    a suite named twice runs once, where it is first named.  Each entry is
+    one task that realizes its group once and runs every suite on it, in a
+    pool of at most one process per entry when jobs > 1; transposing the
+    per-entry results makes the output identical either way.
     """
     suite_names = list(dict.fromkeys(suite_names))
     for name in suite_names:

@@ -1,64 +1,50 @@
 """Cyclic-subgroup structure of a finite group.
 
 Enumeration of cyclic subgroups, maximality, conjugacy classes of
-subgroups, and the counting invariants eta, eta_p, eta_star and l, plus
-the element sets G^- (non-generators of maximal cyclic subgroups) and
-G^{p} (p-th powers).
+subgroups, the counting invariants eta, eta_p, eta_star and l, and the
+element sets G^- (non-generators of maximal cyclic subgroups) and G^{p}
+(p-th powers).
 
 All of it reads one index per group (:func:`_cyclic_index`): every cyclic
 subgroup, built once from a power list, and the map from each element to
-the subgroup it generates.  The conjugacy classes of cyclic subgroups come
-from one walk per group (:func:`cyclic_classes`), which looks each
-conjugate up in that map; eta and l read the classes, and the callers that
-map elements to classes, eta* and the quotient conditions, number them
-(:func:`_cyclic_labels`).
-
-Products, powers and conjugates of G's elements go through
-:func:`maxcyc.core.base_index`: each reads the images of a short base
-(2 points for AGL1(127,126), against its degree 127) and looks the result
-up among G's own elements.
+the subgroup it generates.  The classes of cyclic subgroups come from one
+orbit walk per group (:func:`cyclic_classes`), and the callers that map
+elements to them number them (:func:`_cyclic_labels`).  Products, powers
+and conjugates of G's elements go through :func:`maxcyc.core.base_index`,
+which reads the images of a short base and looks the result up among G's
+own elements.
 
 Maximality is computed twice, by independent routes: a containment scan
-that asks, for each cyclic subgroup, whether its generator lies in a
-larger one, and the prime-power characterization
-``G^- = {g**q : q prime, q | order(g)}``, which takes orders and powers
-from the cycles of the base points and never reads the index.  Both are
-class functions, so the power route takes them once per conjugacy class
-of :func:`maxcyc.core.conjugacy_classes`.  The two routes must agree on
-every call; any disagreement raises InternalCheckError immediately, so
-the identity is a permanent self-test, of the class walk too, rather
-than an assumption.
-
-The invariants of a quotient G/N (:func:`quotient_invariants`) come from
-the same index through the coset map, since <xN> is the image of <x>: the
-same scan and power route run on coset points, and the same orbit walk,
-:func:`maxcyc.core.orbits`, on the maximal images, and G/N is never built
-as a group.  The invariants of a normal subgroup N
-(:func:`subgroup_invariants`) come from the same index too: the cyclic
-subgroups of N are G's that lie in N, the same scan and power route run
-on them, and the orbit walk runs under N's generators, so N is never
-given an index of its own.  The label of an element, the class number of
-the subgroup it generates (:func:`_cyclic_labels`), decides the quotient
-conditions of :func:`maxcyc.theorems.check_quot_conditions`.
+of the index, and the prime-power characterization
+``G^- = {g**q : q prime, q | order(g)}``, taken once per conjugacy class
+(:func:`power_classes`).  The two must agree on every call, or
+InternalCheckError is raised, so the identity is a permanent self-test,
+of the class walk too.  The invariants of a quotient G/N
+(:func:`quotient_invariants`) and of a normal subgroup N
+(:func:`subgroup_invariants`) come from the same index, through the coset
+map or restricted to N, and neither is given an index of its own.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Any, Collection, Mapping, NamedTuple, Sequence
 
 from .core import (
     CosetTable,
     Group,
+    _bits,
     base_index,
     class_index,
+    class_mask,
+    class_members,
     conjugacy_classes,
     coset_table,
     element_orders,
     is_normal,
     memo,
-    normal_subgroups,
+    normal_lattice,
+    normal_mask,
     orbits,
 )
 from .errors import InternalCheckError, NotNormal
@@ -67,13 +53,10 @@ from .perm import Permutation
 
 
 class CyclicSubgroup:
-    """A cyclic subgroup, identified by its element set.
-
-    ``canonical_generator`` is the lexicographically smallest generator;
-    two values are equal exactly when their element sets are equal.  The
+    """A cyclic subgroup, identified by its element set, with its
+    lexicographically smallest generator as ``canonical_generator``.  The
     cyclic subgroups of a quotient, in :func:`quotient_invariants`, hold
-    coset points instead, with a generating point as
-    ``canonical_generator``; they are never sorted.
+    coset points instead, and a generating point; they are never sorted.
     """
 
     __slots__ = ("elements", "order", "canonical_generator", "_sort_key")
@@ -105,12 +88,10 @@ def _cyclic_index(G: Group) -> tuple[
     dict[Permutation, CyclicSubgroup],
 ]:
     """All cyclic subgroups of G, plus the map from element to <element>.
-
-    Each subgroup is built from the power list of the first element met
-    that generates no subgroup seen so far; its generators are the powers
-    g**k with gcd(k, n) = 1.  Each power is G's own element object, the
-    product x*g of :func:`maxcyc.core.base_index`.  A power list longer
-    than |G| raises InternalCheckError.
+    Each subgroup is built from the power list, of base-index products, of
+    the first element met that generates no subgroup seen so far; its
+    generators are the powers g**k with gcd(k, n) = 1.  A power list
+    longer than |G| raises InternalCheckError.
     """
     base = base_index(G)
     ident = base.element_of[base.read_at]  # the identity fixes the base
@@ -145,13 +126,9 @@ def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
 
 def _power_route(G: Group, table: CosetTable) -> tuple[frozenset[int], tuple[int, ...]]:
     """(G/N)^- by its prime-power characterization, as the coset points of
-    `table` (that of a normal N), with the order of each coset.
-
-    ``(G/N)^- = {(xN)**q : q prime, q | order(xN)}``, taken on one x per
-    coset: the order of xN is the least divisor d of o(x) with x**d in N,
-    and (xN)**q is the coset of x**q.  Orders and powers come from the
-    cycles of the base points of :func:`maxcyc.core.base_index`, and the
-    cyclic index is never read.
+    `table` (that of a normal N), with the order of each coset: on one x
+    per coset, o(xN) is the least divisor d of o(x) with x**d in N, and
+    (xN)**q is the coset of x**q.  The cyclic index is never read.
     """
     orders = element_orders(G)
     power = base_index(G).power
@@ -168,24 +145,32 @@ def _power_route(G: Group, table: CosetTable) -> tuple[frozenset[int], tuple[int
     return frozenset(minus), tuple(coset_orders)
 
 
-def _powers_of_classes(G: Group, classes: Sequence[list[Permutation]]) -> frozenset[Permutation]:
-    """The non-generators of the subgroup that the given conjugacy classes
-    of G make up: the union of those classes that meet a seed r**q, for r
-    the first member of a class and q a prime dividing its order.  As
-    (h r h^-1)**q = h r**q h^-1, the prime-index powers of a class are the
-    classes of its first member's powers."""
-    orders = element_orders(G)
+@memo
+def power_classes(G: Group) -> tuple[dict[int, int], ...]:
+    """For each class of :func:`maxcyc.core.conjugacy_classes`, with first
+    member r, the class of r**q for each prime q dividing the order of r.
+    As (h r h^-1)**q = h r**q h^-1, these are the classes of the
+    prime-index powers of every member of the class."""
+    classes, orders = conjugacy_classes(G), element_orders(G)
     power = base_index(G).power
-    seeds = {power(c[0], q) for c in classes for q in prime_factors(orders[c[0]])}
-    met = (c for c in classes if not seeds.isdisjoint(c))
-    return frozenset(chain.from_iterable(met))
+    powers = [{q: power(c[0], q) for q in prime_factors(orders[c[0]])} for c in classes]
+    seeds = {x for p in powers for x in p.values()}
+    class_of = {x: i for i, c in enumerate(classes) for x in c if x in seeds}
+    return tuple({q: class_of[x] for q, x in p.items()} for p in powers)
+
+
+def _powers_mask(G: Group, mask: int) -> int:
+    """The non-generators of the subgroup that the classes in `mask` make
+    up, as a class mask: the classes that their prime-index powers meet."""
+    powers = power_classes(G)
+    return sum(1 << j for j in {j for i in _bits(mask) for j in powers[i].values()})
 
 
 @memo
 def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
     """{ g**q : g in G, q a prime dividing the order of g }, by
-    :func:`_powers_of_classes` on all of G's conjugacy classes."""
-    return _powers_of_classes(G, conjugacy_classes(G))
+    :func:`_powers_mask` on all of G's conjugacy classes."""
+    return frozenset(class_members(G, _powers_mask(G, (1 << len(conjugacy_classes(G))) - 1)))
 
 
 def _maximal(
@@ -196,15 +181,12 @@ def _maximal(
 ) -> list[CyclicSubgroup]:
     """The maximal members of `subs`, every cyclic subgroup of a group.
 
-    A containment scan: a cyclic s lies in t exactly when its generator
-    does, so s is maximal when no subgroup containing
+    A containment scan: s is maximal when no subgroup containing
     ``s.canonical_generator`` is larger than s.  `sub_of` maps each element
-    to the subgroup it generates.  The result is checked against the power
-    route, given as its non-generators `minus` and element `orders`, keyed
-    like `sub_of`: `minus` must be exactly the elements whose subgroup is
-    not maximal, and each element's subgroup, as well as the canonical
-    generator of each subgroup, must have its order.  Any disagreement
-    raises InternalCheckError.
+    to the subgroup it generates.  The power route, given as `minus` and
+    element `orders` keyed like `sub_of`, must agree: `minus` is exactly
+    the elements whose subgroup is not maximal, and each subgroup has the
+    order of its generators.  Any disagreement raises InternalCheckError.
     """
     largest: dict[Any, int] = {}
     for t in subs:
@@ -240,10 +222,8 @@ def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
 def g_minus(G: Group) -> frozenset[Permutation]:
     """Elements whose generated subgroup is not maximal cyclic:
     :func:`g_minus_via_powers`, once :func:`maximal_cyclic_subgroups` has
-    checked that the containment scan finds the same set.
-
-    In a nontrivial group the identity always belongs here; in the trivial
-    group the trivial subgroup counts as maximal cyclic, so the set is empty.
+    checked that the containment scan finds the same set.  It holds the
+    identity of a nontrivial group, and is empty for the trivial group.
     """
     maximal_cyclic_subgroups(G)
     return g_minus_via_powers(G)
@@ -337,12 +317,10 @@ def quotient_invariants(G: Group, N: Group, *, table: CosetTable | None = None) 
     has built it.
 
     <xN> is the image of <x>, so the cyclic subgroups of G/N are the images
-    under the coset map of the subgroups that the coset representatives
-    generate, each projected once.  The maximal ones come from the
-    containment scan, cross-checked against the power route on the cosets;
-    their classes are the :func:`maxcyc.core.orbits` under the generators
-    outside the centre, where a generator g sends <xN> to the image of
-    <g x g^-1>.  No permutation of degree |G:N| is built.
+    of those the coset representatives generate.  The maximal ones come
+    from the containment scan, cross-checked against the power route on the
+    cosets, and their classes are the :func:`maxcyc.core.orbits` under the
+    generators outside the centre.  No permutation of degree |G:N| is built.
     """
     if table is None:
         table = coset_table(G, N)
@@ -378,17 +356,18 @@ def eta_preserving_normals(G: Group) -> tuple[Group, ...]:
     order of :func:`maxcyc.core.normal_subgroups`.
 
     Condition (a), N inside G^-, is necessary, so a normal outside G^- is
-    dropped before its quotient is read.  Suppose some n in N generates a
-    maximal cyclic <n>.  Every maximal cyclic <xN> of G/N is the image of
-    a maximal cyclic subgroup of G: <x> lies in a maximal cyclic <y>, and
-    <xN> lies in <yN>.  The class of <n> maps to the trivial subgroup,
-    which is not maximal in G/N when N < G, so eta(G/N) <= eta(G) - 1.
+    dropped, on class masks, before its quotient is read.  Suppose some n
+    in N generates a maximal cyclic <n>.  Every maximal cyclic <xN> of G/N
+    is the image of a maximal cyclic subgroup of G: <x> lies in a maximal
+    cyclic <y>, and <xN> lies in <yN>.  The class of <n> maps to the
+    trivial subgroup, which is not maximal in G/N when N < G, so
+    eta(G/N) <= eta(G) - 1.
     """
     target = eta(G).eta
-    minus = g_minus(G)
+    minus = class_mask(G, g_minus(G))
     return tuple(
-        N for N in normal_subgroups(G)
-        if N.order < G.order and N.elements <= minus and quotient_eta(G, N) == target
+        N for N, mask in normal_lattice(G).mask.items()
+        if N.order < G.order and not mask & ~minus and quotient_eta(G, N) == target
     )
 
 
@@ -415,22 +394,18 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
 
     The cyclic subgroups of N are the <x> of G's index for x in N.  The
     N-maximal ones come from the containment scan of :func:`_maximal`,
-    cross-checked against the power route on N: conjugation by G permutes
-    N and commutes with powers, so N^- is the union of the G-classes in N
-    that meet a seed, by :func:`_powers_of_classes` on those classes.  The
+    cross-checked against N^-, :func:`_powers_mask` on N's class mask.  The
     N-classes of cyclic subgroups are the :func:`maxcyc.core.orbits` under
-    conjugation by N's generators outside the centre of G, and those of
-    the maximal ones are the orbits that start at a maximal one, since
-    conjugates of a maximal subgroup are maximal.  N is never given a
-    base, an index or classes of its own.
+    N's generators outside the centre of G, and those of the maximal ones
+    the orbits that start at a maximal one.  N is never given a base, an
+    index or classes of its own.
     """
     if not is_normal(G, N):
         raise NotNormal("subgroup_invariants requires N normal in G")
     _, sub_of = _cyclic_index(G)
     in_n = {x: sub_of[x] for x in N.elements}
     subs = {s.elements: s for s in in_n.values()}.values()
-    classes, index_of = conjugacy_classes(G), class_index(G)
-    minus = _powers_of_classes(G, [classes[i] for i in {index_of[x] for x in in_n}])
+    minus = frozenset(class_members(G, _powers_mask(G, normal_mask(G, N))))
     maximal = _maximal(subs, in_n, minus, element_orders(G))
     conjugator = base_index(G).conjugator
     maps = [

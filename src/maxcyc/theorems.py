@@ -16,9 +16,11 @@ from typing import Any, Iterator, NamedTuple
 
 from .core import (
     Group,
+    _bits,
     base_index,
     center,
-    closed_under_product,
+    class_mask,
+    conjugacy_classes,
     coset_table,
     derived_subgroup,
     element_orders,
@@ -29,7 +31,8 @@ from .core import (
     is_p_group,
     join,
     memo,
-    normal_subgroups,
+    normal_lattice,
+    normal_mask,
     subgroup_generated,
 )
 from .cyclic import (
@@ -40,6 +43,7 @@ from .cyclic import (
     eta_star,
     g_minus,
     maximal_cyclic_classes,
+    power_classes,
     quotient_eta,
     quotient_invariants,
     subgroup_invariants,
@@ -73,6 +77,43 @@ def _require_noncyclic_p_group(G: Group, caller: str) -> None:
         raise NotPGroup(f"{caller} requires a p-group")
     if is_cyclic(G):
         raise GroupIsCyclic(f"{caller} requires a noncyclic group")
+
+
+def _inside(small: int, large: int) -> bool:
+    """Whether the class set `small` lies in `large`, both class masks."""
+    return not small & ~large
+
+
+class _ClassPowers(NamedTuple):
+    """G's classes as the laws on class masks read them: the order of each
+    class, the mask of every class and of those whose order is not a prime
+    power, and, for each class j, the mask of the classes with a
+    prime-index power in class j (:func:`maxcyc.cyclic.power_classes`)."""
+
+    orders: list[int]
+    every: int
+    composite: int
+    roots: list[int]
+
+    def prime_modulo(self, inside: int) -> int:
+        """The classes whose cosets xN have order 1 or a prime, for N given
+        by its class mask.  For x outside N, o(xN) divides o(x), so it is a
+        prime q exactly when x**q lies in N, as it does for the whole
+        class when it does for one member."""
+        for j in _bits(inside):
+            inside |= self.roots[j]
+        return inside
+
+
+@memo
+def _class_powers(G: Group) -> _ClassPowers:
+    orders = [element_orders(G)[c[0]] for c in conjugacy_classes(G)]
+    roots = [0] * len(orders)
+    for i, powers in enumerate(power_classes(G)):
+        for j in powers.values():
+            roots[j] |= 1 << i
+    composite = sum(1 << i for i, n in enumerate(orders) if not _prime_power(n))
+    return _ClassPowers(orders, (1 << len(orders)) - 1, composite, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +200,12 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     Both are decided on the label of each element, the class of the
     cyclic subgroup it generates (:func:`maxcyc.cyclic._cyclic_labels`),
     since y is conjugate to a generator of <x> exactly when <y> is
-    conjugate to <x>:
-    if y = g z g^-1 with <z> = <x>, then <y> = g <x> g^-1;
-    if <y> = g <x> g^-1, then g^-1 y g generates <x>.
-    So (c) holds when, in each coset of N, the elements outside G^- share
-    one label, and the strong condition when each coset that meets
-    G \\ G^- has one label throughout.  The witnesses are the first three
-    failing pairs ``x ~ y``, x in ``element_list`` order and y = x*n in
-    ``N.element_list`` order; only the cosets that fail are walked.
+    conjugate to <x>.  So (c) holds when, in each coset of N, the elements
+    outside G^- share one label, and the strong condition when each coset
+    that meets G \\ G^- has one label throughout.  The witnesses are the
+    first three failing pairs ``x ~ y``, x in ``element_list`` order and
+    y = x*n in ``N.element_list`` order; only the cosets that fail are
+    walked.  The quotient's invariants are read on the one coset table.
     """
     if not is_normal(G, N):
         raise NotNormal("check_quot_conditions requires N normal in G")
@@ -181,11 +220,9 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     equal = eta_g == eta_q
     witnesses: dict[str, tuple[str, ...]] = {}
 
-    cond_a = N.elements <= gminus_set
+    cond_a = _inside(normal_mask(G, N), class_mask(G, gminus_set))
     if not cond_a:
-        witnesses["cond_a"] = tuple(
-            x.cycle_string() for x in sorted(N.elements - gminus_set)[:3]
-        )
+        witnesses["cond_a"] = tuple(x.cycle_string() for x in sorted(N.elements - gminus_set)[:3])
 
     label = _cyclic_labels(G)
     covered_points = set()  # the cosets inside G^-
@@ -270,11 +307,9 @@ def quot_report_checks(G: Group, rep: QuotCheckReport) -> list[Check]:
                "strong": rep.strong_generator_condition}),
     ]
     if is_p_group(G):
-        checks.append(
-            Check("pgroup_union", (not rep.equal) or rep.gminus_coset_union,
-                  "p-group: equal => G^- a union of N-cosets",
-                  {"equal": rep.equal, "union": rep.gminus_coset_union})
-        )
+        checks.append(Check("pgroup_union", (not rep.equal) or rep.gminus_coset_union,
+                            "p-group: equal => G^- a union of N-cosets",
+                            {"equal": rep.equal, "union": rep.gminus_coset_union}))
     if rep.gminus_n_stable is not None:
         checks.append(Check("gminusN", rep.gminus_n_stable, True, rep.gminus_n_stable))
         checks.append(Check("quotient_gminus", rep.quotient_gminus_matches, True,
@@ -299,10 +334,9 @@ def compute_X(G: Group) -> Group:
     X = join(G, qualifying)
     if quotient_eta(G, X) != target:
         raise InternalCheckError("join of eta-preserving normals does not preserve eta")
-    if not all(M.elements <= X.elements for M in qualifying):
+    x = normal_mask(G, X)
+    if not all(_inside(normal_mask(G, M), x) for M in qualifying):
         raise InternalCheckError("a qualifying normal subgroup escapes the join")
-    if not is_normal(G, X):
-        raise InternalCheckError("X is not normal")
     return X
 
 
@@ -311,41 +345,39 @@ def compute_X(G: Group) -> Group:
 # ---------------------------------------------------------------------------
 
 def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
-    """Structural class of G/N, for N normal in G, read off G's cosets.
+    """Structural class of G/N, for N normal in G, read off G's classes.
 
     Returns ``not_all_prime_order`` when some coset order is composite.
     Otherwise G/N is an exponent-p p-group, a Frobenius group with
     exponent-p kernel and complement of prime order q, or the simple group
     of order 60 (whose normals are the images of the normals of G that
-    contain N), and the matching structure is verified on the cosets.  The
+    contain N), verified on class masks (:meth:`_ClassPowers.prime_modulo`):
+    the cosets of order p are those of the classes with a p-th power in N.
+    A kernel K/N of prime index q is Frobenius, as an element of order q
+    that commuted with one of order p would make one of order pq.  The
     trivial group counts, vacuously, as a 2-group of exponent 2.
     """
+    if not is_normal(G, N):
+        raise NotNormal(f"subgroup of order {N.order} is not normal in G")
     index = G.order // N.order
     primes = prime_factors(index)
-    # only a quotient of two primes reads the cosets themselves
-    table = coset_table(G, N) if len(primes) == 2 else None
-    orders = quotient_invariants(G, N, table=table).orders
-    if any(o != 1 and not is_prime(o) for o in orders):
+    inside, powers = normal_mask(G, N), _class_powers(G)
+    if powers.prime_modulo(inside) != powers.every:
         return PrimeOrderClass("not_all_prime_order")
     if len(primes) <= 1:
         return PrimeOrderClass("exponent_p", p=primes[0] if primes else 2)
-    if index == 60 and sum(N.elements <= M.elements for M in normal_subgroups(G)) == 2:
+    lattice = normal_lattice(G)
+    if index == 60 and sum(_inside(inside, m) for m in lattice.member) == 2:
         return PrimeOrderClass("a5")
-    if table is not None:
-        reps, point_of = table.representatives, table.point_of
-        conjugator = base_index(G).conjugator
-        for kernel_p, comp_q in ((primes[0], primes[1]), (primes[1], primes[0])):
-            if p_part(index, comp_q) != comp_q:
-                continue
-            kernel = [c for c, o in enumerate(orders) if o in (1, kernel_p)]
-            if len(kernel) * comp_q != index:
-                continue
-            if not closed_under_product([x for c in kernel for x in table.cosets[c]]):
-                continue
-            # each coset of order q must move every kernel coset but N itself
-            conjugators = [conjugator(r) for r, o in zip(reps, orders) if o == comp_q]
-            if all(point_of[f(reps[c])] != c for f in conjugators for c in kernel[1:]):
-                return PrimeOrderClass("frobenius_pq", p=kernel_p, q=comp_q)
+    power_of = power_classes(G)
+    for kernel_p, comp_q in (primes, primes[::-1]) if len(primes) == 2 else ():
+        # the kernel: N and the classes with a p-th power in N (a class whose
+        # order p does not divide looks itself up), a normal subgroup, and so
+        # a lattice member, exactly when it is closed
+        kernel = sum(1 << i for i, row in enumerate(power_of) if inside >> row.get(kernel_p, i) & 1)
+        K = lattice.member.get(inside | kernel)
+        if p_part(index, comp_q) == comp_q and K is not None and K.order * comp_q == G.order:
+            return PrimeOrderClass("frobenius_pq", p=kernel_p, q=comp_q)
     raise ClassificationFailed(
         f"group of order {index} with all prime element orders matches no "
         "expected structure"
@@ -355,7 +387,7 @@ def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
 def check_first_main(G: Group) -> list[Check]:
     """If <G^-> is proper, the quotient by it must be an exponent-p group,
     a Frobenius group with prime-order complement, or the simple group of
-    order 60.  The quotient is classified on G's coset data by
+    order 60.  The quotient is classified on G's classes by
     :func:`classify_prime_order_group` and never realized as a group."""
     H = subgroup_generated(G, g_minus(G))
     normal = is_normal(G, H)
@@ -365,10 +397,8 @@ def check_first_main(G: Group) -> list[Check]:
         return checks
     try:
         cls = classify_prime_order_group(G, H)
-        checks.append(
-            Check("quotient_class", cls.kind != "not_all_prime_order",
-                  "exponent_p | frobenius_pq | a5", cls.kind)
-        )
+        checks.append(Check("quotient_class", cls.kind != "not_all_prime_order",
+                            "exponent_p | frobenius_pq | a5", cls.kind))
     except ClassificationFailed as exc:
         checks.append(Check("quotient_class", False, "a known class", str(exc)))
     return checks
@@ -381,17 +411,15 @@ def check_first_main(G: Group) -> list[Check]:
 def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     """G^- lies in N exactly when everything outside N has prime power
     order and the quotient has prime element orders; plus the prime-index
-    and exponent-p refinements."""
+    and exponent-p refinements, all read on class masks, the quotient
+    orders by :meth:`_ClassPowers.prime_modulo`, with no coset table."""
     if not is_normal(G, N):
         raise NotNormal("check_gminus_containment requires N normal")
-    gm = g_minus(G)
-    contained = gm <= N.elements
-    orders = element_orders(G)
-    outside_ppo = all(
-        _prime_power(n) for x, n in orders.items() if x not in N.elements
-    )
-    quotient_orders = quotient_invariants(G, N).orders
-    q_prime = all(n == 1 or is_prime(n) for n in quotient_orders)
+    inside, powers = normal_mask(G, N), _class_powers(G)
+    outside = powers.every & ~inside
+    contained = _inside(class_mask(G, g_minus(G)), inside)
+    outside_ppo = not outside & powers.composite
+    q_prime = powers.prime_modulo(inside) == powers.every
     checks = [
         Check("part1", contained == (outside_ppo and q_prime),
               "G^- in N <=> (prime-power outside, prime orders in G/N)",
@@ -399,29 +427,25 @@ def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     ]
     index = G.order // N.order
     if is_prime(index):
-        p = index
-        outside_p_power = all(
-            p_part(n, p) == n for x, n in orders.items() if x not in N.elements
-        )
-        checks.append(
-            Check("part2", contained == outside_p_power,
-                  "index p: G^- in M <=> p-power orders outside M",
-                  {"contained": contained, "outside_p_power": outside_p_power})
-        )
-    p = is_p_group(G)
-    if p is not None and math.lcm(*quotient_orders) in (1, p):
-        checks.append(
-            Check("part3", contained, "p-group with exponent-p quotient: G^- in N",
-                  contained)
-        )
+        outside_p_power = all(p_part(powers.orders[i], index) == powers.orders[i]
+                              for i in _bits(outside))
+        checks.append(Check("part2", contained == outside_p_power,
+                            "index p: G^- in M <=> p-power orders outside M",
+                            {"contained": contained, "outside_p_power": outside_p_power}))
+    # in a p-group each coset order is a power of p, so G/N has exponent 1
+    # or p exactly when each is 1 or prime
+    if is_p_group(G) is not None and q_prime:
+        checks.append(Check("part3", contained, "p-group with exponent-p quotient: G^- in N",
+                            contained))
     return checks
 
 
 def check_gminus_subgroup_lemma(G: Group) -> list[Check]:
     """When G^- is closed under the product, every element order must be a
-    prime power; vacuous when G^- is not a subgroup."""
-    gm = g_minus(G)
-    closed = closed_under_product(gm)
+    prime power; vacuous when G^- is not a subgroup.  G^- is a union of
+    classes, so it is closed exactly when its class mask is a lattice
+    member."""
+    closed = class_mask(G, g_minus(G)) in normal_lattice(G).member
     checks = [Check("gminus_is_subgroup", True, None, closed)]
     if closed:
         all_ppo = all_prime_power_orders(G)
@@ -452,14 +476,13 @@ def check_l_relation(G: Group) -> list[Check]:
     rep = eta(G)
     lhs = rep.eta == rep.l_value - 1
     rhs = all(is_prime(n) for n in element_orders(G).values() if n > 1)
-    checks = [
+    return [
         Check("eta_le_l_minus_1", rep.eta <= rep.l_value - 1,
               "eta <= l - 1", (rep.eta, rep.l_value)),
         Check("biconditional", lhs == rhs,
               "eta = l - 1 <=> all prime element orders",
               {"eta": rep.eta, "l": rep.l_value, "all_prime": rhs}),
     ]
-    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -470,34 +493,23 @@ def check_dirproduct_laws(G: Group, H: Group, K: Group) -> list[Check]:
     """The five direct-product laws for G = H x K, each evaluated when
     applicable."""
     e_h, e_k, e_g = eta(H).eta, eta(K).eta, eta(G).eta
-    checks = [
-        Check("i.product_lower_bound", e_g >= e_h * e_k,
-              f"eta >= {e_h}*{e_k}", e_g)
-    ]
+    checks = [Check("i.product_lower_bound", e_g >= e_h * e_k, f"eta >= {e_h}*{e_k}", e_g)]
     if math.gcd(H.order, K.order) == 1:
-        checks.append(
-            Check("ii.coprime_equality", e_g == e_h * e_k, e_h * e_k, e_g)
-        )
+        checks.append(Check("ii.coprime_equality", e_g == e_h * e_k, e_h * e_k, e_g))
     for name, A, B, e_a, e_b in (("H", H, K, e_h, e_k), ("K", K, H, e_k, e_h)):
         p = is_p_group(A)
         if p is not None and B.order % p == 0:
             bound = e_a * e_b + eta_p(B, p)
-            checks.append(
-                Check(f"iii.pgroup_{name}", e_g >= bound and e_g > e_a * e_b,
-                      f"eta >= {bound} > {e_a * e_b}", e_g)
-            )
+            checks.append(Check(f"iii.pgroup_{name}", e_g >= bound and e_g > e_a * e_b,
+                                f"eta >= {bound} > {e_a * e_b}", e_g))
     shared = [p for p in prime_factors(H.order) if K.order % p == 0]
     for name, A, B, e_b in (("H", H, K, e_k), ("K", K, H, e_h)):
         if A.order > 1 and shared and is_nilpotent(A):
-            checks.append(
-                Check(f"iv.nilpotent_{name}", e_g > e_b, f"eta > {e_b}", e_g)
-            )
+            checks.append(Check(f"iv.nilpotent_{name}", e_g > e_b, f"eta > {e_b}", e_g))
     p_h, p_k = is_p_group(H), is_p_group(K)
     if p_h is not None and p_h == p_k:
         bound = e_h * e_k + e_h + e_k
-        checks.append(
-            Check("v.same_prime_pgroups", e_g >= bound, f"eta >= {bound}", e_g)
-        )
+        checks.append(Check("v.same_prime_pgroups", e_g >= bound, f"eta >= {bound}", e_g))
     return checks
 
 
@@ -533,14 +545,8 @@ def verify_frobenius(G: Group, N: Group, H: Group) -> None:
 def check_frobenius_eta(G: Group, N: Group, H: Group) -> list[Check]:
     """eta of a Frobenius group is eta*(kernel) + eta(complement)."""
     verify_frobenius(G, N, H)
-    e_star = eta_star(G, N)
-    e_h = eta(H).eta
-    e_g = eta(G).eta
-    checks = [
-        Check("frobenius_sum", e_g == e_star + e_h,
-              f"eta(G) == {e_star} + {e_h}", e_g)
-    ]
-    return checks
+    e_star, e_h, e_g = eta_star(G, N), eta(H).eta, eta(G).eta
+    return [Check("frobenius_sum", e_g == e_star + e_h, f"eta(G) == {e_star} + {e_h}", e_g)]
 
 
 def check_centre_bounds(G: Group, N: Group) -> list[Check]:
@@ -553,12 +559,10 @@ def check_centre_bounds(G: Group, N: Group) -> list[Check]:
     e_star = eta_star(G, N)
     checks = [Check("star_bound", e_g >= e_star, f"eta(G) >= {e_star}", e_g)]
     e_n = subgroup_invariants(G, N).eta
-    if N.elements <= center(G).elements:
+    if _inside(normal_mask(G, N), class_mask(G, center(G).elements)):
         checks.append(Check("central_case", e_g >= e_n, f"eta(G) >= {e_n}", e_g))
     k = G.order // N.order
-    checks.append(
-        Check("index_k_case", k * e_g >= e_n, f"{k}*eta(G) >= {e_n}", k * e_g)
-    )
+    checks.append(Check("index_k_case", k * e_g >= e_n, f"{k}*eta(G) >= {e_n}", k * e_g))
     return checks
 
 
@@ -567,16 +571,13 @@ def check_centre_bounds(G: Group, N: Group) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def _noncyclic_sylows_of_abelianization(G: Group) -> tuple[bool, Group]:
-    """Whether every nontrivial Sylow subgroup of G/G' is noncyclic."""
-    D = derived_subgroup(G)
+    """Whether every nontrivial Sylow subgroup of G/G' is noncyclic, and G'
+    as its lattice member, whose quotient the quot suite has read."""
+    D = normal_lattice(G).member[class_mask(G, derived_subgroup(G).elements)]
     orders = quotient_invariants(G, D).orders
-    hyp = True
-    for p in prime_factors(len(orders)):
-        size = p_part(len(orders), p)
-        if size > 1 and size in orders:
-            hyp = False
-            break
-    return hyp, D
+    # a Sylow p-subgroup of the abelian G/G' is cyclic when some element's
+    # order is its whole order
+    return not any(p_part(len(orders), p) in orders for p in prime_factors(len(orders))), D
 
 
 def check_derived_criterion(G: Group, N: Group) -> list[Check]:
@@ -590,7 +591,7 @@ def check_derived_criterion(G: Group, N: Group) -> list[Check]:
         return [Check("vacuous (eta not preserved)", True, "skip",
                       {"eta_g": e_g, "eta_q": e_q})]
     hyp, D = _noncyclic_sylows_of_abelianization(G)
-    inside = N.elements <= D.elements
+    inside = _inside(normal_mask(G, N), normal_mask(G, D))
     checks = [Check("hypothesis_noncyclic_sylows", True, None, hyp)]
     if hyp:
         checks.append(Check("N_inside_derived", inside, True, inside))
@@ -624,11 +625,11 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
         raise NotNormal("N and M must be normal")
     if quotient_eta(G, N) != eta(G).eta:
         raise HypothesisFailed("eta(G/N) != eta(G)")
-    gm = g_minus(G)
-    dichotomy = N.elements <= M.elements or M.elements <= gm
+    n, m = normal_mask(G, N), normal_mask(G, M)
+    n_in_m, m_in_gminus = _inside(n, m), _inside(m, class_mask(G, g_minus(G)))
     checks = [
-        Check("dichotomy", dichotomy, "N <= M or M <= G^-",
-              {"N_in_M": N.elements <= M.elements, "M_in_gminus": M.elements <= gm})
+        Check("dichotomy", n_in_m or m_in_gminus, "N <= M or M <= G^-",
+              {"N_in_M": n_in_m, "M_in_gminus": m_in_gminus})
     ]
     # a maximal cyclic subgroup is normal exactly when it is its own class
     for cls in maximal_cyclic_classes(G):

@@ -8,14 +8,18 @@ eta* oracles likewise share no code with maxcyc.cyclic, and the greedy
 generator, closure and pairwise-product oracles none with maxcyc.core's
 incremental closure.  The classification and Frobenius-conjugate oracles
 work element by element on a group of their own, where maxcyc.theorems
-reads G's coset data and one conjugate per coset.  :func:`relabelled`
+reads G's class masks and one conjugate per coset.  :func:`relabelled`
 moves a group to other points, which changes its base and its element
 order but none of its invariants.  :func:`g_minus_oracle` takes G^- from
 its definition, one element at a time, where maxcyc.cyclic takes one
 power per conjugacy class.  :func:`quot_conditions_oracle` decides the
 quotient conditions pair by pair from element classes, where
 maxcyc.theorems compares the class labels of cyclic subgroups once per
-coset.  :func:`perm_order`, :func:`is_abelian` and
+coset.  :func:`coset_orders_oracle`, :func:`center_oracle`,
+:func:`derived_oracle`, :func:`joins_oracle` and
+:func:`gminus_containment_oracle` read element sets and the integer
+multiplication table, where maxcyc reads the class masks of its normal
+lattice.  :func:`perm_order`, :func:`is_abelian` and
 :func:`is_simple_nonabelian_60` are reference predicates that the library
 itself no longer needs; the last reads the subgroup oracle.  :func:`passed`
 reads a verifier's list of checks.
@@ -33,7 +37,7 @@ from maxcyc.core import Group
 from maxcyc.errors import ClassificationFailed, NotFrobenius
 from maxcyc.numutil import is_prime, prime_factors
 from maxcyc.perm import Permutation
-from maxcyc.theorems import PrimeOrderClass
+from maxcyc.theorems import Check, PrimeOrderClass
 
 
 def passed(checks: Iterable) -> bool:
@@ -382,6 +386,72 @@ def quot_conditions_oracle(
     if bad_strong:
         witnesses["strong"] = tuple(bad_strong[:3])
     return not outside, not differ, not bad_c, not bad_strong, witnesses
+
+
+def coset_orders_oracle(G: Group, N: Group) -> dict[Permutation, int]:
+    """o(xN) for each x in G: the least k >= 1 with x**k in N, by repeated
+    multiplication on G's integer multiplication table; no coset table,
+    class or power of maxcyc."""
+    elems, index, mult = _table(G)
+    inside = {index[x] for x in N.element_list}
+    orders = {}
+    for i, x in enumerate(elems):
+        k, y = 1, i
+        while y not in inside:
+            k, y = k + 1, mult[y][i]
+        orders[x] = k
+    return orders
+
+
+def center_oracle(G: Group) -> frozenset[Permutation]:
+    """The elements of G that commute with each of its generators."""
+    return frozenset(x for x in G if all(x * g == g * x for g in G.generators))
+
+
+def derived_oracle(G: Group) -> frozenset[Permutation]:
+    """G', closed from every commutator a^-1 b^-1 a b of two elements."""
+    return subgroup_closure(G, {a.inverse() * b.inverse() * a * b for a in G for b in G})
+
+
+def joins_oracle(G: Group, pairs: Iterable[tuple[Group, Group]]) -> list[frozenset[Permutation]]:
+    """The subgroup that each pair of subgroups generates, closed from all
+    their elements on G's integer multiplication table, built once."""
+    elems, index, mult = _table(G)
+    return [frozenset(elems[i] for i in _close(mult, (index[x] for x in N.elements | M.elements)))
+            for N, M in pairs]
+
+
+def gminus_containment_oracle(G: Group, N: Group) -> list[Check]:
+    """The checks of ``check_gminus_containment``, as that function read
+    them off element sets and the quotient's coset orders, before it read
+    class masks: G^- by :func:`g_minus_oracle`, element orders by
+    :func:`perm_order` and coset orders by :func:`coset_orders_oracle`."""
+    gm = g_minus_oracle(G)
+    contained = gm <= N.elements
+    orders = {x: perm_order(x) for x in G}
+    outside = [n for x, n in orders.items() if x not in N.elements]
+    outside_ppo = all(len(prime_factors(n)) <= 1 for n in outside)
+    quotient_orders = set(coset_orders_oracle(G, N).values())
+    q_prime = all(n == 1 or is_prime(n) for n in quotient_orders)
+    checks = [
+        Check("part1", contained == (outside_ppo and q_prime),
+              "G^- in N <=> (prime-power outside, prime orders in G/N)",
+              {"contained": contained, "outside_ppo": outside_ppo, "q_prime": q_prime}),
+    ]
+    index = G.order // N.order
+    if is_prime(index):
+        outside_p_power = all(prime_factors(n) in ([], [index]) for n in outside)
+        checks.append(
+            Check("part2", contained == outside_p_power,
+                  "index p: G^- in M <=> p-power orders outside M",
+                  {"contained": contained, "outside_p_power": outside_p_power})
+        )
+    primes = prime_factors(G.order)
+    if len(primes) == 1 and math.lcm(*quotient_orders) in (1, primes[0]):
+        checks.append(
+            Check("part3", contained, "p-group with exponent-p quotient: G^- in N", contained)
+        )
+    return checks
 
 
 def outcome(fn: Callable, *args):

@@ -3,8 +3,9 @@ import random
 from functools import cache
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
+import maxcyc.core
 from maxcyc import (
     CapExceeded,
     Group,
@@ -47,7 +48,7 @@ from oracles import (
     perm_order,
     relabelled,
 )
-from test_properties import group_settings, small_groups
+from test_properties import assert_element_classes_match_the_oracle, group_settings, small_groups
 
 
 def cyc(degree, *cycles):
@@ -442,6 +443,38 @@ def test_normal_subgroups_multiply_no_permutations(monkeypatch, text, count):
     monkeypatch.setattr(Permutation, "__mul__", lambda a, b: made.append(b) or product(a, b))
     assert len(normal_subgroups(G)) == count
     assert made == []
+
+
+@pytest.mark.parametrize("text", ["EA(2,7)", "C(12)", "EA(2,2) x C(4)"])
+def test_an_abelian_class_walk_makes_no_conjugation(monkeypatch, text):
+    made = []
+    real = maxcyc.core.word_conjugator
+    monkeypatch.setattr(maxcyc.core, "word_conjugator", lambda g: made.append(g) or real(g))
+    G = realize_text(text)
+    assert len(conjugacy_classes(G)) == G.order
+    assert made == []
+
+
+def test_the_class_walk_leaves_central_generators_out(monkeypatch):
+    made = []
+    real = maxcyc.core.word_conjugator
+    monkeypatch.setattr(maxcyc.core, "word_conjugator", lambda g: made.append(g) or real(g))
+    G = realize_text("S(3) x EA(2,2)")
+    assert len(conjugacy_classes(G)) == 12
+    assert made and center(G).elements.isdisjoint(made)
+
+
+@given(small_groups(), st.integers(min_value=1, max_value=3))
+@group_settings
+def test_classes_with_central_generators_match_the_oracle(G, k):
+    # G times a cyclic group of order k + 1 on new points, whose generator
+    # is central, and listed first or last
+    assume(G.order <= 60)
+    n = G.degree
+    lifted = [Permutation(g.images + tuple(range(n, n + k + 1))) for g in G.generators]
+    c = Permutation(tuple(range(n)) + tuple(range(n + 1, n + k + 1)) + (n,))
+    for gens in ([c, *lifted], [*lifted, c]):
+        assert_element_classes_match_the_oracle(enumerate_elements(n + k + 1, gens))
 
 
 def test_is_simple_nonabelian_60():

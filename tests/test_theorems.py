@@ -21,7 +21,9 @@ from maxcyc import (
     realize_text,
     subgroup_generated,
 )
-from maxcyc.core import derived_subgroup, is_cyclic, is_nilpotent, point_stabilizer
+from maxcyc.core import (
+    class_mask, derived_subgroup, is_cyclic, is_nilpotent, normal_lattice, point_stabilizer,
+)
 from maxcyc.cyclic import eta_preserving_normals
 from maxcyc.theorems import (
     check_centre_bounds,
@@ -140,12 +142,7 @@ def test_compute_X_requires_its_join_in_the_lattice(monkeypatch):
     x_elements = compute_X(realize_text("Q(16)")).elements
     G = realize_text("Q(16)")
     eta_preserving_normals(G)
-    lattice = normal_subgroups(G)
-    monkeypatch.setitem(
-        G.derived,
-        (normal_subgroups.__wrapped__,),
-        tuple(N for N in lattice if N.elements != x_elements),
-    )
+    monkeypatch.delitem(normal_lattice(G).member, class_mask(G, x_elements))
     with pytest.raises(InternalCheckError):
         compute_X(G)
 
