@@ -89,16 +89,16 @@ class Group:
 def memo(fn: Callable) -> Callable:
     """Memoize ``fn(G, *args)`` in ``G.derived``, so it lives as long as G.
 
-    Keyword arguments are not part of the key: they pass on data that the
-    caller has already built for the same arguments, such as a coset
-    table, and never change the result.  ``record(G, *args, result=r)``
-    holds r as the result, for a caller that has proved it."""
+    The key is the positional arguments, and the wrapper takes no keyword
+    arguments, so every argument that can change the result is part of
+    the key.  ``record(G, *args, result=r)`` holds r as the result, for a
+    caller that has computed or proved it."""
 
     @wraps(fn)
-    def cached(G: Group, *args, **built):
+    def cached(G: Group, *args):
         key = (fn, *args)
         if key not in G.derived:
-            G.derived[key] = fn(G, *args, **built)
+            G.derived[key] = fn(G, *args)
         return G.derived[key]
 
     cached.record = lambda G, *args, result: G.derived.__setitem__((fn, *args), result)
@@ -402,20 +402,20 @@ class CosetTable:
     """Left cosets of a normal subgroup, in the quotient's point order.
 
     Cosets are numbered by their minimum elements, so point 0 is always N
-    itself and ``representatives[i]`` is the minimum of ``cosets[i]``.
-    ``point_of`` maps each parent element to the point its coset occupies.
+    itself and ``representatives[i]`` is the minimum of the coset at
+    point i.  ``point_of`` maps each parent element to the point its coset
+    occupies; the coset at point i is {x : point_of[x] == i}.
     """
 
-    __slots__ = ("cosets", "representatives", "point_of")
+    __slots__ = ("representatives", "point_of")
 
-    def __init__(self, cosets, representatives, point_of):
-        self.cosets: tuple[frozenset[Permutation], ...] = cosets
+    def __init__(self, representatives, point_of):
         self.representatives: tuple[Permutation, ...] = representatives
         self.point_of: dict[Permutation, int] = point_of
 
     @property
     def index(self) -> int:
-        return len(self.cosets)
+        return len(self.representatives)
 
 
 def coset_table(G: Group, N: Group) -> CosetTable:
@@ -439,9 +439,7 @@ def coset_table(G: Group, N: Group) -> CosetTable:
     minima = [min(c, key=_word) for c in cosets]
     order = sorted(range(len(cosets)), key=lambda k: minima[k].word)
     point_of = {x: i for i, k in enumerate(order) for x in cosets[k]}
-    return CosetTable(
-        tuple(frozenset(cosets[k]) for k in order), tuple(minima[k] for k in order), point_of
-    )
+    return CosetTable(tuple(minima[k] for k in order), point_of)
 
 
 @memo

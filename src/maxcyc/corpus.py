@@ -70,28 +70,26 @@ from .theorems import (
 # and a repeated selector is a repeated key.
 _SELECTOR_RE = re.compile(r"^([a-z_]+)\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)\]$")
 
-# The expectation keys the suites read (``tag`` aside): plain keys, and
-# selector keys with the number of integers in their brackets.
-PLAIN_KEYS = frozenset({
-    "eta", "l", "gminus", "maxcyc", "normals", "frobenius", "frob_gap",
-    "classify", "x_order", "x_cyclic", "derived_hyp", "gk_edges", "gk_comps",
-})
-SELECTOR_KEYS = {"quot_eta": 2, "quot_union": 2, "eta_star": 2, "in_derived": 2, "join_eta": 4}
-
 # The form of each key's value, checked as the record is read, so that a bad
-# value is an error even where its suite does not apply.  The other key,
-# classify, holds text that its suite compares as it is.
+# value is an error even where its suite does not apply.
 _INTEGER = ("an integer", re.compile(r"-?[0-9]+"))
 _FLAG = ("0 or 1", re.compile(r"[01]"))
 _INTEGERS = ("integers joined by ':'", re.compile(r"-?[0-9]+(?::-?[0-9]+)*"))
-VALUE_FORMS = {
-    **dict.fromkeys(("eta", "l", "gminus", "frob_gap", "x_order", "gk_comps",
-                     "quot_eta", "eta_star", "join_eta"), _INTEGER),
-    **dict.fromkeys(("x_cyclic", "derived_hyp", "quot_union", "in_derived"), _FLAG),
-    **dict.fromkeys(("maxcyc", "normals"), _INTEGERS),
-    "frobenius": ("<int>:eq or <int>:notfrob", re.compile(r"[0-9]+:(?:eq|notfrob)")),
-    "gk_edges": ("'none' or p-q pairs joined by ':'",
-                 re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*")),
+
+# The expectation keys the suites read (``tag`` aside): each name with the
+# number of integers in its brackets (0 for a plain key) and the form of its
+# value.  classify holds text that its suite compares as it is.
+KEYS = {
+    **dict.fromkeys(("eta", "l", "gminus", "frob_gap", "x_order", "gk_comps"), (0, _INTEGER)),
+    **dict.fromkeys(("quot_eta", "eta_star"), (2, _INTEGER)),
+    "join_eta": (4, _INTEGER),
+    **dict.fromkeys(("x_cyclic", "derived_hyp"), (0, _FLAG)),
+    **dict.fromkeys(("quot_union", "in_derived"), (2, _FLAG)),
+    **dict.fromkeys(("maxcyc", "normals"), (0, _INTEGERS)),
+    "frobenius": (0, ("<int>:eq or <int>:notfrob", re.compile(r"[0-9]+:(?:eq|notfrob)"))),
+    "gk_edges": (0, ("'none' or p-q pairs joined by ':'",
+                     re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*"))),
+    "classify": (0, None),
 }
 
 
@@ -133,13 +131,6 @@ def _split_fields(line: str) -> list[str]:
     return [f.strip() for f in fields]
 
 
-def _known_key(key: str) -> bool:
-    m = _SELECTOR_RE.match(key)
-    if m is None:
-        return key in PLAIN_KEYS
-    return SELECTOR_KEYS.get(m.group(1)) == m.group(2).count(",") + 1
-
-
 def parse_corpus(text: str) -> list[CorpusEntry]:
     entries = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -165,13 +156,15 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
             seen.add(key)
             if key == "tag":
                 tag = value
-            elif not _known_key(key):
+                continue
+            m = _SELECTOR_RE.match(key)
+            name, arity = (m.group(1), m.group(2).count(",") + 1) if m else (key, 0)
+            want, form = KEYS.get(name, (None, None))
+            if want != arity:
                 raise CorpusError(line_no, f"unknown key {key!r}")
-            else:
-                form, pattern = VALUE_FORMS.get(key.partition("[")[0], (None, None))
-                if pattern is not None and not pattern.fullmatch(value):
-                    raise CorpusError(line_no, f"{key}={value!r}: expected {form}")
-                expect[key] = value
+            if form is not None and not form[1].fullmatch(value):
+                raise CorpusError(line_no, f"{key}={value!r}: expected {form[0]}")
+            expect[key] = value
         try:
             parse_spec(spec_text)
         except MaxcycError as exc:

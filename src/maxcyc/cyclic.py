@@ -311,10 +311,17 @@ def _moving(G: Group, gens: Sequence[Permutation]) -> list[Permutation]:
 
 
 @memo
-def quotient_invariants(G: Group, N: Group, *, table: CosetTable | None = None) -> QuotientInvariants:
-    """The invariants of G/N for N normal in G, read off G's cyclic index,
-    on `table`, the pair's :func:`maxcyc.core.coset_table` when the caller
-    has built it.
+def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
+    """The invariants of G/N for N normal in G: :func:`read_quotient` on
+    the pair's :func:`maxcyc.core.coset_table`."""
+    return read_quotient(G, coset_table(G, N))
+
+
+def read_quotient(G: Group, table: CosetTable) -> QuotientInvariants:
+    """The invariants of G/N, for `table` the coset table of a normal N of
+    G, read off G's cyclic index.  A caller that has built the table reads
+    the quotient here and may hold the result with
+    ``quotient_invariants.record``.
 
     <xN> is the image of <x>, so the cyclic subgroups of G/N are the images
     of those the coset representatives generate.  The maximal ones come
@@ -322,8 +329,6 @@ def quotient_invariants(G: Group, N: Group, *, table: CosetTable | None = None) 
     cosets, and their classes are the :func:`maxcyc.core.orbits` under the
     generators outside the centre.  No permutation of degree |G:N| is built.
     """
-    if table is None:
-        table = coset_table(G, N)
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
     conjugators = [base_index(G).conjugator(g) for g in _moving(G, G.generators)]

@@ -46,6 +46,7 @@ from .cyclic import (
     power_classes,
     quotient_eta,
     quotient_invariants,
+    read_quotient,
     subgroup_invariants,
 )
 from .errors import (
@@ -200,12 +201,16 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     Both are decided on the label of each element, the class of the
     cyclic subgroup it generates (:func:`maxcyc.cyclic._cyclic_labels`),
     since y is conjugate to a generator of <x> exactly when <y> is
-    conjugate to <x>.  So (c) holds when, in each coset of N, the elements
-    outside G^- share one label, and the strong condition when each coset
-    that meets G \\ G^- has one label throughout.  The witnesses are the
-    first three failing pairs ``x ~ y``, x in ``element_list`` order and
-    y = x*n in ``N.element_list`` order; only the cosets that fail are
-    walked.  The quotient's invariants are read on the one coset table.
+    conjugate to <x>.  Maximality is a property of that class, so G^- is a
+    union of labels, and one pass over the coset table collects the labels
+    of each coset.  A coset lies inside G^- when its labels are labels of
+    G^-, and meets G^- when some are; (c) holds when, in each coset, the
+    labels outside G^- are at most one, and the strong condition when each
+    coset that meets G \\ G^- has one label.  As G^- lies in G^-N, the two
+    are equal when they have the same size.  The witnesses are the first
+    three failing pairs ``x ~ y``, x in ``element_list`` order and y = x*n
+    in ``N.element_list`` order; only the cosets that fail are walked.  The
+    quotient's invariants are read on the same coset table.
     """
     if not is_normal(G, N):
         raise NotNormal("check_quot_conditions requires N normal in G")
@@ -215,7 +220,8 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     gminus_set = g_minus(G)
     eta_g = eta(G).eta
     table = coset_table(G, N)
-    quotient = quotient_invariants(G, N, table=table)
+    quotient = read_quotient(G, table)
+    quotient_invariants.record(G, N, result=quotient)
     eta_q = quotient.eta
     equal = eta_g == eta_q
     witnesses: dict[str, tuple[str, ...]] = {}
@@ -225,20 +231,14 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         witnesses["cond_a"] = tuple(x.cycle_string() for x in sorted(N.elements - gminus_set)[:3])
 
     label = _cyclic_labels(G)
-    covered_points = set()  # the cosets inside G^-
-    gminus_points = set()  # the cosets that meet G^-
-    fail_c = set()  # the cosets whose elements outside G^- differ in label
-    fail_strong = set()  # the cosets outside G^- with more than one label
-    for i, coset in enumerate(table.cosets):
-        outside = coset - gminus_set
-        if not outside:
-            covered_points.add(i)
-        if len(outside) < len(coset):
-            gminus_points.add(i)
-        if len({label[x] for x in outside}) > 1:
-            fail_c.add(i)
-        if outside and len({label[x] for x in coset}) > 1:
-            fail_strong.add(i)
+    minus = {label[x] for x in gminus_set}  # the labels of G^-
+    labels: list[set[int]] = [set() for _ in table.representatives]
+    for x, i in table.point_of.items():
+        labels[i].add(label[x])
+    covered_points = {i for i, met in enumerate(labels) if met <= minus}  # inside G^-
+    gminus_points = {i for i, met in enumerate(labels) if not met.isdisjoint(minus)}
+    fail_c = {i for i, met in enumerate(labels) if len(met - minus) > 1}
+    fail_strong = {i for i, met in enumerate(labels) if len(met) > 1 and i not in covered_points}
 
     quotient_gminus_points = quotient.g_minus
     cond_b = quotient_gminus_points == covered_points
@@ -270,9 +270,8 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     gminus_n_stable: bool | None = None
     quotient_gminus_matches: bool | None = None
     if equal and coset_union:
-        # G^-N is the union of the cosets gN for g in G^-
-        product = frozenset().union(*(table.cosets[i] for i in gminus_points))
-        gminus_n_stable = product == gminus_set
+        # G^-N, the union of the cosets that meet G^-, contains G^-
+        gminus_n_stable = len(gminus_points) * N.order == len(gminus_set)
         quotient_gminus_matches = gminus_points == quotient_gminus_points
 
     return QuotCheckReport(

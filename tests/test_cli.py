@@ -15,8 +15,7 @@ from maxcyc import core, cyclic, theorems
 from maxcyc.cli import main
 from maxcyc.core import coset_table
 from maxcyc.corpus import (
-    PLAIN_KEYS,
-    SELECTOR_KEYS,
+    KEYS,
     SUITES,
     default_corpus_text,
     parse_corpus,
@@ -468,7 +467,7 @@ def test_dirproduct_suite_keeps_the_caps(tmp_path, capsys):
 def test_bundled_corpus_uses_exactly_the_key_vocabulary():
     entries = parse_corpus(default_corpus_text())
     used = {key.partition("[")[0] for e in entries for key in e.expect}
-    assert used == PLAIN_KEYS | SELECTOR_KEYS.keys()
+    assert used == KEYS.keys()
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():

@@ -90,7 +90,7 @@ def assert_class_coset_orders_match(G: Group) -> None:
         prime_modulo = _class_powers(G).prime_modulo(inside)
         by_oracle = coset_orders_oracle(G, N)
         table = coset_table(G, N)
-        by_table = cyclic.quotient_invariants(G, N, table=table).orders
+        by_table = cyclic.read_quotient(G, table).orders
         for i, c in enumerate(classes):
             (order,) = {by_oracle[x] for x in c}
             assert {by_table[table.point_of[x]] for x in c} == {order}

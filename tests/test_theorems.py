@@ -22,9 +22,10 @@ from maxcyc import (
     subgroup_generated,
 )
 from maxcyc.core import (
-    class_mask, derived_subgroup, is_cyclic, is_nilpotent, normal_lattice, point_stabilizer,
+    class_mask, coset_table, derived_subgroup, is_cyclic, is_nilpotent, normal_lattice,
+    point_stabilizer,
 )
-from maxcyc.cyclic import eta_preserving_normals
+from maxcyc.cyclic import eta_preserving_normals, quotient_invariants, read_quotient
 from maxcyc.theorems import (
     check_centre_bounds,
     check_derived_criterion,
@@ -111,6 +112,21 @@ def test_quot_requires_proper_normal():
         check_quot_conditions(d30, subgroup_generated(d30, [
             next(x for x in d30 if perm_order(x) == 2)
         ]))
+
+
+@pytest.mark.parametrize("text", ["Q(16)", "M16", "W(3)", "Heis(3) x C(3)"])
+def test_quot_conditions_after_the_quotients_were_read(text):
+    # compute_X reads the quotients of the eta-preserving normals first; the
+    # conditions read on check_quot_conditions' own table must not differ
+    G, fresh = realize_text(text), realize_text(text)
+    compute_X(G)
+    assert any(key[0] is quotient_invariants.__wrapped__ for key in G.derived)
+    normals = [N for N in normal_subgroups(G) if N.order < G.order]
+    fresh_normals = [N for N in normal_subgroups(fresh) if N.order < fresh.order]
+    assert [N.elements for N in normals] == [N.elements for N in fresh_normals]
+    for N, M in zip(normals, fresh_normals):
+        assert check_quot_conditions(G, N) == check_quot_conditions(fresh, M)
+        assert quotient_invariants(G, N) == read_quotient(G, coset_table(G, N))
 
 
 # --- X(G) --------------------------------------------------------------------
