@@ -183,19 +183,20 @@ def cmd_xsub(args: argparse.Namespace) -> int:
     e_g = eta(G).eta
     e_q = quotient_eta(G, X)
     gens = [g.cycle_string() for g in X.generators] or ["()"]
+    x_cyclic = is_cyclic(X)
     payload = {
         "x_order": X.order,
         "generators": gens,
         "eta_g": e_g,
         "eta_g_mod_x": e_q,
-        "cyclic": is_cyclic(X),
+        "cyclic": x_cyclic,
     }
     lines = [
         f"|X|: {X.order}",
         f"generators: {' '.join(gens)}",
         f"eta(G): {e_g}",
         f"eta(G/X): {e_q}",
-        f"X cyclic: {is_cyclic(X)}",
+        f"X cyclic: {x_cyclic}",
     ]
     _emit(args, payload, lines)
     return 0
@@ -203,16 +204,16 @@ def cmd_xsub(args: argparse.Namespace) -> int:
 
 def cmd_gminus(args: argparse.Namespace) -> int:
     G = _realize(args)
-    gm = sorted(g_minus(G))
+    elements = [g.cycle_string() for g in sorted(g_minus(G))]
     payload = {
         "order": G.order,
-        "gminus_size": len(gm),
-        "elements": [g.cycle_string() for g in gm],
+        "gminus_size": len(elements),
+        "elements": elements,
     }
     lines = [
         f"order: {G.order}",
-        f"gminus_size: {len(gm)}",
-        "elements: " + ", ".join(g.cycle_string() for g in gm),
+        f"gminus_size: {len(elements)}",
+        "elements: " + ", ".join(elements),
     ]
     _emit(args, payload, lines)
     return 0
@@ -222,15 +223,16 @@ def cmd_gkgraph(args: argparse.Namespace) -> int:
     from .theorems import gk_graph
     G = _realize(args)
     graph = gk_graph(G)
+    components = graph.component_count()
     payload = {
         "vertices": list(graph.vertices),
         "edges": [list(e) for e in graph.edges],
-        "components": graph.component_count(),
+        "components": components,
     }
     lines = [
         "vertices: " + ", ".join(str(v) for v in graph.vertices),
         "edges: " + (", ".join(f"{a}-{b}" for a, b in graph.edges) or "none"),
-        f"components: {graph.component_count()}",
+        f"components: {components}",
     ]
     _emit(args, payload, lines)
     return 0

@@ -70,15 +70,26 @@ from .theorems import (
 # and a repeated selector is a repeated key.
 _SELECTOR_RE = re.compile(r"^([a-z_]+)\[((?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*)\]$")
 
-# The form of each key's value, checked as the record is read, so that a bad
-# value is an error even where its suite does not apply.
-_INTEGER = ("an integer", re.compile(r"-?[0-9]+"))
-_FLAG = ("0 or 1", re.compile(r"[01]"))
-_INTEGERS = ("integers joined by ':'", re.compile(r"-?[0-9]+(?::-?[0-9]+)*"))
+
+def _kernel_and_mode(value: str) -> tuple[int, str]:
+    order, _, mode = value.partition(":")
+    return int(order), mode
+
+
+# The form of each key's value: what it must look like, and how it is read.
+# Each value is checked and read as its record is read, so that a bad value
+# is an error even where its suite does not apply, and the suites compare
+# the values read.
+_INTEGER = ("an integer", re.compile(r"-?[0-9]+"), int)
+_FLAG = ("0 or 1", re.compile(r"[01]"), "1".__eq__)
+_INTEGERS = ("integers joined by ':'", re.compile(r"-?[0-9]+(?::-?[0-9]+)*"),
+             lambda value: sorted(map(int, value.split(":"))))
+_TEXT = ("text", re.compile(r".*"), str)
 
 # The expectation keys the suites read (``tag`` aside): each name with the
 # number of integers in its brackets (0 for a plain key) and the form of its
-# value.  classify holds text that its suite compares as it is.
+# value.  frobenius reads to (kernel order, mode); gk_edges and classify stay
+# text.
 KEYS = {
     **dict.fromkeys(("eta", "l", "gminus", "frob_gap", "x_order", "gk_comps"), (0, _INTEGER)),
     **dict.fromkeys(("quot_eta", "eta_star"), (2, _INTEGER)),
@@ -86,31 +97,22 @@ KEYS = {
     **dict.fromkeys(("x_cyclic", "derived_hyp"), (0, _FLAG)),
     **dict.fromkeys(("quot_union", "in_derived"), (2, _FLAG)),
     **dict.fromkeys(("maxcyc", "normals"), (0, _INTEGERS)),
-    "frobenius": (0, ("<int>:eq or <int>:notfrob", re.compile(r"[0-9]+:(?:eq|notfrob)"))),
+    "frobenius": (0, ("<int>:eq or <int>:notfrob", re.compile(r"[0-9]+:(?:eq|notfrob)"),
+                      _kernel_and_mode)),
     "gk_edges": (0, ("'none' or p-q pairs joined by ':'",
-                     re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*"))),
-    "classify": (0, None),
+                     re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*"), str)),
+    "classify": (0, _TEXT),
 }
 
 
 class CorpusEntry(NamedTuple):
-    """One corpus record: a group spec plus optional expectations."""
+    """One corpus record: a group spec plus optional expectations, each
+    value read by its key's form."""
 
     line_no: int
     spec_text: str
     tag: str
-    expect: dict[str, str]
-
-    def selected(self, name: str) -> list[tuple[str, tuple[int, ...], str]]:
-        """All ``name[a,b,...]=value`` expectations, as (check name,
-        selector, value) in selector order; the check name is the key with
-        its integers written out plainly."""
-        out = []
-        for key, value in self.expect.items():
-            m = _SELECTOR_RE.match(key)
-            if m and m.group(1) == name:
-                out.append((tuple(int(v) for v in m.group(2).split(",")), value))
-        return [(f"{name}[{','.join(map(str, sel))}]", sel, value) for sel, value in sorted(out)]
+    expect: dict[str, object]
 
 
 def _split_fields(line: str) -> list[str]:
@@ -141,7 +143,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
         spec_text = fields[0]
         if not spec_text:
             raise CorpusError(line_no, "empty spec")
-        expect: dict[str, str] = {}
+        expect: dict[str, object] = {}
         tag = "derived"
         seen: set[str] = set()
         for f in fields[1:]:
@@ -159,12 +161,15 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 continue
             m = _SELECTOR_RE.match(key)
             name, arity = (m.group(1), m.group(2).count(",") + 1) if m else (key, 0)
-            want, form = KEYS.get(name, (None, None))
+            want, (form, pattern, read) = KEYS.get(name, (None, _TEXT))
             if want != arity:
                 raise CorpusError(line_no, f"unknown key {key!r}")
-            if form is not None and not form[1].fullmatch(value):
-                raise CorpusError(line_no, f"{key}={value!r}: expected {form[0]}")
-            expect[key] = value
+            if not pattern.fullmatch(value):
+                raise CorpusError(line_no, f"{key}={value!r}: expected {form}")
+            try:
+                expect[key] = read(value)
+            except ValueError as exc:  # an integer too long for int()
+                raise CorpusError(line_no, f"{key}: {exc}") from exc
         try:
             parse_spec(spec_text)
         except MaxcycError as exc:
@@ -247,12 +252,25 @@ def _per_pair(G: Group, check: Callable, firsts: list, seconds: list) -> list[Ch
                     for o1, i1, N in firsts for o2, i2, M in seconds)
 
 
-def _int_check(name: str, expected: str, actual: int) -> Check:
-    return Check(name, int(expected) == actual, int(expected), actual)
+def _expect(name: str, want: object, actual: object) -> Check:
+    """The check that a corpus value, as read, equals what was computed."""
+    return Check(name, want == actual, want, actual)
 
 
-def _flag_check(name: str, expected: str, actual: bool) -> Check:
-    return Check(name, (expected == "1") == actual, expected == "1", actual)
+def _expect_each(inst: Instance, name: str, actual: Callable[..., object]) -> list[Check]:
+    """One check per ``name[o,i,...]=want`` expectation, named by its key,
+    in selector order: want against actual(*normals), each pair o,i of the
+    selector naming the normal ``named_normal(G, o, i)``."""
+    found = []
+    for key, want in inst.entry.expect.items():
+        m = _SELECTOR_RE.match(key)
+        if m and m.group(1) == name:
+            found.append((tuple(map(int, m.group(2).split(","))), key, want))
+    checks = []
+    for sel, key, want in sorted(found):
+        normals = [named_normal(inst.group, *sel[k:k + 2]) for k in range(0, len(sel), 2)]
+        checks.append(_expect(key, want, actual(*normals)))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -261,27 +279,18 @@ def _flag_check(name: str, expected: str, actual: bool) -> Check:
 
 def run_values(inst: Instance) -> list[Check] | None:
     e = inst.entry.expect
-    keys = {"eta", "l", "gminus", "maxcyc", "normals"} & e.keys()
-    if not keys:
+    if not {"eta", "l", "gminus", "maxcyc", "normals"} & e.keys():
         return None
     G = inst.group
     rep = eta(G)
-    checks = []
-    if "eta" in e:
-        checks.append(_int_check("eta", e["eta"], rep.eta))
-    if "l" in e:
-        checks.append(_int_check("l", e["l"], rep.l_value))
-    if "gminus" in e:
-        checks.append(_int_check("gminus_size", e["gminus"], rep.gminus_size))
-    if "maxcyc" in e:
-        want = sorted(int(v) for v in e["maxcyc"].split(":"))
-        got = sorted(o for o, _ in rep.class_reps)
-        checks.append(Check("maxcyc_class_orders", want == got, want, got))
-    if "normals" in e:
-        want = sorted(int(v) for v in e["normals"].split(":"))
-        got = sorted(N.order for N in normal_subgroups(G))
-        checks.append(Check("normal_subgroup_orders", want == got, want, got))
-    return checks
+    reads = (
+        ("eta", "eta", lambda: rep.eta),
+        ("l", "l", lambda: rep.l_value),
+        ("gminus", "gminus_size", lambda: rep.gminus_size),
+        ("maxcyc", "maxcyc_class_orders", lambda: sorted(o for o, _ in rep.class_reps)),
+        ("normals", "normal_subgroup_orders", lambda: sorted(N.order for N in normal_subgroups(G))),
+    )
+    return [_expect(name, e[key], actual()) for key, name, actual in reads if key in e]
 
 
 def run_pgrp_lemma(inst: Instance) -> list[Check]:
@@ -328,11 +337,10 @@ def run_gk_graph(inst: Instance) -> list[Check]:
                             graph.component_count()))
     e = inst.entry.expect
     if "gk_edges" in e:
-        want = e["gk_edges"]
-        got = ":".join(f"{a}-{b}" for a, b in graph.edges) or "none"
-        checks.append(Check("edges", want == got, want, got))
+        edges = ":".join(f"{a}-{b}" for a, b in graph.edges) or "none"
+        checks.append(_expect("edges", e["gk_edges"], edges))
     if "gk_comps" in e:
-        checks.append(_int_check("components", e["gk_comps"], graph.component_count()))
+        checks.append(_expect("components", e["gk_comps"], graph.component_count()))
     return checks
 
 
@@ -347,11 +355,10 @@ _CLASSIFY_RENDER = {
 def run_first_main(inst: Instance) -> list[Check]:
     G = inst.group
     checks = check_first_main(G)
-    expected = inst.entry.expect.get("classify")
-    if expected is not None:
+    if "classify" in inst.entry.expect:
         cls = classify_prime_order_group(G, normal_subgroups(G)[0])
-        got = _CLASSIFY_RENDER[cls.kind](cls)
-        checks.append(Check("classify", got == expected, expected, got))
+        checks.append(_expect("classify", inst.entry.expect["classify"],
+                              _CLASSIFY_RENDER[cls.kind](cls)))
     return checks
 
 
@@ -364,12 +371,12 @@ def run_dirproduct(inst: Instance) -> list[Check] | None:
 
 
 def run_frobenius(inst: Instance) -> list[Check] | None:
-    e = inst.entry.expect.get("frobenius")
-    if e is None:
+    e = inst.entry.expect
+    if "frobenius" not in e:
         return None
     G = inst.group
-    kernel_order_text, _, mode = e.partition(":")
-    N = named_normal(G, int(kernel_order_text), 0)
+    kernel_order, mode = e["frobenius"]
+    N = named_normal(G, kernel_order, 0)
     H = point_stabilizer(G, 0)
     try:
         checks, rejection = check_frobenius_eta(G, N, H), None
@@ -380,19 +387,16 @@ def run_frobenius(inst: Instance) -> list[Check] | None:
                         "NotFrobenius raised", rejection or "structure accepted")]
     elif rejection is not None:
         checks = [Check("frobenius_sum", False, "Frobenius structure", rejection)]
-    gap = inst.entry.expect.get("frob_gap")
-    if gap is not None:
-        actual = eta_star(G, N) + eta(H).eta - eta(G).eta
-        checks.append(_int_check("sum_minus_eta_gap", gap, actual))
+    if "frob_gap" in e:
+        gap = eta_star(G, N) + eta(H).eta - eta(G).eta
+        checks.append(_expect("sum_minus_eta_gap", e["frob_gap"], gap))
     return checks
 
 
 def run_centre(inst: Instance) -> list[Check]:
     G = inst.group
-    checks = _per_normal(G, check_centre_bounds)
-    for label, selector, value in inst.entry.selected("eta_star"):
-        checks.append(_int_check(label, value, eta_star(G, named_normal(G, *selector))))
-    return checks
+    return (_per_normal(G, check_centre_bounds)
+            + _expect_each(inst, "eta_star", lambda N: eta_star(G, N)))
 
 
 def run_quot(inst: Instance) -> list[Check]:
@@ -400,13 +404,10 @@ def run_quot(inst: Instance) -> list[Check]:
     checks = _per_normal(
         G, lambda G, N: quot_report_checks(G, check_quot_conditions(G, N)), proper=True
     )
-    for label, selector, value in inst.entry.selected("quot_eta"):
-        rep = check_quot_conditions(G, named_normal(G, *selector))
-        checks.append(_int_check(label, value, rep.eta_q))
-    for label, selector, value in inst.entry.selected("quot_union"):
-        rep = check_quot_conditions(G, named_normal(G, *selector))
-        checks.append(_flag_check(label, value, rep.gminus_coset_union))
-    return checks
+    return (checks
+            + _expect_each(inst, "quot_eta", lambda N: check_quot_conditions(G, N).eta_q)
+            + _expect_each(inst, "quot_union",
+                           lambda N: check_quot_conditions(G, N).gminus_coset_union))
 
 
 def run_products_join(inst: Instance) -> list[Check] | None:
@@ -416,9 +417,7 @@ def run_products_join(inst: Instance) -> list[Check] | None:
         preserving = eta_preserving_normals(G)
         qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
         checks = _per_pair(G, check_quotient_join, qualifying, qualifying)
-    for label, (o1, i1, o2, i2), value in inst.entry.selected("join_eta"):
-        J = join(G, (named_normal(G, o1, i1), named_normal(G, o2, i2)))
-        checks.append(_int_check(label, value, quotient_eta(G, J)))
+    checks += _expect_each(inst, "join_eta", lambda N, M: quotient_eta(G, join(G, (N, M))))
     return checks or None
 
 
@@ -441,9 +440,9 @@ def run_xsub(inst: Instance) -> list[Check] | None:
     ]
     e = inst.entry.expect
     if "x_order" in e:
-        checks.append(_int_check("x_order", e["x_order"], X.order))
+        checks.append(_expect("x_order", e["x_order"], X.order))
     if "x_cyclic" in e:
-        checks.append(_flag_check("x_cyclic", e["x_cyclic"], is_cyclic(X)))
+        checks.append(_expect("x_cyclic", e["x_cyclic"], is_cyclic(X)))
     return checks
 
 
@@ -451,12 +450,10 @@ def run_derived(inst: Instance) -> list[Check]:
     G = inst.group
     checks = _per_normal(G, check_derived_criterion, proper=True)
     derived = class_mask(G, derived_subgroup(G).elements)
-    for label, selector, value in inst.entry.selected("in_derived"):
-        inside = not normal_mask(G, named_normal(G, *selector)) & ~derived
-        checks.append(_flag_check(label, value, inside))
+    checks += _expect_each(inst, "in_derived", lambda N: not normal_mask(G, N) & ~derived)
     if "derived_hyp" in inst.entry.expect:
         hyp, _ = _noncyclic_sylows_of_abelianization(G)
-        checks.append(_flag_check("derived_hyp", inst.entry.expect["derived_hyp"], hyp))
+        checks.append(_expect("derived_hyp", inst.entry.expect["derived_hyp"], hyp))
     return checks
 
 
@@ -511,8 +508,8 @@ SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
 
 def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyReport | None]:
     """Realize one corpus record once and run every named suite on it.  An
-    error from either step, or a value the suites cannot read (such as
-    ``frobenius=x:eq``), is re-raised naming the record's line."""
+    error from either step, such as a selector that names no normal
+    subgroup, is re-raised naming the record's line."""
     suite_names, entry, order_cap, degree_cap = task
     try:
         inst = realize_entry(entry, order_cap, degree_cap)

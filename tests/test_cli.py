@@ -22,6 +22,7 @@ from maxcyc.corpus import (
     run_suites,
 )
 from maxcyc.errors import CorpusError, ParseError
+from maxcyc.perm import Permutation
 
 
 def run(capsys, *argv):
@@ -389,6 +390,32 @@ def test_malformed_records_name_the_corpus_line(tmp_path, capsys, record, at_par
         assert err.startswith("maxcyc: error: corpus line 2: ")
 
 
+# Each value is read by its key's form as its record is read: the suites
+# compare what parse_corpus returns and never re-read the text.
+@pytest.mark.parametrize("field, key, want", [
+    ("maxcyc=6:4:6", "maxcyc", [4, 6, 6]),
+    ("x_cyclic=1", "x_cyclic", True),
+    ("in_derived[2,0]=0", "in_derived[2,0]", False),
+    ("quot_eta[5,0]=2", "quot_eta[5,0]", 2),
+    ("frobenius=7:eq", "frobenius", (7, "eq")),
+    ("gk_edges=3-5", "gk_edges", "3-5"),
+    ("classify=frob:7:3", "classify", "frob:7:3"),
+])
+def test_values_are_read_as_their_record_is_read(field, key, want):
+    (entry,) = parse_corpus(f"D(30) ; {field}\n")
+    assert entry.expect == {key: want}
+    assert type(entry.expect[key]) is type(want)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="int() reads any length")
+def test_an_integer_too_long_to_read_names_the_corpus_line():
+    # int() refuses strings of more than 4300 digits; the centre suite,
+    # which does not read eta, must not run on such a record either
+    with pytest.raises(CorpusError, match="^corpus line 2: eta: ") as info:
+        parse_corpus("C(2) ; eta=1\nC(3) ; eta=" + "1" * 5000 + "\n")
+    assert info.value.line_no == 2
+
+
 EXIT_CODE_CORPORA = {
     "good": "C(6) ; eta=1\n",
     "failing": "C(6) ; eta=3\n",
@@ -684,6 +711,55 @@ def test_verify_output_does_not_depend_on_the_hash_seed():
             capture_output=True, check=True, timeout=300,
         )
         assert hashlib.sha256(proc.stdout).hexdigest() == digest, seed
+
+
+# A corpus that fails one expectation of every value form (integer, flag,
+# integer list, text, a 2-index and a 4-index selector, frob_gap, notfrob),
+# so that the text output prints expected values too.  Pinned before the
+# values were read as their records are read.
+FAILING_CORPUS = """\
+D(30) ; eta=9 ; l=9 ; gminus=9 ; maxcyc=1:2 ; normals=1:30 ; gk_edges=2-7 ; gk_comps=9 ; \
+classify=a5 ; quot_eta[5,0]=9 ; quot_union[5,0]=1 ; eta_star[5,0]=9 ; in_derived[5,0]=0 ; \
+derived_hyp=1
+EA(2,3) ; x_order=9 ; x_cyclic=0 ; join_eta[2,0,2,1]=9
+AGL1(7,6) ; frobenius=7:eq ; frob_gap=9
+AGL1(5,4) ; frobenius=5:notfrob
+Heis(3) ; gk_edges=none ; classify=p:2
+"""
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "a28c9b84fa14ff46f867c5448a2225f77ba512328210df4c987ed2c06875fbb2"),
+    ("json", "c68f0d0d24957fc6afde19d051333eeb8ed62e3b52e482e30b8edd8bb19ed247"),
+])
+def test_failing_expectations_output_is_pinned(tmp_path, capsys, fmt, digest):
+    corpus = tmp_path / "failing.corpus"
+    corpus.write_text(FAILING_CORPUS, encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--format", fmt)
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if fmt == "text":
+        assert out.endswith("\n45/56 reports passed\n")
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "b2162f9808175dd7b18f7663e0ceecde4cb51b25a1c2b7b51312a8182ef7ef3d"),
+    ("json", "a0ee961c818fb14e5a2ec1cf8e7ce19c8b47c3fda935fb0ea0d6f141dca9e172"),
+])
+def test_gminus_formats_each_element_once(monkeypatch, capsys, fmt, digest):
+    # S(7) has 1506 elements in G^-: one cycle string each
+    calls = []
+    cycle_string = Permutation.cycle_string
+
+    def counted(self):
+        calls.append(self)
+        return cycle_string(self)
+
+    monkeypatch.setattr(Permutation, "cycle_string", counted)
+    code, out, _ = run(capsys, "gminus", "S(7)", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert len(calls) == 1506
 
 
 def test_xsub_reads_one_quotient(monkeypatch, capsys):
