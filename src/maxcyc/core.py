@@ -657,8 +657,9 @@ def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
     return [(o, i, N) for (o, i), N in normal_lattice(G).named.items()]
 
 
+@memo
 def point_stabilizer(G: Group, point: int) -> Group:
-    """The subgroup fixing the given point."""
+    """The subgroup fixing the given point, held by G."""
     if not 0 <= point < G.degree:
         raise ValueError(f"point {point} out of range for degree {G.degree}")
     members = [x for x in G.element_list if x.word[point] == point]

@@ -3,9 +3,11 @@
 A corpus is a line-oriented file of records ``spec ; key=value ; ...``
 ('#' starts a comment).  Each suite runs over the entries it applies to
 and yields one :class:`VerifyReport` per (suite, entry), built in one
-place from the checks of :mod:`maxcyc.theorems`; selector keys such as
-``quot_eta[5,0]`` address the normal subgroup of order 5 at index 0 in
-the deterministic ordering of :func:`maxcyc.core.normal_subgroups`.
+place: the checks of the paper's laws from :mod:`maxcyc.theorems`, then
+one check per expectation of the entry that the suite checks, as
+:data:`KEYS` names them.  Selector keys such as ``quot_eta[5,0]`` address
+the normal subgroup of order 5 at index 0 in the deterministic ordering of
+:func:`maxcyc.core.normal_subgroups`.
 
 Negative controls pass by failing: an entry marked ``frobenius=9:notfrob``
 passes its suite exactly when the Frobenius verification rejects it.
@@ -76,6 +78,38 @@ def _kernel_and_mode(value: str) -> tuple[int, str]:
     return int(order), mode
 
 
+def _kernel_and_complement(inst: Instance) -> tuple[Group, Group]:
+    """The frobenius suite's kernel, the first normal of the order that the
+    entry's ``frobenius`` value names, and its complement, the stabilizer of
+    point 0, which G holds, so that eta of it is computed once."""
+    G = inst.group
+    return named_normal(G, inst.entry.expect["frobenius"][0], 0), point_stabilizer(G, 0)
+
+
+def _frobenius_gap(inst: Instance) -> int:
+    G = inst.group
+    N, H = _kernel_and_complement(inst)
+    return eta_star(G, N) + eta(H).eta - eta(G).eta
+
+
+def _in_derived(inst: Instance, N: Group) -> bool:
+    G = inst.group
+    return not normal_mask(G, N) & ~class_mask(G, derived_subgroup(G).elements)
+
+
+def _classify(inst: Instance) -> str:
+    """The class of G, as a group with all element orders prime, in the
+    spelling of the ``classify`` key."""
+    G = inst.group
+    c = classify_prime_order_group(G, normal_subgroups(G)[0])
+    spelling = {"exponent_p": f"p:{c.p}", "frobenius_pq": f"frob:{c.p}:{c.q}", "a5": "a5"}
+    return spelling.get(c.kind, "composite")
+
+
+def _edges(inst: Instance) -> str:
+    return ":".join(f"{a}-{b}" for a, b in gk_graph(inst.group).edges) or "none"
+
+
 # The form of each key's value: what it must look like, and how it is read.
 # Each value is checked and read as its record is read, so that a bad value
 # is an error even where its suite does not apply, and the suites compare
@@ -86,22 +120,44 @@ _INTEGERS = ("integers joined by ':'", re.compile(r"-?[0-9]+(?::-?[0-9]+)*"),
              lambda value: sorted(map(int, value.split(":"))))
 _TEXT = ("text", re.compile(r".*"), str)
 
-# The expectation keys the suites read (``tag`` aside): each name with the
-# number of integers in its brackets (0 for a plain key) and the form of its
-# value.  frobenius reads to (kernel order, mode); gk_edges and classify stay
-# text.
-KEYS = {
-    **dict.fromkeys(("eta", "l", "gminus", "frob_gap", "x_order", "gk_comps"), (0, _INTEGER)),
-    **dict.fromkeys(("quot_eta", "eta_star"), (2, _INTEGER)),
-    "join_eta": (4, _INTEGER),
-    **dict.fromkeys(("x_cyclic", "derived_hyp"), (0, _FLAG)),
-    **dict.fromkeys(("quot_union", "in_derived"), (2, _FLAG)),
-    **dict.fromkeys(("maxcyc", "normals"), (0, _INTEGERS)),
+# The corpus keys (``tag`` aside), in the order their suites check them.
+# Each row holds the number of integers in the key's brackets (0 for a plain
+# key), the form of its value, the suite that checks it, the name of that
+# check (a selector key names its check itself), and how the actual value is
+# read from the instance and the normals its selector names.  The readers
+# call what the suite's laws computed and G holds: eta, the prime graph,
+# X(G), the normals, the Frobenius complement.  ``frobenius`` is no
+# expectation but the frobenius suite's switch and kernel, which
+# ``frob_gap`` needs.
+KEYS: dict[str, tuple] = {
+    "eta": (0, _INTEGER, "values", "eta", lambda inst: eta(inst.group).eta),
+    "l": (0, _INTEGER, "values", "l", lambda inst: eta(inst.group).l_value),
+    "gminus": (0, _INTEGER, "values", "gminus_size", lambda inst: eta(inst.group).gminus_size),
+    "maxcyc": (0, _INTEGERS, "values", "maxcyc_class_orders",
+               lambda inst: sorted(o for o, _ in eta(inst.group).class_reps)),
+    "normals": (0, _INTEGERS, "values", "normal_subgroup_orders",
+                lambda inst: sorted(N.order for N in normal_subgroups(inst.group))),
     "frobenius": (0, ("<int>:eq or <int>:notfrob", re.compile(r"[0-9]+:(?:eq|notfrob)"),
-                      _kernel_and_mode)),
+                      _kernel_and_mode), None, None, None),
+    "frob_gap": (0, _INTEGER, "frobenius", "sum_minus_eta_gap", _frobenius_gap),
+    "eta_star": (2, _INTEGER, "centre", None, lambda inst, N: eta_star(inst.group, N)),
+    "quot_eta": (2, _INTEGER, "quot", None,
+                 lambda inst, N: check_quot_conditions(inst.group, N).eta_q),
+    "quot_union": (2, _FLAG, "quot", None,
+                   lambda inst, N: check_quot_conditions(inst.group, N).gminus_coset_union),
+    "join_eta": (4, _INTEGER, "products-join", None,
+                 lambda inst, N, M: quotient_eta(inst.group, join(inst.group, (N, M)))),
+    "x_order": (0, _INTEGER, "xsub", "x_order", lambda inst: compute_X(inst.group).order),
+    "x_cyclic": (0, _FLAG, "xsub", "x_cyclic", lambda inst: is_cyclic(compute_X(inst.group))),
+    "in_derived": (2, _FLAG, "derived", None, _in_derived),
+    "derived_hyp": (0, _FLAG, "derived", "derived_hyp",
+                    lambda inst: _noncyclic_sylows_of_abelianization(inst.group)[0]),
+    "classify": (0, _TEXT, "first-main", "classify", _classify),
     "gk_edges": (0, ("'none' or p-q pairs joined by ':'",
-                     re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*"), str)),
-    "classify": (0, _TEXT),
+                     re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*"), str),
+                 "gk-graph", "edges", _edges),
+    "gk_comps": (0, _INTEGER, "gk-graph", "components",
+                 lambda inst: gk_graph(inst.group).component_count()),
 }
 
 
@@ -161,7 +217,7 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 continue
             m = _SELECTOR_RE.match(key)
             name, arity = (m.group(1), m.group(2).count(",") + 1) if m else (key, 0)
-            want, (form, pattern, read) = KEYS.get(name, (None, _TEXT))
+            want, (form, pattern, read), *_ = KEYS.get(name, (None, _TEXT))
             if want != arity:
                 raise CorpusError(line_no, f"unknown key {key!r}")
             if not pattern.fullmatch(value):
@@ -170,6 +226,8 @@ def parse_corpus(text: str) -> list[CorpusEntry]:
                 expect[key] = read(value)
             except ValueError as exc:  # an integer too long for int()
                 raise CorpusError(line_no, f"{key}: {exc}") from exc
+        if "frob_gap" in expect and "frobenius" not in expect:
+            raise CorpusError(line_no, "frob_gap needs a frobenius=<kernel order>:<mode> field")
         try:
             parse_spec(spec_text)
         except MaxcycError as exc:
@@ -257,41 +315,34 @@ def _expect(name: str, want: object, actual: object) -> Check:
     return Check(name, want == actual, want, actual)
 
 
-def _expect_each(inst: Instance, name: str, actual: Callable[..., object]) -> list[Check]:
-    """One check per ``name[o,i,...]=want`` expectation, named by its key,
-    in selector order: want against actual(*normals), each pair o,i of the
-    selector naming the normal ``named_normal(G, o, i)``."""
+def _expect_each(inst: Instance, suite: str) -> list[Check]:
+    """One check per expectation that `suite` checks, in ``KEYS`` order and
+    then in selector order: want against what the key's reader finds, each
+    pair o,i of a selector naming the normal ``named_normal(G, o, i)``.  An
+    expectation whose quantity does not exist, such as X(G) of a group that
+    is not a noncyclic p-group or a normal that its selector does not name,
+    is an error that names the key."""
     found = []
     for key, want in inst.entry.expect.items():
-        m = _SELECTOR_RE.match(key)
-        if m and m.group(1) == name:
-            found.append((tuple(map(int, m.group(2).split(","))), key, want))
+        name, _, sel = key.partition("[")
+        arity, _, owner, check, read = KEYS[name]
+        if owner == suite:
+            sel = tuple(map(int, sel[:-1].split(","))) if arity else ()
+            found.append((list(KEYS).index(name), sel, key, want, check or key, read))
     checks = []
-    for sel, key, want in sorted(found):
-        normals = [named_normal(inst.group, *sel[k:k + 2]) for k in range(0, len(sel), 2)]
-        checks.append(_expect(key, want, actual(*normals)))
+    for _, sel, key, want, check, read in sorted(found, key=lambda f: f[:2]):
+        try:
+            normals = [named_normal(inst.group, *sel[k:k + 2]) for k in range(0, len(sel), 2)]
+            checks.append(_expect(check, want, read(inst, *normals)))
+        except MaxcycError as exc:
+            raise MaxcycError(f"{key}: {exc}") from exc
     return checks
 
 
 # ---------------------------------------------------------------------------
-# Suite runners (each returns its checks, or None when not applicable)
+# Suite runners: each returns the checks of its laws, or None when they do
+# not apply.  The expectations each suite checks are named in ``KEYS``.
 # ---------------------------------------------------------------------------
-
-def run_values(inst: Instance) -> list[Check] | None:
-    e = inst.entry.expect
-    if not {"eta", "l", "gminus", "maxcyc", "normals"} & e.keys():
-        return None
-    G = inst.group
-    rep = eta(G)
-    reads = (
-        ("eta", "eta", lambda: rep.eta),
-        ("l", "l", lambda: rep.l_value),
-        ("gminus", "gminus_size", lambda: rep.gminus_size),
-        ("maxcyc", "maxcyc_class_orders", lambda: sorted(o for o, _ in rep.class_reps)),
-        ("normals", "normal_subgroup_orders", lambda: sorted(N.order for N in normal_subgroups(G))),
-    )
-    return [_expect(name, e[key], actual()) for key, name, actual in reads if key in e]
-
 
 def run_pgrp_lemma(inst: Instance) -> list[Check]:
     G = inst.group
@@ -335,31 +386,11 @@ def run_gk_graph(inst: Instance) -> list[Check]:
         checks.append(Check("solvable_two_primes_two_components",
                             graph.component_count() == 2, 2,
                             graph.component_count()))
-    e = inst.entry.expect
-    if "gk_edges" in e:
-        edges = ":".join(f"{a}-{b}" for a, b in graph.edges) or "none"
-        checks.append(_expect("edges", e["gk_edges"], edges))
-    if "gk_comps" in e:
-        checks.append(_expect("components", e["gk_comps"], graph.component_count()))
     return checks
-
-
-_CLASSIFY_RENDER = {
-    "exponent_p": lambda c: f"p:{c.p}",
-    "frobenius_pq": lambda c: f"frob:{c.p}:{c.q}",
-    "a5": lambda c: "a5",
-    "not_all_prime_order": lambda c: "composite",
-}
 
 
 def run_first_main(inst: Instance) -> list[Check]:
-    G = inst.group
-    checks = check_first_main(G)
-    if "classify" in inst.entry.expect:
-        cls = classify_prime_order_group(G, normal_subgroups(G)[0])
-        checks.append(_expect("classify", inst.entry.expect["classify"],
-                              _CLASSIFY_RENDER[cls.kind](cls)))
-    return checks
+    return check_first_main(inst.group)
 
 
 def run_dirproduct(inst: Instance) -> list[Check] | None:
@@ -371,54 +402,37 @@ def run_dirproduct(inst: Instance) -> list[Check] | None:
 
 
 def run_frobenius(inst: Instance) -> list[Check] | None:
-    e = inst.entry.expect
-    if "frobenius" not in e:
+    if "frobenius" not in inst.entry.expect:
         return None
-    G = inst.group
-    kernel_order, mode = e["frobenius"]
-    N = named_normal(G, kernel_order, 0)
-    H = point_stabilizer(G, 0)
     try:
-        checks, rejection = check_frobenius_eta(G, N, H), None
+        checks, rejection = check_frobenius_eta(inst.group, *_kernel_and_complement(inst)), None
     except NotFrobenius as exc:
         checks, rejection = [], str(exc)
-    if mode == "notfrob":
-        checks = [Check("rejected_as_frobenius", rejection is not None,
-                        "NotFrobenius raised", rejection or "structure accepted")]
-    elif rejection is not None:
-        checks = [Check("frobenius_sum", False, "Frobenius structure", rejection)]
-    if "frob_gap" in e:
-        gap = eta_star(G, N) + eta(H).eta - eta(G).eta
-        checks.append(_expect("sum_minus_eta_gap", e["frob_gap"], gap))
+    if inst.entry.expect["frobenius"][1] == "notfrob":
+        return [Check("rejected_as_frobenius", rejection is not None,
+                      "NotFrobenius raised", rejection or "structure accepted")]
+    if rejection is not None:
+        return [Check("frobenius_sum", False, "Frobenius structure", rejection)]
     return checks
 
 
 def run_centre(inst: Instance) -> list[Check]:
-    G = inst.group
-    return (_per_normal(G, check_centre_bounds)
-            + _expect_each(inst, "eta_star", lambda N: eta_star(G, N)))
+    return _per_normal(inst.group, check_centre_bounds)
 
 
 def run_quot(inst: Instance) -> list[Check]:
-    G = inst.group
-    checks = _per_normal(
-        G, lambda G, N: quot_report_checks(G, check_quot_conditions(G, N)), proper=True
+    return _per_normal(
+        inst.group, lambda G, N: quot_report_checks(G, check_quot_conditions(G, N)), proper=True
     )
-    return (checks
-            + _expect_each(inst, "quot_eta", lambda N: check_quot_conditions(G, N).eta_q)
-            + _expect_each(inst, "quot_union",
-                           lambda N: check_quot_conditions(G, N).gminus_coset_union))
 
 
 def run_products_join(inst: Instance) -> list[Check] | None:
     G = inst.group
-    checks: list[Check] = []
-    if is_p_group(G) is not None and not is_cyclic(G):
-        preserving = eta_preserving_normals(G)
-        qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
-        checks = _per_pair(G, check_quotient_join, qualifying, qualifying)
-    checks += _expect_each(inst, "join_eta", lambda N, M: quotient_eta(G, join(G, (N, M))))
-    return checks or None
+    if is_p_group(G) is None or is_cyclic(G):
+        return None
+    preserving = eta_preserving_normals(G)
+    qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
+    return _per_pair(G, check_quotient_join, qualifying, qualifying)
 
 
 def run_xsub(inst: Instance) -> list[Check] | None:
@@ -434,27 +448,14 @@ def run_xsub(inst: Instance) -> list[Check] | None:
     x = normal_mask(G, X)
     scan_ok = all((M in preserving) == (not m & ~x) for M, m in normal_lattice(G).mask.items())
     e_x = quotient_eta(G, X)
-    checks = [
+    return [
         Check("eta_preserved", e_x == target, target, e_x),
         Check("maximality_scan", scan_ok, "M qualifies <=> M <= X", scan_ok),
     ]
-    e = inst.entry.expect
-    if "x_order" in e:
-        checks.append(_expect("x_order", e["x_order"], X.order))
-    if "x_cyclic" in e:
-        checks.append(_expect("x_cyclic", e["x_cyclic"], is_cyclic(X)))
-    return checks
 
 
 def run_derived(inst: Instance) -> list[Check]:
-    G = inst.group
-    checks = _per_normal(G, check_derived_criterion, proper=True)
-    derived = class_mask(G, derived_subgroup(G).elements)
-    checks += _expect_each(inst, "in_derived", lambda N: not normal_mask(G, N) & ~derived)
-    if "derived_hyp" in inst.entry.expect:
-        hyp, _ = _noncyclic_sylows_of_abelianization(G)
-        checks.append(_expect("derived_hyp", inst.entry.expect["derived_hyp"], hyp))
-    return checks
+    return _per_normal(inst.group, check_derived_criterion, proper=True)
 
 
 def run_exp_bound(inst: Instance) -> list[Check] | None:
@@ -476,17 +477,22 @@ def run_eitheror(inst: Instance) -> list[Check] | None:
     return _per_pair(G, check_eitheror, qualifying, labelled)
 
 
-def _report(name: str, run: Callable[[Instance], list[Check] | None],
+def _report(name: str, run: Callable[[Instance], list[Check] | None] | None,
             inst: Instance) -> VerifyReport | None:
-    """Suite `name`'s report on an instance: the checks of its runner, or
-    None when the runner finds that the suite does not apply."""
-    checks = run(inst)
-    return None if checks is None else VerifyReport(name, inst.entry.spec_text, tuple(checks))
+    """Suite `name`'s report on an instance: the checks of its laws, by its
+    runner, then those of the expectations it checks; None when the runner
+    finds that the laws do not apply and the entry holds no such
+    expectation."""
+    laws = run(inst) if run else None
+    expected = _expect_each(inst, name)
+    if laws is None and not expected:
+        return None
+    return VerifyReport(name, inst.entry.spec_text, tuple((laws or []) + expected))
 
 
 SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
     name: partial(_report, name, run) for name, run in {
-        "values": run_values,
+        "values": None,
         "dirproduct": run_dirproduct,
         "frobenius": run_frobenius,
         "centre": run_centre,

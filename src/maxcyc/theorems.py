@@ -320,6 +320,7 @@ def quot_report_checks(G: Group, rep: QuotCheckReport) -> list[Check]:
 # X(G)
 # ---------------------------------------------------------------------------
 
+@memo
 def compute_X(G: Group) -> Group:
     """Largest normal subgroup X of a noncyclic p-group with eta(G/X) = eta(G).
 
@@ -454,6 +455,7 @@ def check_gminus_subgroup_lemma(G: Group) -> list[Check]:
     return checks
 
 
+@memo
 def gk_graph(G: Group) -> GKGraph:
     """Prime graph of G: p-q is an edge when some element order is
     divisible by pq.  Each distinct element order is factored once."""
@@ -513,10 +515,12 @@ def check_dirproduct_laws(G: Group, H: Group, K: Group) -> list[Check]:
 
 
 def verify_frobenius(G: Group, N: Group, H: Group) -> None:
-    """Raise NotFrobenius unless G = NH with N normal, trivial N∩H, and
-    distinct conjugates of H meeting trivially.  For g = nh outside H,
-    gHg^-1 = nHn^-1, so one conjugate per coset nH decides; the witness is
-    the first g of ``G.element_list`` in a failing coset."""
+    """Raise NotFrobenius unless G = NH with N normal, trivial N∩H,
+    distinct conjugates of H meeting trivially, and 1 < |H| < |G|.  For
+    g = nh outside H, gHg^-1 = nHn^-1, so one conjugate per coset nH
+    decides; the witness is the first g of ``G.element_list`` in a failing
+    coset.  A trivial factor is rejected last, so it changes no other
+    rejection."""
     try:
         normal = is_normal(G, N)
     except NotSubgroup as exc:
@@ -539,6 +543,8 @@ def verify_frobenius(G: Group, N: Group, H: Group) -> None:
         marked = {move(n) for move in map(base.times, H.element_list) for n in failing}
         g = next(g for g in G.element_list if g in marked)
         raise NotFrobenius(f"H meets its conjugate by {g.cycle_string()} nontrivially")
+    if not 1 < H.order < G.order:
+        raise NotFrobenius(f"complement of order {H.order} is not a proper nontrivial subgroup")
 
 
 def check_frobenius_eta(G: Group, N: Group, H: Group) -> list[Check]:

@@ -352,9 +352,10 @@ def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
         assert err.startswith("maxcyc: error: corpus line 2: ")
 
 
-# Each value is checked as its record is read, also where its suite does
-# not apply (D(30) is not a p-group, so the xsub suite skips it); only a
-# well-formed value that names what the group lacks, such as a Frobenius
+# Each value is checked as its record is read, before any suite runs: D(30)
+# has no X(G), but its malformed x_order is a parse error all the same, as
+# is a frob_gap without the frobenius kernel it is measured against.  Only
+# a well-formed value that names what the group lacks, such as a Frobenius
 # kernel of order 9 in a group of order 21, fails later.
 @pytest.mark.parametrize("record, at_parse", [
     ("C(3) ; eta=5 ; eta=1", True),
@@ -371,6 +372,7 @@ def test_suite_time_errors_name_the_corpus_line(tmp_path, capsys, record):
     ("AGL1(7,3) ; frobenius=9:foo", True),
     ("D(30) ; gk_edges=3+5", True),
     ("D(30) ; gk_edges=3-5:", True),
+    ("S(3) ; frob_gap=0", True),
     ("AGL1(7,3) ; frobenius=9:eq", False),
 ])
 def test_malformed_records_name_the_corpus_line(tmp_path, capsys, record, at_parse):
@@ -388,6 +390,72 @@ def test_malformed_records_name_the_corpus_line(tmp_path, capsys, record, at_par
         assert code == 2
         assert out == ""
         assert err.startswith("maxcyc: error: corpus line 2: ")
+
+
+# An expectation is always checked by its suite.  One whose quantity does
+# not exist is an error naming its line and key, never a skipped check:
+# X(G) is defined for noncyclic p-groups only, and S(3) is no p-group and
+# C(4) is cyclic.  Only the suite that checks a key reads it.
+@pytest.mark.parametrize("record, key", [
+    ("S(3) ; x_order=1", "x_order"),
+    ("S(3) ; x_cyclic=1", "x_cyclic"),
+    ("C(4) ; x_order=1", "x_order"),
+])
+def test_an_expectation_without_its_quantity_names_line_and_key(tmp_path, capsys, record, key):
+    corpus = tmp_path / "no-x.corpus"
+    corpus.write_text("C(2) ; eta=1\n" + record + "\n", encoding="utf-8")
+    for argv in ([], ["--jobs", "2"], ["--suite", "xsub"]):
+        code, out, err = run(capsys, "verify", "--corpus", str(corpus), *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"maxcyc: error: corpus line 2: {key}: ")
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--suite", "values")
+    assert (code, out, err) == (0, "PASS values C(2)\n1/1 reports passed\n", "")
+
+
+# Each row of KEYS names the suite that checks the key, and that suite's
+# report lists the expectation checks after its laws, in KEYS order and then
+# in selector order; frobenius is the frobenius suite's switch, no check.
+def test_each_key_names_its_suite_and_its_checks_follow_the_laws():
+    assert KEYS["frobenius"][2:] == (None, None, None)
+    assert {row[2] for key, row in KEYS.items() if key != "frobenius"} <= SUITES.keys()
+    rank = {name: i for i, name in enumerate(KEYS)}
+    entries = parse_corpus(default_corpus_text() + FAILING_CORPUS)
+    checked = 0
+    for entry in entries:
+        reports = {r.suite: r for r in run_suites(list(SUITES), [entry])}
+        for suite in SUITES:
+            owned = {}
+            for key in entry.expect:
+                name, _, sel = key.partition("[")
+                if KEYS[name][2] == suite:
+                    owned[KEYS[name][3] or key] = (rank[name], sel)
+            if not owned:
+                continue
+            names = [c.name for c in reports[suite].checks]
+            tail = names[len(names) - len(owned):]
+            assert set(tail) == owned.keys(), (entry.spec_text, suite)
+            order = [(pos, [int(i) for i in sel[:-1].split(",") if i])
+                     for pos, sel in map(owned.get, tail)]
+            assert order == sorted(order), (entry.spec_text, suite)
+            checked += len(owned)
+    # every expectation but the frobenius switch is checked
+    assert checked == sum(len(e.expect) - ("frobenius" in e.expect) for e in entries)
+
+
+# Negative controls whose complement or kernel is trivial pass by being
+# rejected; the same group claimed as Frobenius fails with the rejection.
+def test_a_trivial_frobenius_factor_is_rejected(tmp_path, capsys):
+    corpus = tmp_path / "trivial.corpus"
+    corpus.write_text("C(3) ; frobenius=3:notfrob\nAGL1(7,1) ; frobenius=7:notfrob\n"
+                      "Perm(4; (1 2 3)) ; frobenius=1:notfrob\nC(3) ; frobenius=3:eq\n",
+                      encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--suite", "frobenius")
+    assert (code, err) == (1, "")
+    assert out == (
+        "PASS frobenius C(3)\nPASS frobenius AGL1(7,1)\nPASS frobenius Perm(4; (1 2 3))\n"
+        "FAIL frobenius C(3)\n     frobenius_sum: expected 'Frobenius structure', "
+        "got 'complement of order 1 is not a proper nontrivial subgroup'\n3/4 reports passed\n"
+    )
 
 
 # Each value is read by its key's form as its record is read: the suites

@@ -390,6 +390,20 @@ def test_frobenius_rejects_wrong_decomposition():
         check_frobenius_eta(G, named_normal(G, 4, 0), point_stabilizer(G, 0))
 
 
+# A Frobenius complement H has 1 < |H| < |G|.  The stabilizer of point 0 is
+# trivial in C(3) and in AGL1(7,1), which is C(7), and is the whole group
+# when C(3) fixes point 0, with the trivial kernel.
+@pytest.mark.parametrize("text, kernel", [("C(3)", 3), ("AGL1(7,1)", 7), ("Perm(4; (1 2 3))", 1)])
+def test_frobenius_rejects_a_trivial_factor(text, kernel):
+    G = realize_text(text)
+    N, H = named_normal(G, kernel, 0), point_stabilizer(G, 0)
+    assert H.order in (1, G.order)
+    with pytest.raises(NotFrobenius, match=f"^complement of order {H.order} is not"):
+        verify_frobenius(G, N, H)
+    with pytest.raises(NotFrobenius):
+        check_frobenius_eta(G, N, H)
+
+
 def test_centre_bounds():
     sg = realize_text("SG72_50")
     assert passed(check_centre_bounds(sg, named_normal(sg, 9, 0)))
