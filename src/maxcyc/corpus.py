@@ -1,12 +1,15 @@
 """Corpus loading and the verification suite runner.
 
 A corpus is a line-oriented file of records ``spec ; key=value ; ...``
-('#' starts a comment).  Each suite runs over the entries it applies to
-and yields one :class:`VerifyReport` per (suite, entry), built in one
-place: the checks of the paper's laws from :mod:`maxcyc.theorems`, then
-one check per expectation of the entry that the suite checks, as
-:data:`KEYS` names them.  Selector keys such as ``quot_eta[5,0]`` address
-the normal subgroup of order 5 at index 0 in the deterministic ordering of
+('#' starts a comment).  Each suite is one row of ``_ROWS``: whether its
+laws apply to an entry, asked before any of them runs, and the laws, each
+computed in :mod:`maxcyc.theorems`, which decides and guards every
+hypothesis on the group.  This layer only selects and labels.  Each suite
+yields one :class:`VerifyReport` per (suite, entry), built in one place:
+the checks of the laws where they apply, then one check per expectation
+of the entry that the suite checks, as :data:`KEYS` names them.  Selector
+keys such as ``quot_eta[5,0]`` address the normal subgroup of order 5 at
+index 0 in the deterministic ordering of
 :func:`maxcyc.core.normal_subgroups`.
 
 Negative controls pass by failing: an entry marked ``frobenius=9:notfrob``
@@ -24,32 +27,15 @@ from .core import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_ORDER_CAP,
     Group,
-    class_mask,
-    derived_subgroup,
-    is_cyclic,
-    is_p_group,
-    is_solvable,
     join,
     labelled_normals,
-    normal_lattice,
-    normal_mask,
     normal_subgroups,
     point_stabilizer,
 )
-from .cyclic import (
-    eta,
-    eta_preserving_normals,
-    eta_star,
-    g_minus,
-    g_minus_via_powers,
-    g_power_set,
-    quotient_eta,
-)
-from .errors import CorpusError, InternalCheckError, MaxcycError, NotExponentP, NotFrobenius
+from .cyclic import eta, eta_preserving_normals, eta_star, quotient_eta
+from .errors import CorpusError, MaxcycError, NotFrobenius
 from .theorems import (
     Check,
-    _noncyclic_sylows_of_abelianization,
-    all_prime_power_orders,
     check_centre_bounds,
     check_derived_criterion,
     check_dirproduct_laws,
@@ -57,15 +43,24 @@ from .theorems import (
     check_exp_bound,
     check_first_main,
     check_frobenius_eta,
+    check_gk_graph,
     check_gminus_containment,
     check_gminus_subgroup_lemma,
     check_l_relation,
+    check_pgrp_lemma,
     check_quot_conditions,
     check_quotient_join,
+    check_xsub,
     classify_prime_order_group,
     compute_X,
     gk_graph,
+    in_derived,
+    is_exponent_p_group,
+    is_noncyclic_p_group,
+    is_nontrivial,
+    noncyclic_sylows_of_abelianization,
     quot_report_checks,
+    x_cyclic,
 )
 
 # Selector integers have no leading zeros, so each selector has one spelling
@@ -81,20 +76,20 @@ def _kernel_and_mode(value: str) -> tuple[int, str]:
 def _kernel_and_complement(inst: Instance) -> tuple[Group, Group]:
     """The frobenius suite's kernel, the first normal of the order that the
     entry's ``frobenius`` value names, and its complement, the stabilizer of
-    point 0, which G holds, so that eta of it is computed once."""
+    point 0, which G holds, so that eta of it is computed once.  A kernel
+    order that names no normal subgroup is an error naming the key."""
     G = inst.group
-    return named_normal(G, inst.entry.expect["frobenius"][0], 0), point_stabilizer(G, 0)
+    try:
+        N = named_normal(G, inst.entry.expect["frobenius"][0], 0)
+    except MaxcycError as exc:
+        raise MaxcycError(f"frobenius: {exc}") from exc
+    return N, point_stabilizer(G, 0)
 
 
 def _frobenius_gap(inst: Instance) -> int:
     G = inst.group
     N, H = _kernel_and_complement(inst)
     return eta_star(G, N) + eta(H).eta - eta(G).eta
-
-
-def _in_derived(inst: Instance, N: Group) -> bool:
-    G = inst.group
-    return not normal_mask(G, N) & ~class_mask(G, derived_subgroup(G).elements)
 
 
 def _classify(inst: Instance) -> str:
@@ -148,10 +143,10 @@ KEYS: dict[str, tuple] = {
     "join_eta": (4, _INTEGER, "products-join", None,
                  lambda inst, N, M: quotient_eta(inst.group, join(inst.group, (N, M)))),
     "x_order": (0, _INTEGER, "xsub", "x_order", lambda inst: compute_X(inst.group).order),
-    "x_cyclic": (0, _FLAG, "xsub", "x_cyclic", lambda inst: is_cyclic(compute_X(inst.group))),
-    "in_derived": (2, _FLAG, "derived", None, _in_derived),
+    "x_cyclic": (0, _FLAG, "xsub", "x_cyclic", lambda inst: x_cyclic(inst.group)),
+    "in_derived": (2, _FLAG, "derived", None, lambda inst, N: in_derived(inst.group, N)),
     "derived_hyp": (0, _FLAG, "derived", "derived_hyp",
-                    lambda inst: _noncyclic_sylows_of_abelianization(inst.group)[0]),
+                    lambda inst: noncyclic_sylows_of_abelianization(inst.group)),
     "classify": (0, _TEXT, "first-main", "classify", _classify),
     "gk_edges": (0, ("'none' or p-q pairs joined by ':'",
                      re.compile(r"none|[0-9]+-[0-9]+(?::[0-9]+-[0-9]+)*"), str),
@@ -296,11 +291,19 @@ def _flatten(parts: Iterable[tuple[str, list[Check]]]) -> list[Check]:
             for label, checks in parts for c in checks]
 
 
-def _per_normal(G: Group, check: Callable, *, proper: bool = False) -> list[Check]:
+def _on_group(check: Callable) -> Callable[[Instance], object]:
+    """A theorem on G, as a function of the instance."""
+    return lambda inst: check(inst.group)
+
+
+def _per_normal(check: Callable, *, proper: bool = False) -> Callable[[Instance], list[Check]]:
     """check(G, N) for each normal N of G, or each proper one, labelled
     ``N[order,index]``."""
-    return _flatten((f"N[{o},{i}]", check(G, N)) for o, i, N in labelled_normals(G)
-                    if not (proper and N.order == G.order))
+    def laws(inst: Instance) -> list[Check]:
+        G = inst.group
+        return _flatten((f"N[{o},{i}]", check(G, N)) for o, i, N in labelled_normals(G)
+                        if not (proper and N.order == G.order))
+    return laws
 
 
 def _per_pair(G: Group, check: Callable, firsts: list, seconds: list) -> list[Check]:
@@ -340,70 +343,11 @@ def _expect_each(inst: Instance, suite: str) -> list[Check]:
 
 
 # ---------------------------------------------------------------------------
-# Suite runners: each returns the checks of its laws, or None when they do
-# not apply.  The expectations each suite checks are named in ``KEYS``.
+# The three runners that select and label: products-join and eitheror pick
+# their pairs of normals, and frobenius handles its negative controls.
 # ---------------------------------------------------------------------------
 
-def run_pgrp_lemma(inst: Instance) -> list[Check]:
-    G = inst.group
-    gm = g_minus(G)
-    gm_pow = g_minus_via_powers(G)
-    checks = [Check("gminus_equals_power_set", gm == gm_pow,
-                    "G^- == {g^q : q | o(g)}", len(gm ^ gm_pow))]
-    p = is_p_group(G)
-    if p is not None:
-        pw = g_power_set(G, p)
-        checks.append(Check("pgroup_gminus_is_pth_powers", gm == pw,
-                            f"G^- == G^{{{p}}}", len(gm ^ pw)))
-    return checks
-
-
-def run_gminus_subgroup(inst: Instance) -> list[Check]:
-    return check_gminus_subgroup_lemma(inst.group)
-
-
-def run_gminus_containment(inst: Instance) -> list[Check]:
-    return _per_normal(inst.group, check_gminus_containment)
-
-
-def run_l_relation(inst: Instance) -> list[Check] | None:
-    if inst.group.order == 1:
-        return None
-    return check_l_relation(inst.group)
-
-
-def run_gk_graph(inst: Instance) -> list[Check]:
-    G = inst.group
-    graph = gk_graph(G)
-    all_ppo = all_prime_power_orders(G)
-    checks = [
-        Check("no_edges_iff_prime_power_orders",
-              (not graph.edges) == all_ppo,
-              "empty graph <=> all prime power orders",
-              {"edges": graph.edges, "all_ppo": all_ppo}),
-    ]
-    if all_ppo and len(graph.vertices) == 2 and is_solvable(G):
-        checks.append(Check("solvable_two_primes_two_components",
-                            graph.component_count() == 2, 2,
-                            graph.component_count()))
-    return checks
-
-
-def run_first_main(inst: Instance) -> list[Check]:
-    return check_first_main(inst.group)
-
-
-def run_dirproduct(inst: Instance) -> list[Check] | None:
-    if not isinstance(inst.spec, DirectProductSpec):
-        return None
-    H = realize(inst.spec.left, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
-    K = realize(inst.spec.right, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
-    return check_dirproduct_laws(inst.group, H, K)
-
-
-def run_frobenius(inst: Instance) -> list[Check] | None:
-    if "frobenius" not in inst.entry.expect:
-        return None
+def _frobenius(inst: Instance) -> list[Check]:
     try:
         checks, rejection = check_frobenius_eta(inst.group, *_kernel_and_complement(inst)), None
     except NotFrobenius as exc:
@@ -416,59 +360,15 @@ def run_frobenius(inst: Instance) -> list[Check] | None:
     return checks
 
 
-def run_centre(inst: Instance) -> list[Check]:
-    return _per_normal(inst.group, check_centre_bounds)
-
-
-def run_quot(inst: Instance) -> list[Check]:
-    return _per_normal(
-        inst.group, lambda G, N: quot_report_checks(G, check_quot_conditions(G, N)), proper=True
-    )
-
-
-def run_products_join(inst: Instance) -> list[Check] | None:
+def _products_join(inst: Instance) -> list[Check]:
     G = inst.group
-    if is_p_group(G) is None or is_cyclic(G):
-        return None
     preserving = eta_preserving_normals(G)
     qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
     return _per_pair(G, check_quotient_join, qualifying, qualifying)
 
 
-def run_xsub(inst: Instance) -> list[Check] | None:
+def _eitheror(inst: Instance) -> list[Check]:
     G = inst.group
-    if is_p_group(G) is None or is_cyclic(G):
-        return None
-    try:
-        X = compute_X(G)
-    except InternalCheckError as exc:
-        return [Check("compute_X", False, "well-defined join", str(exc))]
-    target = eta(G).eta
-    preserving = eta_preserving_normals(G)
-    x = normal_mask(G, X)
-    scan_ok = all((M in preserving) == (not m & ~x) for M, m in normal_lattice(G).mask.items())
-    e_x = quotient_eta(G, X)
-    return [
-        Check("eta_preserved", e_x == target, target, e_x),
-        Check("maximality_scan", scan_ok, "M qualifies <=> M <= X", scan_ok),
-    ]
-
-
-def run_derived(inst: Instance) -> list[Check]:
-    return _per_normal(inst.group, check_derived_criterion, proper=True)
-
-
-def run_exp_bound(inst: Instance) -> list[Check] | None:
-    try:
-        return check_exp_bound(inst.group)
-    except NotExponentP:
-        return None
-
-
-def run_eitheror(inst: Instance) -> list[Check] | None:
-    G = inst.group
-    if is_p_group(G) is None or is_cyclic(G):
-        return None
     preserving = eta_preserving_normals(G)
     labelled = labelled_normals(G)
     qualifying = [(o, i, N) for o, i, N in labelled if N.order > 1 and N in preserving]
@@ -477,38 +377,57 @@ def run_eitheror(inst: Instance) -> list[Check] | None:
     return _per_pair(G, check_eitheror, qualifying, labelled)
 
 
-def _report(name: str, run: Callable[[Instance], list[Check] | None] | None,
+def _factors(inst: Instance) -> list[Group]:
+    """The factors H and K of an entry written ``H x K``, realized under the
+    run's caps."""
+    return [realize(factor, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
+            for factor in (inst.spec.left, inst.spec.right)]
+
+
+# One row per suite, in the order of SUITES: whether its laws apply to an
+# instance (None: to every group), and the laws, as a function of the
+# instance: a theorem on G, one on each normal or each proper normal, or a
+# runner.  The hypotheses on G are the predicates of ``theorems``, which
+# each law's own guard asks again, so an error that a guard raises while
+# the laws run stops ``verify`` and never makes a suite n/a.  ``values``
+# has no laws: it checks its expectations only.
+_ROWS: dict[str, tuple[Callable[[Instance], bool] | None, Callable | None]] = {
+    "values": (None, None),
+    "dirproduct": (lambda inst: isinstance(inst.spec, DirectProductSpec),
+                   lambda inst: check_dirproduct_laws(inst.group, *_factors(inst))),
+    "frobenius": (lambda inst: "frobenius" in inst.entry.expect, _frobenius),
+    "centre": (None, _per_normal(check_centre_bounds)),
+    "pgrp-lemma": (None, _on_group(check_pgrp_lemma)),
+    "gminus-containment": (None, _per_normal(check_gminus_containment)),
+    "gminus-subgroup": (None, _on_group(check_gminus_subgroup_lemma)),
+    "quot": (None, _per_normal(lambda G, N: quot_report_checks(G, check_quot_conditions(G, N)),
+                               proper=True)),
+    "products-join": (_on_group(is_noncyclic_p_group), _products_join),
+    "xsub": (_on_group(is_noncyclic_p_group), _on_group(check_xsub)),
+    "derived": (None, _per_normal(check_derived_criterion, proper=True)),
+    "exp-bound": (_on_group(is_exponent_p_group), _on_group(check_exp_bound)),
+    "eitheror": (_on_group(is_noncyclic_p_group), _eitheror),
+    "l-relation": (_on_group(is_nontrivial), _on_group(check_l_relation)),
+    "first-main": (None, _on_group(check_first_main)),
+    "gk-graph": (None, _on_group(check_gk_graph)),
+}
+
+
+def _report(name: str, applies: Callable[[Instance], bool] | None,
+            laws: Callable[[Instance], list[Check]] | None,
             inst: Instance) -> VerifyReport | None:
-    """Suite `name`'s report on an instance: the checks of its laws, by its
-    runner, then those of the expectations it checks; None when the runner
-    finds that the laws do not apply and the entry holds no such
-    expectation."""
-    laws = run(inst) if run else None
+    """Suite `name`'s report on an instance: the checks of its laws, when
+    they apply, then those of the expectations it checks; None when the
+    laws do not apply and the entry holds no such expectation."""
+    checks = laws(inst) if laws and (applies is None or applies(inst)) else None
     expected = _expect_each(inst, name)
-    if laws is None and not expected:
+    if checks is None and not expected:
         return None
-    return VerifyReport(name, inst.entry.spec_text, tuple((laws or []) + expected))
+    return VerifyReport(name, inst.entry.spec_text, tuple((checks or []) + expected))
 
 
 SUITES: dict[str, Callable[[Instance], VerifyReport | None]] = {
-    name: partial(_report, name, run) for name, run in {
-        "values": None,
-        "dirproduct": run_dirproduct,
-        "frobenius": run_frobenius,
-        "centre": run_centre,
-        "pgrp-lemma": run_pgrp_lemma,
-        "gminus-containment": run_gminus_containment,
-        "gminus-subgroup": run_gminus_subgroup,
-        "quot": run_quot,
-        "products-join": run_products_join,
-        "xsub": run_xsub,
-        "derived": run_derived,
-        "exp-bound": run_exp_bound,
-        "eitheror": run_eitheror,
-        "l-relation": run_l_relation,
-        "first-main": run_first_main,
-        "gk-graph": run_gk_graph,
-    }.items()
+    name: partial(_report, name, *row) for name, row in _ROWS.items()
 }
 
 

@@ -2,10 +2,15 @@
 
 Each verifier returns its list of named :class:`Check` results rather
 than a bare boolean, so a failing instance carries its expected and
-actual values.  The suite layer in :mod:`maxcyc.corpus` names each suite
-and corpus entry, prefixes the checks of each normal subgroup with its
-label, and handles negative controls (inputs expected to violate a
-hypothesis).
+actual values.  Every law of a ``verify`` suite is computed here, and so
+is each hypothesis on G: :func:`is_noncyclic_p_group`,
+:func:`is_exponent_p_group` and :func:`is_nontrivial` are the predicates
+that the suite layer asks before it runs a law and that the law's own
+guard asks again, raising an error that names the law.  The suite layer
+in :mod:`maxcyc.corpus` only selects: it names each suite and corpus
+entry, prefixes the checks of each normal subgroup with its label, picks
+the pairs of normals, and handles negative controls (inputs expected to
+violate a hypothesis).
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .core import (
     is_nilpotent,
     is_normal,
     is_p_group,
+    is_solvable,
     join,
     memo,
     normal_lattice,
@@ -42,6 +48,8 @@ from .cyclic import (
     eta_preserving_normals,
     eta_star,
     g_minus,
+    g_minus_via_powers,
+    g_power_set,
     maximal_cyclic_classes,
     power_classes,
     quotient_eta,
@@ -73,11 +81,28 @@ def all_prime_power_orders(G: Group) -> bool:
     return all(map(_prime_power, element_orders(G).values()))
 
 
-def _require_noncyclic_p_group(G: Group, caller: str) -> None:
-    if not is_p_group(G):
-        raise NotPGroup(f"{caller} requires a p-group")
-    if is_cyclic(G):
-        raise GroupIsCyclic(f"{caller} requires a noncyclic group")
+def is_noncyclic_p_group(G: Group) -> bool:
+    """The hypothesis of X(G), the join law and the either-or law."""
+    return is_p_group(G) is not None and not is_cyclic(G)
+
+
+def is_exponent_p_group(G: Group) -> bool:
+    """The hypothesis of the exponent bound: G is a p-group of exponent p
+    and order at least p**2."""
+    p = is_p_group(G)
+    return p is not None and exponent(G) == p and G.order >= p * p
+
+
+def is_nontrivial(G: Group) -> bool:
+    """The hypothesis of the l relation."""
+    return G.order > 1
+
+
+def _require_noncyclic_p_group(G: Group, law: str) -> None:
+    if not is_noncyclic_p_group(G):
+        if is_p_group(G) is None:
+            raise NotPGroup(f"{law} requires a noncyclic p-group; G is not a p-group")
+        raise GroupIsCyclic(f"{law} requires a noncyclic p-group; G is cyclic")
 
 
 def _inside(small: int, large: int) -> bool:
@@ -328,7 +353,7 @@ def compute_X(G: Group) -> Group:
     eta(G), so its quotient is the one already built for the scan; the
     function re-checks that X qualifies and contains each qualifying M.
     """
-    _require_noncyclic_p_group(G, "compute_X")
+    _require_noncyclic_p_group(G, "X(G)")
     target = eta(G).eta
     qualifying = eta_preserving_normals(G)
     X = join(G, qualifying)
@@ -338,6 +363,29 @@ def compute_X(G: Group) -> Group:
     if not all(_inside(normal_mask(G, M), x) for M in qualifying):
         raise InternalCheckError("a qualifying normal subgroup escapes the join")
     return X
+
+
+def check_xsub(G: Group) -> list[Check]:
+    """X(G) preserves eta, and a normal M preserves eta exactly when it lies
+    in X(G); a failed cross-check of :func:`compute_X` is a failed check."""
+    try:
+        X = compute_X(G)
+    except InternalCheckError as exc:
+        return [Check("compute_X", False, "well-defined join", str(exc))]
+    target = eta(G).eta
+    preserving = eta_preserving_normals(G)
+    x = normal_mask(G, X)
+    scan_ok = all((M in preserving) == _inside(m, x) for M, m in normal_lattice(G).mask.items())
+    e_x = quotient_eta(G, X)
+    return [
+        Check("eta_preserved", e_x == target, target, e_x),
+        Check("maximality_scan", scan_ok, "M qualifies <=> M <= X", scan_ok),
+    ]
+
+
+def x_cyclic(G: Group) -> bool:
+    """Whether X(G) is cyclic."""
+    return is_cyclic(compute_X(G))
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +456,22 @@ def check_first_main(G: Group) -> list[Check]:
 # G^- as a set
 # ---------------------------------------------------------------------------
 
+def check_pgrp_lemma(G: Group) -> list[Check]:
+    """G^- is the set of powers g**q, q a prime dividing o(g); in a p-group
+    it is the set of p-th powers G^{p}.  Each actual value is the size of
+    the symmetric difference."""
+    gm = g_minus(G)
+    gm_pow = g_minus_via_powers(G)
+    checks = [Check("gminus_equals_power_set", gm == gm_pow,
+                    "G^- == {g^q : q | o(g)}", len(gm ^ gm_pow))]
+    p = is_p_group(G)
+    if p is not None:
+        pw = g_power_set(G, p)
+        checks.append(Check("pgroup_gminus_is_pth_powers", gm == pw,
+                            f"G^- == G^{{{p}}}", len(gm ^ pw)))
+    return checks
+
+
 def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     """G^- lies in N exactly when everything outside N has prime power
     order and the quotient has prime element orders; plus the prime-index
@@ -469,11 +533,29 @@ def gk_graph(G: Group) -> GKGraph:
     return GKGraph(vertices, tuple(sorted(edges)))
 
 
+def check_gk_graph(G: Group) -> list[Check]:
+    """The prime graph has no edge exactly when every element order is a
+    prime power; then a solvable G with two primes has two components."""
+    graph = gk_graph(G)
+    all_ppo = all_prime_power_orders(G)
+    checks = [
+        Check("no_edges_iff_prime_power_orders",
+              (not graph.edges) == all_ppo,
+              "empty graph <=> all prime power orders",
+              {"edges": graph.edges, "all_ppo": all_ppo}),
+    ]
+    if all_ppo and len(graph.vertices) == 2 and is_solvable(G):
+        checks.append(Check("solvable_two_primes_two_components",
+                            graph.component_count() == 2, 2,
+                            graph.component_count()))
+    return checks
+
+
 def check_l_relation(G: Group) -> list[Check]:
     """eta(G) = l(G) - 1 exactly when every nonidentity element has prime
     order."""
-    if G.order == 1:
-        raise ValueError("check_l_relation requires a nontrivial group")
+    if not is_nontrivial(G):
+        raise ValueError("the l relation requires a nontrivial group")
     rep = eta(G)
     lhs = rep.eta == rep.l_value - 1
     rhs = all(is_prime(n) for n in element_orders(G).values() if n > 1)
@@ -575,14 +657,23 @@ def check_centre_bounds(G: Group, N: Group) -> list[Check]:
 # Derived subgroup, exponent bound, dichotomy, joins
 # ---------------------------------------------------------------------------
 
-def _noncyclic_sylows_of_abelianization(G: Group) -> tuple[bool, Group]:
-    """Whether every nontrivial Sylow subgroup of G/G' is noncyclic, and G'
-    as its lattice member, whose quotient the quot suite has read."""
-    D = normal_lattice(G).member[class_mask(G, derived_subgroup(G).elements)]
+def _derived_mask(G: Group) -> int:
+    return class_mask(G, derived_subgroup(G).elements)
+
+
+def noncyclic_sylows_of_abelianization(G: Group) -> bool:
+    """Whether every nontrivial Sylow subgroup of G/G' is noncyclic, read on
+    the quotient by G' as its lattice member, which the quot suite has read."""
+    D = normal_lattice(G).member[_derived_mask(G)]
     orders = quotient_invariants(G, D).orders
     # a Sylow p-subgroup of the abelian G/G' is cyclic when some element's
     # order is its whole order
-    return not any(p_part(len(orders), p) in orders for p in prime_factors(len(orders))), D
+    return not any(p_part(len(orders), p) in orders for p in prime_factors(len(orders)))
+
+
+def in_derived(G: Group, N: Group) -> bool:
+    """Whether the normal subgroup N lies in G'."""
+    return _inside(normal_mask(G, N), _derived_mask(G))
 
 
 def check_derived_criterion(G: Group, N: Group) -> list[Check]:
@@ -595,8 +686,8 @@ def check_derived_criterion(G: Group, N: Group) -> list[Check]:
     if e_q != e_g:
         return [Check("vacuous (eta not preserved)", True, "skip",
                       {"eta_g": e_g, "eta_q": e_q})]
-    hyp, D = _noncyclic_sylows_of_abelianization(G)
-    inside = _inside(normal_mask(G, N), normal_mask(G, D))
+    hyp = noncyclic_sylows_of_abelianization(G)
+    inside = in_derived(G, N)
     checks = [Check("hypothesis_noncyclic_sylows", True, None, hyp)]
     if hyp:
         checks.append(Check("N_inside_derived", inside, True, inside))
@@ -608,12 +699,10 @@ def check_derived_criterion(G: Group, N: Group) -> list[Check]:
 
 def check_exp_bound(G: Group) -> list[Check]:
     """eta >= n + p - 1 for an exponent-p group of order p**n, n >= 2."""
-    p = is_p_group(G)
-    if p is None or exponent(G) != p:
-        raise NotExponentP("check_exp_bound requires a p-group of exponent p")
+    if not is_exponent_p_group(G):
+        raise NotExponentP("the exponent bound requires a p-group of exponent p and order >= p**2")
+    p = exponent(G)  # the prime of the p-group
     n = round(math.log(G.order, p))
-    if n < 2:
-        raise NotExponentP("check_exp_bound requires order >= p**2")
     e_g = eta(G).eta
     bound = n + p - 1
     return [Check("growth_bound", e_g >= bound, f"eta >= {bound}", e_g)]
@@ -623,7 +712,7 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
     """For a noncyclic p-group with eta(G/N) = eta(G) and N nontrivial:
     every normal M satisfies N <= M or M <= G^-; a normal maximal cyclic
     subgroup, when present, must contain N."""
-    _require_noncyclic_p_group(G, "check_eitheror")
+    _require_noncyclic_p_group(G, "the either-or law")
     if N.order == 1:
         raise HypothesisFailed("N must be nontrivial")
     if not is_normal(G, N) or not is_normal(G, M):
@@ -649,7 +738,7 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
 def check_quotient_join(G: Group, N: Group, M: Group) -> list[Check]:
     """For a noncyclic p-group, two eta-preserving normal subgroups have an
     eta-preserving join."""
-    _require_noncyclic_p_group(G, "check_quotient_join")
+    _require_noncyclic_p_group(G, "the join law")
     e_g = eta(G).eta
     for s in (N, M):
         if not is_normal(G, s):

@@ -251,12 +251,11 @@ def test_criterion_10_negative_controls(groups):
             failures.append(f"D30 coset-union should fail for |N|={sel.order}")
 
     dic = groups["Dic12"]
-    from maxcyc.theorems import _noncyclic_sylows_of_abelianization
+    from maxcyc.theorems import noncyclic_sylows_of_abelianization
 
-    hyp, D = _noncyclic_sylows_of_abelianization(dic)
-    if hyp:
+    if noncyclic_sylows_of_abelianization(dic):
         failures.append("Dic12 derived-criterion hypothesis should fail")
-    if named_normal(dic, 2, 0).elements <= D.elements:
+    if named_normal(dic, 2, 0).elements <= derived_subgroup(dic).elements:
         failures.append("Dic12 center should not lie in the derived subgroup")
 
     sg = groups["SG72_50"]

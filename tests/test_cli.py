@@ -12,6 +12,7 @@ import pytest
 
 import maxcyc
 from maxcyc import core, cyclic, theorems
+from maxcyc import corpus as corpus_module
 from maxcyc.cli import main
 from maxcyc.core import coset_table
 from maxcyc.corpus import (
@@ -21,7 +22,7 @@ from maxcyc.corpus import (
     parse_corpus,
     run_suites,
 )
-from maxcyc.errors import CorpusError, ParseError
+from maxcyc.errors import CorpusError, NotPGroup, ParseError
 from maxcyc.perm import Permutation
 
 
@@ -808,6 +809,88 @@ def test_failing_expectations_output_is_pinned(tmp_path, capsys, fmt, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
     if fmt == "text":
         assert out.endswith("\n45/56 reports passed\n")
+
+
+# One entry on each side of every hypothesis that gates a suite: C(1) is
+# trivial, C(4) a cyclic p-group, S(3) no p-group but a Frobenius entry,
+# EA(3,2) and Heis(3) noncyclic p-groups of exponent p, and C(2) x S(3) a
+# product entry.  Pinned before each hypothesis became a predicate that the
+# suite asks before its laws run.
+APPLICABILITY_CORPUS = """\
+C(1)
+C(4)
+S(3) ; frobenius=3:eq
+EA(3,2)
+Heis(3)
+C(2) x S(3)
+"""
+
+_GATED = {
+    "dirproduct": ["C(2) x S(3)"],
+    "frobenius": ["S(3)"],
+    "products-join": ["EA(3,2)", "Heis(3)"],
+    "xsub": ["EA(3,2)", "Heis(3)"],
+    "exp-bound": ["EA(3,2)", "Heis(3)"],
+    "eitheror": ["EA(3,2)", "Heis(3)"],
+    "l-relation": ["C(4)", "S(3)", "EA(3,2)", "Heis(3)", "C(2) x S(3)"],
+}
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "59738da4ab50f34757672e6f343d24e6d159d13767919355151c73a886d378b1"),
+    ("json", "d863aa8c43dfdbe6eb5fb2aaa3d5e70014be178f00345b83313fbd108465de44"),
+])
+def test_applicability_output_is_pinned(tmp_path, capsys, fmt, digest):
+    corpus = tmp_path / "applies.corpus"
+    corpus.write_text(APPLICABILITY_CORPUS, encoding="utf-8")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--format", fmt,
+                             "--jobs", jobs)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+    found = run_suites(list(_GATED), parse_corpus(APPLICABILITY_CORPUS))
+    assert {s: [r.instance for r in found if r.suite == s] for s in _GATED} == _GATED
+
+
+# A hypothesis error raised while a suite's laws run stops verify: it never
+# makes the suite n/a.  Q(8) has eta-preserving pairs, so the either-or law
+# runs on it.
+def test_a_hypothesis_error_in_the_laws_is_no_skip(tmp_path, capsys, monkeypatch):
+    def refuse(G, N, M):
+        raise NotPGroup("planted")
+
+    monkeypatch.setattr(corpus_module, "check_eitheror", refuse)
+    corpus = tmp_path / "q8.corpus"
+    corpus.write_text("C(2) ; eta=1\nQ(8)\n", encoding="utf-8")
+    for jobs in ("1", "2"):
+        for argv in ([], ["--suite", "eitheror"]):
+            code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs, *argv)
+            assert (code, out, err) == (2, "", "maxcyc: error: corpus line 2: planted\n")
+
+
+# A Frobenius kernel order that names no normal subgroup is an error naming
+# the key, as every expectation's error does.
+def test_a_missing_frobenius_kernel_names_its_key(tmp_path, capsys):
+    corpus = tmp_path / "kernel.corpus"
+    corpus.write_text("AGL1(7,3) ; frobenius=9:eq\n", encoding="utf-8")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs)
+        assert (code, out) == (2, "")
+        assert err == ("maxcyc: error: corpus line 1: frobenius: no normal subgroup of order 9 "
+                       "with index 0 (0 candidates)\n")
+
+
+# X(G) is defined for noncyclic p-groups; its errors name X(G), and keep
+# their types, NotPGroup and GroupIsCyclic.
+@pytest.mark.parametrize("spec, why", [("S(3)", "not a p-group"), ("C(4)", "cyclic")])
+def test_x_hypothesis_errors_name_x(tmp_path, capsys, spec, why):
+    message = f"X(G) requires a noncyclic p-group; G is {why}"
+    assert run(capsys, "xsub", spec) == (2, "", f"maxcyc: error: {message}\n")
+    corpus = tmp_path / "x.corpus"
+    corpus.write_text(f"{spec} ; x_order=1\n", encoding="utf-8")
+    for jobs in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs)
+        assert (code, out, err) == (2, "", f"maxcyc: error: corpus line 1: x_order: {message}\n")
 
 
 @pytest.mark.parametrize("fmt, digest", [

@@ -128,7 +128,8 @@ def test_gminus_containment_builds_no_coset_table(monkeypatch):
     built = []
     for module in (core, cyclic, theorems):
         monkeypatch.setattr(module, "coset_table", lambda G, N: built.append(N))
-    checks = corpus.run_gminus_containment(corpus.Instance(None, None, G, 0, 0))
+    entry = corpus.CorpusEntry(1, "EA(2,5)", "derived", {})
+    checks = corpus.SUITES["gminus-containment"](corpus.Instance(entry, None, G, 0, 0)).checks
     assert len(normal_subgroups(G)) == 374
     assert checks and all(c.passed for c in checks)
     assert built == []
