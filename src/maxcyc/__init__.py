@@ -27,7 +27,6 @@ from .core import (
 )
 from .constructors import (
     GroupSpec,
-    direct_product,
     named_normal,
     parse_spec,
     realize,

@@ -11,6 +11,8 @@ product operator)::
 Each family is one :class:`Family` class, which holds its keyword, its
 parameters, the degree of its group and that group's generators; the
 parser, ``render`` and :func:`realize` read these and never name a family.
+A product node gives its degree and generators from its factors' nodes, so
+:func:`realize` builds every spec alike and never names the product.
 Parse errors carry character indices; parameter violations raise ArityError.
 """
 
@@ -26,7 +28,7 @@ from .core import (
     enumerate_elements,
     normal_lattice,
 )
-from .errors import ArityError, CapExceeded, InternalCheckError, NoSuchNormal, ParseError
+from .errors import ArityError, CapExceeded, NoSuchNormal, ParseError
 from .numutil import is_prime, multiplicative_order, prime_power_base
 from .perm import Permutation
 
@@ -417,8 +419,26 @@ class ExplicitPerms(Family):
 
 
 class DirectProductSpec(_Node):
+    """H x K on the disjoint union of the factors' points, H's first.  Its
+    degree and generators are read off the factors' nodes, so no factor is
+    realized to build it."""
+
     left: GroupSpec
     right: GroupSpec
+
+    @property
+    def degree(self) -> int:
+        return self.left.degree + self.right.degree
+
+    def generators(self) -> list[Permutation]:
+        # H's generators fix K's points; K's are moved past H's points
+        m, degree = self.left.degree, self.degree
+        return [
+            Permutation(g.images + tuple(range(m, degree))) for g in self.left.generators()
+        ] + [
+            Permutation(tuple(range(m)) + tuple(v + m for v in g.images))
+            for g in self.right.generators()
+        ]
 
     def render(self) -> str:
         return f"{self.left.render()} x {self.right.render()}"
@@ -548,43 +568,15 @@ def parse_spec(text: str) -> GroupSpec:
 # Realization
 # ---------------------------------------------------------------------------
 
-def direct_product(
-    H: Group,
-    K: Group,
-    *,
-    order_cap: int = DEFAULT_ORDER_CAP,
-    degree_cap: int = DEFAULT_DEGREE_CAP,
-) -> Group:
-    """H x K acting on the disjoint union of the two point sets."""
-    if H.order * K.order > order_cap:
-        raise CapExceeded(f"product order {H.order * K.order} exceeds cap {order_cap}")
-    degree = H.degree + K.degree
-    gens = [
-        Permutation(g.images + tuple(range(H.degree, degree))) for g in H.generators
-    ] + [
-        Permutation(tuple(range(H.degree)) + tuple(v + H.degree for v in g.images))
-        for g in K.generators
-    ]
-    G = enumerate_elements(degree, gens, order_cap=order_cap, degree_cap=degree_cap)
-    if G.order != H.order * K.order:
-        raise InternalCheckError("direct product order mismatch")
-    return G
-
-
 def realize(
     spec: GroupSpec,
     *,
     order_cap: int = DEFAULT_ORDER_CAP,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Group:
-    """Build the faithful permutation group a spec names.  An atom whose
-    degree exceeds degree_cap raises CapExceeded before it is built."""
-    if isinstance(spec, DirectProductSpec):
-        H = realize(spec.left, order_cap=order_cap, degree_cap=degree_cap)
-        K = realize(spec.right, order_cap=order_cap, degree_cap=degree_cap)
-        return direct_product(H, K, order_cap=order_cap, degree_cap=degree_cap)
-    if not isinstance(spec, Family):
-        raise TypeError(f"unknown spec node {spec!r}")
+    """Build the faithful permutation group a spec names, from its node's
+    degree and generators.  A spec whose degree exceeds degree_cap raises
+    CapExceeded before any generator is built."""
     if spec.degree > degree_cap:
         raise CapExceeded(f"degree {spec.degree} exceeds degree cap {degree_cap}")
     return enumerate_elements(

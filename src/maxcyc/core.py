@@ -283,20 +283,6 @@ def _reduced_generators(
     return gens
 
 
-def closed_under_product(elements: Collection[Permutation]) -> bool:
-    """Whether a set of permutations is closed under composition, that is,
-    whether it is a subgroup.  The empty set counts as closed; a nonempty
-    set must contain the identity."""
-    if not elements:
-        return True
-    within = set(map(_word, elements))
-    try:
-        _reduced_generators(next(iter(elements)).degree, elements, within)
-    except ValueError:
-        return False
-    return True
-
-
 def group_from_elements(degree: int, elements: Iterable[Permutation]) -> Group:
     """Wrap an already-closed element set as a Group, generated by the
     greedy generators of the sorted elements, from one run of
@@ -696,13 +682,12 @@ def is_p_group(G: Group) -> int | None:
 
 
 def is_nilpotent(G: Group) -> bool:
-    """Whether the p-elements form a subgroup of full p-part for each prime p."""
-    orders = element_orders(G)
-    for p in prime_factors(G.order):
-        part = [x for x, n in orders.items() if p_part(n, p) == n]
-        if len(part) != p_part(G.order, p) or not closed_under_product(part):
-            return False
-    return True
+    """Whether G has exactly |G|_p elements of p-power order for each prime
+    p: the p-elements are the union of the Sylow p-subgroups, so the count
+    is |G|_p exactly when the Sylow p-subgroup is unique, that is normal."""
+    orders = element_orders(G).values()
+    return all(sum(p_part(n, p) == n for n in orders) == p_part(G.order, p)
+               for p in prime_factors(G.order))
 
 
 def is_solvable(G: Group) -> bool:

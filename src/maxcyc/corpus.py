@@ -33,7 +33,7 @@ from .core import (
     point_stabilizer,
 )
 from .cyclic import eta, eta_preserving_normals, eta_star, quotient_eta
-from .errors import CorpusError, MaxcycError, NotFrobenius
+from .errors import CorpusError, InternalCheckError, MaxcycError, NotFrobenius
 from .theorems import (
     Check,
     check_centre_bounds,
@@ -243,8 +243,6 @@ class Instance(NamedTuple):
     entry: CorpusEntry
     spec: GroupSpec
     group: Group
-    order_cap: int
-    degree_cap: int
 
 
 def realize_entry(
@@ -253,8 +251,7 @@ def realize_entry(
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> Instance:
     spec = parse_spec(entry.spec_text)
-    return Instance(entry, spec, realize(spec, order_cap=order_cap, degree_cap=degree_cap),
-                    order_cap, degree_cap)
+    return Instance(entry, spec, realize(spec, order_cap=order_cap, degree_cap=degree_cap))
 
 
 class VerifyReport(NamedTuple):
@@ -378,10 +375,15 @@ def _eitheror(inst: Instance) -> list[Check]:
 
 
 def _factors(inst: Instance) -> list[Group]:
-    """The factors H and K of an entry written ``H x K``, realized under the
-    run's caps."""
-    return [realize(factor, order_cap=inst.order_cap, degree_cap=inst.degree_cap)
-            for factor in (inst.spec.left, inst.spec.right)]
+    """The factors H and K of an entry written ``H x K``, each realized
+    within G's order and degree, which bound theirs; |G| = |H| * |K| is
+    checked."""
+    G = inst.group
+    H, K = (realize(factor, order_cap=G.order, degree_cap=G.degree)
+            for factor in (inst.spec.left, inst.spec.right))
+    if G.order != H.order * K.order:
+        raise InternalCheckError("direct product order mismatch")
+    return [H, K]
 
 
 # One row per suite, in the order of SUITES: whether its laws apply to an

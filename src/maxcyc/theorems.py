@@ -555,7 +555,7 @@ def check_l_relation(G: Group) -> list[Check]:
     """eta(G) = l(G) - 1 exactly when every nonidentity element has prime
     order."""
     if not is_nontrivial(G):
-        raise ValueError("the l relation requires a nontrivial group")
+        raise HypothesisFailed("the l relation requires a nontrivial group")
     rep = eta(G)
     lhs = rep.eta == rep.l_value - 1
     rhs = all(is_prime(n) for n in element_orders(G).values() if n > 1)

@@ -22,7 +22,9 @@ multiplication table, where maxcyc reads the class masks of its normal
 lattice.  :func:`perm_order`, :func:`is_abelian` and
 :func:`is_simple_nonabelian_60` are reference predicates that the library
 itself no longer needs; the last reads the subgroup oracle.  :func:`passed`
-reads a verifier's list of checks.
+reads a verifier's list of checks.  :func:`is_nilpotent_oracle` asks that
+any two elements of coprime order commute, where maxcyc.core counts the
+elements of prime-power order.
 """
 
 from __future__ import annotations
@@ -147,6 +149,14 @@ def subgroup_closure(G: Group, seed: Iterable[Permutation]) -> frozenset[Permuta
 def closed_pairwise(members: Collection[Permutation]) -> bool:
     """Whether every product a*b of two members is a member."""
     return all(a * b in members for a in members for b in members)
+
+
+def is_nilpotent_oracle(G: Group) -> bool:
+    """Whether any two elements of coprime order commute, which holds
+    exactly when the finite group G is nilpotent."""
+    orders = {x: perm_order(x) for x in G.element_list}
+    return all(x * y == y * x for x in orders for y in orders
+               if math.gcd(orders[x], orders[y]) == 1)
 
 
 def _per_group_key(fn: Callable) -> Callable:

@@ -129,6 +129,26 @@ def test_cap_flags(capsys):
     assert "cap" in err
 
 
+# A product is realized from its own degree and generators, like an atom, so
+# a cap names the product: the degree cap its degree, the order cap the
+# degree of the closure that outgrew it.
+PRODUCT_CAP_ERRORS = {
+    "S(7) x S(7)": "closure exceeds order cap 20000 (degree 14)",
+    "C(200) x C(2)": "degree 202 exceeds degree cap 128",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(PRODUCT_CAP_ERRORS))
+def test_a_product_over_a_cap_is_refused_as_one_group(tmp_path, capsys, spec):
+    corpus = tmp_path / "product.corpus"
+    corpus.write_text(f"{spec}\n", encoding="utf-8")
+    for argv, where in ((["eta", spec], ""),
+                        (["verify", "--corpus", str(corpus)], "corpus line 1: ")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"maxcyc: error: {where}{PRODUCT_CAP_ERRORS[spec]}\n"
+
+
 # Atoms whose degree is far above the degree cap, with that degree.
 OVERSIZED = {
     "C(1000000000)": 1_000_000_000,

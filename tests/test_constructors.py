@@ -162,9 +162,7 @@ def test_records_are_read_only():
 def test_realize_orders_and_degrees(text, order, degree):
     G = realize_text(text)
     assert (G.order, G.degree) == (order, degree)
-    spec = parse_spec(text)
-    if not isinstance(spec, DirectProductSpec):
-        assert spec.degree == degree
+    assert parse_spec(text).degree == degree
     if degree > 1:
         with pytest.raises(CapExceeded, match=f"^degree {degree} exceeds degree cap {degree - 1}$"):
             realize_text(text, degree_cap=degree - 1)
@@ -199,6 +197,10 @@ GENERATOR_PINS = [
     ("Perm(5; (0 1 2 3 4), (1 4)(2 3))",
      "de9649d25619a7bcfdf4e22569a98a82", "4c15b40c74ae40197d8d25dc76a6bdbc"),
     ("S(3) x D(10)", "b496de6cccfe62b55c14b834d44ca31c", "ebaf7cc5fb8ba3d759986b3bf22d6d9f"),
+    ("C(2) x C(3) x C(5)",
+     "ee1ba497a1bc2b093cb021b799ad8cac", "6bfd8d06ccc68169dc502d14dbd1322a"),
+    ("Perm(4; (0 1 2 3)) x S(3)",
+     "50c00e1a0f1a932b606784cc597e76f7", "4ae69d0038485186b734415f80b9b844"),
 ]
 
 

@@ -129,7 +129,7 @@ def test_gminus_containment_builds_no_coset_table(monkeypatch):
     for module in (core, cyclic, theorems):
         monkeypatch.setattr(module, "coset_table", lambda G, N: built.append(N))
     entry = corpus.CorpusEntry(1, "EA(2,5)", "derived", {})
-    checks = corpus.SUITES["gminus-containment"](corpus.Instance(entry, None, G, 0, 0)).checks
+    checks = corpus.SUITES["gminus-containment"](corpus.Instance(entry, None, G)).checks
     assert len(normal_subgroups(G)) == 374
     assert checks and all(c.passed for c in checks)
     assert built == []

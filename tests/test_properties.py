@@ -26,19 +26,20 @@ from maxcyc import (
     subgroup_generated,
     subgroup_invariants,
 )
-from maxcyc.core import closed_under_product, is_cyclic, is_p_group
+from maxcyc.constructors import DirectProductSpec
+from maxcyc.core import is_cyclic, is_nilpotent, is_p_group
 from maxcyc.corpus import default_corpus_text, parse_corpus
 from maxcyc.cyclic import eta_preserving_normals, maximal_cyclic_classes
 from maxcyc.theorems import check_eitheror, check_quot_conditions, classify_prime_order_group
 
 from oracles import (
     classify_oracle,
-    closed_pairwise,
     element_classes_oracle,
     eta_oracle,
     eta_star_oracle,
     g_minus_oracle,
     greedy_generators,
+    is_nilpotent_oracle,
     normal_subgroup_element_sets,
     outcome,
     perm_order,
@@ -238,10 +239,6 @@ def test_closures_match_oracles(G, data):
     assert list(H.generators) == kept
     containing = [N for N in normal_subgroup_element_sets(G) if set(seed) <= N]
     assert normal_closure(G, seed).elements == min(containing, key=len)
-    subset = frozenset(data.draw(st.lists(elements, max_size=6)))
-    candidates = [g_minus(G), frozenset(), subset, H.elements, H.elements - {G.identity}]
-    for S in candidates + [N.elements for N in normal_subgroups(G)]:
-        assert closed_under_product(S) == closed_pairwise(S)
 
 
 def assert_eta_matches_oracle(G):
@@ -330,6 +327,26 @@ def test_named_conjugation_orbits_match_oracles(text):
 
 
 CORPUS_SPECS = [entry.spec_text for entry in parse_corpus(default_corpus_text())]
+
+# The factors H and K of every corpus entry written H x K, whose
+# nilpotence decides the dirproduct suite's law iv.
+CORPUS_FACTORS = sorted({
+    render(factor)
+    for spec in map(parse_spec, CORPUS_SPECS) if isinstance(spec, DirectProductSpec)
+    for factor in (spec.left, spec.right)
+})
+
+
+@given(small_groups())
+@group_settings
+def test_nilpotence_matches_the_oracle(G):
+    assert is_nilpotent(G) == is_nilpotent_oracle(G)
+
+
+@pytest.mark.parametrize("text", CORPUS_FACTORS)
+def test_corpus_factor_nilpotence_matches_the_oracle(text):
+    G = realize_text(text)
+    assert is_nilpotent(G) == is_nilpotent_oracle(G)
 
 
 def assert_quot_conditions_match_the_oracle(G):

@@ -317,6 +317,8 @@ def test_l_relation_examples():
     assert passed(check_l_relation(realize_text("A(5)")))
     assert passed(check_l_relation(realize_text("C(6)")))
     assert passed(check_l_relation(realize_text("Heis(3)")))
+    with pytest.raises(HypothesisFailed, match="^the l relation requires a nontrivial group$"):
+        check_l_relation(realize_text("C(1)"))
     rep = eta(realize_text("A(5)"))
     assert rep.eta == rep.l_value - 1 == 3
     rep = eta(realize_text("C(6)"))
@@ -341,9 +343,7 @@ def test_dirproduct_laws_examples():
 def test_dirproduct_equality_without_coprimality():
     s3, d10 = realize_text("S(3)"), realize_text("D(10)")
     assert eta(s3).eta == eta(d10).eta == 2
-    from maxcyc import direct_product
-
-    assert eta(direct_product(s3, d10)).eta == 4
+    assert eta(realize_text("S(3) x D(10)")).eta == 4
 
 
 def test_frobenius_eta_examples():
