@@ -19,6 +19,7 @@ from .core import (
     element_orders,
     enumerate_elements,
     is_normal,
+    named_normal,
     normal_closure,
     normal_subgroups,
     point_stabilizer,
@@ -27,7 +28,6 @@ from .core import (
 )
 from .constructors import (
     GroupSpec,
-    named_normal,
     parse_spec,
     realize,
     realize_text,

@@ -20,9 +20,10 @@ from .core import (
     DEFAULT_ORDER_CAP,
     Group,
     is_cyclic,
-    labelled_normals,
+    named_normal,
+    normal_lattice,
 )
-from .constructors import named_normal, parse_spec, realize
+from .constructors import parse_spec, realize
 from .cyclic import eta, g_minus, quotient_eta
 from .errors import MaxcycError
 
@@ -137,7 +138,7 @@ def cmd_normals(args: argparse.Namespace) -> int:
     rows = [
         {"order": order, "index": idx,
          "generators": [g.cycle_string() for g in N.generators] or ["()"]}
-        for order, idx, N in labelled_normals(G)
+        for (order, idx), N in normal_lattice(G).named.items()
     ]
     payload = {"order": G.order, "normal_subgroups": rows}
     lines = [f"{r['order']:>6}  {r['index']:>3}  {' '.join(r['generators'])}" for r in rows]

@@ -21,14 +21,8 @@ from __future__ import annotations
 import math
 from typing import ClassVar, NamedTuple, Union
 
-from .core import (
-    DEFAULT_DEGREE_CAP,
-    DEFAULT_ORDER_CAP,
-    Group,
-    enumerate_elements,
-    normal_lattice,
-)
-from .errors import ArityError, CapExceeded, NoSuchNormal, ParseError
+from .core import DEFAULT_DEGREE_CAP, DEFAULT_ORDER_CAP, Group, enumerate_elements
+from .errors import ArityError, CapExceeded, ParseError
 from .numutil import is_prime, multiplicative_order, prime_power_base
 from .perm import Permutation
 
@@ -421,27 +415,38 @@ class ExplicitPerms(Family):
 class DirectProductSpec(_Node):
     """H x K on the disjoint union of the factors' points, H's first.  Its
     degree and generators are read off the factors' nodes, so no factor is
-    realized to build it."""
+    realized to build it, and the parser's left-nested chain of products is
+    walked in a loop (:meth:`factors`), so no depth of it recurses."""
 
     left: GroupSpec
     right: GroupSpec
 
+    def factors(self) -> list[GroupSpec]:
+        """The factors, left to right, down the chain of left products."""
+        node, rights = self, []
+        while isinstance(node, DirectProductSpec):
+            rights.append(node.right)
+            node = node.left
+        return [node, *reversed(rights)]
+
     @property
     def degree(self) -> int:
-        return self.left.degree + self.right.degree
+        return sum(f.degree for f in self.factors())
 
     def generators(self) -> list[Permutation]:
-        # H's generators fix K's points; K's are moved past H's points
-        m, degree = self.left.degree, self.degree
-        return [
-            Permutation(g.images + tuple(range(m, degree))) for g in self.left.generators()
-        ] + [
-            Permutation(tuple(range(m)) + tuple(v + m for v in g.images))
-            for g in self.right.generators()
-        ]
+        # each factor's generators move its own block of points and fix the rest
+        factors = self.factors()
+        degree = sum(f.degree for f in factors)
+        gens, start = [], 0
+        for f in factors:
+            before, after = tuple(range(start)), tuple(range(start + f.degree, degree))
+            gens += [Permutation(before + tuple(v + start for v in g.images) + after)
+                     for g in f.generators()]
+            start += f.degree
+        return gens
 
     def render(self) -> str:
-        return f"{self.left.render()} x {self.right.render()}"
+        return " x ".join(f.render() for f in self.factors())
 
 
 GroupSpec = Union[Family, DirectProductSpec]
@@ -592,12 +597,3 @@ def realize_text(
 ) -> Group:
     """Parse and realize in one step."""
     return realize(parse_spec(text), order_cap=order_cap, degree_cap=degree_cap)
-
-
-def named_normal(G: Group, order: int, index: int) -> Group:
-    """The normal subgroup labelled ``[order,index]`` in :func:`normal_lattice`."""
-    named = normal_lattice(G).named
-    if (order, index) in named:
-        return named[order, index]
-    count = sum(o == order for o, _ in named)
-    raise NoSuchNormal(f"no normal subgroup of order {order} with index {index} ({count} candidates)")

@@ -3,7 +3,9 @@
 Every group here carries its full element table, so each predicate used by
 the verification layer (normality, conjugacy, coset structure) is decided by
 direct enumeration.  Operations are pure; :func:`memo` keeps derived data
-in the group it describes and never changes observable results.
+in the group it describes and never changes observable results.  A normal
+subgroup argument is checked in one place, :func:`normal_mask`, and
+:func:`coset_table`, which must not build the lattice, checks its own.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from itertools import groupby, repeat
 from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import CapExceeded, InternalCheckError, NotNormal, NotSubgroup
+from .errors import CapExceeded, InternalCheckError, NoSuchNormal, NotNormal, NotSubgroup
 from .numutil import p_part, prime_factors, prime_power_base
 from .perm import Permutation, right_multiplier, table_of, word_conjugator
 
@@ -408,7 +410,9 @@ def coset_table(G: Group, N: Group) -> CosetTable:
     """The cosets of a normal subgroup N of G, built on the base images of
     :func:`base_index`: the coset of x holds x*n for each n in N, each
     named by its base images (x*n)(b) = x(n(b)) and listed as G's own
-    element.  Raises NotNormal unless N is normal in G."""
+    element.  Raises NotNormal unless N is normal in G: it checks N itself,
+    not through :func:`normal_mask`, as it serves :func:`quotient_group`
+    and library calls on groups whose lattice cannot be listed."""
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in G")
     base = base_index(G)
@@ -617,15 +621,32 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
 
 def normal_mask(G: Group, N: Group) -> int:
     """The class mask of N, normal in G: its member's in
-    :func:`normal_lattice`, or :func:`class_mask` of another Group's."""
+    :func:`normal_lattice`, or :func:`class_mask` of another Group's once
+    :func:`is_normal` has accepted it.  Every function that takes a normal
+    subgroup reads it here first, so this is the one guard: it raises
+    NotSubgroup unless N lies in G, and NotNormal unless N is normal."""
     mask = normal_lattice(G).mask.get(N)
-    return class_mask(G, N.elements) if mask is None else mask
+    if mask is not None:
+        return mask
+    if not is_normal(G, N):
+        raise NotNormal(f"subgroup of order {N.order} is not normal in G")
+    return class_mask(G, N.elements)
+
+
+def named_normal(G: Group, order: int, index: int) -> Group:
+    """The normal subgroup labelled ``[order,index]`` in :func:`normal_lattice`."""
+    named = normal_lattice(G).named
+    if (order, index) in named:
+        return named[order, index]
+    count = sum(o == order for o, _ in named)
+    raise NoSuchNormal(f"no normal subgroup of order {order} with index {index} ({count} candidates)")
 
 
 def join(G: Group, normals: Iterable[Group]) -> Group:
     """The join of normal subgroups of G, as the member of
     :func:`normal_lattice`, so that data memoized on it is shared: the
-    trivial subgroup closed by the class step under each of their classes."""
+    trivial subgroup closed by the class step under each of their classes,
+    read by :func:`normal_mask`, which guards each of them."""
     lattice = normal_lattice(G)
     joined = 1
     for N in normals:
@@ -635,12 +656,6 @@ def join(G: Group, normals: Iterable[Group]) -> Group:
     if joined not in lattice.member:
         raise InternalCheckError(f"the join, of {joined.bit_count()} classes, is no lattice member")
     return lattice.member[joined]
-
-
-def labelled_normals(G: Group) -> list[tuple[int, int, Group]]:
-    """(order, index among that order, subgroup) for each normal subgroup:
-    the ``[order,index]`` labels of :func:`normal_lattice`."""
-    return [(o, i, N) for (o, i), N in normal_lattice(G).named.items()]
 
 
 @memo

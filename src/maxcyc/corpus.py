@@ -22,13 +22,14 @@ import re
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
-from .constructors import DirectProductSpec, GroupSpec, named_normal, parse_spec, realize
+from .constructors import DirectProductSpec, GroupSpec, parse_spec, realize
 from .core import (
     DEFAULT_DEGREE_CAP,
     DEFAULT_ORDER_CAP,
     Group,
     join,
-    labelled_normals,
+    named_normal,
+    normal_lattice,
     normal_subgroups,
     point_stabilizer,
 )
@@ -298,16 +299,17 @@ def _per_normal(check: Callable, *, proper: bool = False) -> Callable[[Instance]
     ``N[order,index]``."""
     def laws(inst: Instance) -> list[Check]:
         G = inst.group
-        return _flatten((f"N[{o},{i}]", check(G, N)) for o, i, N in labelled_normals(G)
+        return _flatten((f"N[{o},{i}]", check(G, N))
+                        for (o, i), N in normal_lattice(G).named.items()
                         if not (proper and N.order == G.order))
     return laws
 
 
 def _per_pair(G: Group, check: Callable, firsts: list, seconds: list) -> list[Check]:
-    """check(G, N, M) for each labelled normal N of `firsts` and M of
-    `seconds`, labelled ``N[order,index]vM[order,index]``."""
+    """check(G, N, M) for each labelled normal ((o, i), N) of `firsts` and M
+    of `seconds`, labelled ``N[order,index]vM[order,index]``."""
     return _flatten((f"N[{o1},{i1}]vM[{o2},{i2}]", check(G, N, M))
-                    for o1, i1, N in firsts for o2, i2, M in seconds)
+                    for (o1, i1), N in firsts for (o2, i2), M in seconds)
 
 
 def _expect(name: str, want: object, actual: object) -> Check:
@@ -360,15 +362,15 @@ def _frobenius(inst: Instance) -> list[Check]:
 def _products_join(inst: Instance) -> list[Check]:
     G = inst.group
     preserving = eta_preserving_normals(G)
-    qualifying = [(o, i, N) for o, i, N in labelled_normals(G) if N in preserving]
+    qualifying = [(label, N) for label, N in normal_lattice(G).named.items() if N in preserving]
     return _per_pair(G, check_quotient_join, qualifying, qualifying)
 
 
 def _eitheror(inst: Instance) -> list[Check]:
     G = inst.group
     preserving = eta_preserving_normals(G)
-    labelled = labelled_normals(G)
-    qualifying = [(o, i, N) for o, i, N in labelled if N.order > 1 and N in preserving]
+    labelled = list(normal_lattice(G).named.items())
+    qualifying = [(label, N) for label, N in labelled if N.order > 1 and N in preserving]
     if not qualifying:
         return [Check("vacuous (no eta-preserving nontrivial N)", True, "skip", "skip")]
     return _per_pair(G, check_eitheror, qualifying, labelled)

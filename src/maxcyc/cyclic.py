@@ -22,7 +22,9 @@ InternalCheckError is raised, so the identity is a permanent self-test,
 of the class walk too.  The invariants of a quotient G/N
 (:func:`quotient_invariants`) and of a normal subgroup N
 (:func:`subgroup_invariants`) come from the same index, through the coset
-map or restricted to N, and neither is given an index of its own.
+map or restricted to N, and neither is given an index of its own.  Each
+reads N first through :func:`maxcyc.core.coset_table` or
+:func:`maxcyc.core.normal_mask`, which refuse a subgroup that is not normal.
 """
 
 from __future__ import annotations
@@ -41,13 +43,12 @@ from .core import (
     conjugacy_classes,
     coset_table,
     element_orders,
-    is_normal,
     memo,
     normal_lattice,
     normal_mask,
     orbits,
 )
-from .errors import InternalCheckError, NotNormal
+from .errors import InternalCheckError
 from .numutil import is_prime, prime_factors
 from .perm import Permutation
 
@@ -403,14 +404,13 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     N-classes of cyclic subgroups are the :func:`maxcyc.core.orbits` under
     N's generators outside the centre of G, and those of the maximal ones
     the orbits that start at a maximal one.  N is never given a base, an
-    index or classes of its own.
+    index or classes of its own; its class mask, read first, is its guard.
     """
-    if not is_normal(G, N):
-        raise NotNormal("subgroup_invariants requires N normal in G")
+    mask = normal_mask(G, N)
     _, sub_of = _cyclic_index(G)
     in_n = {x: sub_of[x] for x in N.elements}
     subs = {s.elements: s for s in in_n.values()}.values()
-    minus = frozenset(class_members(G, _powers_mask(G, normal_mask(G, N))))
+    minus = frozenset(class_members(G, _powers_mask(G, mask)))
     maximal = _maximal(subs, in_n, minus, element_orders(G))
     conjugator = base_index(G).conjugator
     maps = [
@@ -434,11 +434,9 @@ def eta_star(G: Group, N: Group) -> int:
     :func:`subgroup_invariants`, fall in.  As N is normal, such a class
     holds N-maximal subgroups only, so the classes met hold exactly as many
     subgroups as N has maximal ones; if they hold more, InternalCheckError
-    is raised."""
-    if not is_normal(G, N):
-        raise NotNormal("eta_star requires N normal in G")
-    label = _cyclic_labels(G)
+    is raised.  :func:`subgroup_invariants`, read first, guards N."""
     n_maximal = subgroup_invariants(G, N).maximal
+    label = _cyclic_labels(G)
     met = {label[s.canonical_generator] for s in n_maximal}
     classes = cyclic_classes(G)
     if sum(len(classes[c]) for c in met) != len(n_maximal):

@@ -6,7 +6,9 @@ actual values.  Every law of a ``verify`` suite is computed here, and so
 is each hypothesis on G: :func:`is_noncyclic_p_group`,
 :func:`is_exponent_p_group` and :func:`is_nontrivial` are the predicates
 that the suite layer asks before it runs a law and that the law's own
-guard asks again, raising an error that names the law.  The suite layer
+guard asks again, raising an error that names the law.  A normal
+subgroup N is read first through :func:`maxcyc.core.normal_mask`, the one
+guard that N is normal in G, and so are Z(G) and G'.  The suite layer
 in :mod:`maxcyc.corpus` only selects: it names each suite and corpus
 entry, prefixes the checks of each normal subgroup with its label, picks
 the pairs of normals, and handles negative controls (inputs expected to
@@ -64,7 +66,6 @@ from .errors import (
     InternalCheckError,
     NotExponentP,
     NotFrobenius,
-    NotNormal,
     NotPGroup,
     NotProper,
     NotSubgroup,
@@ -237,10 +238,9 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     in ``N.element_list`` order; only the cosets that fail are walked.  The
     quotient's invariants are read on the same coset table.
     """
-    if not is_normal(G, N):
-        raise NotNormal("check_quot_conditions requires N normal in G")
+    inside = normal_mask(G, N)
     if N.order == G.order:
-        raise NotProper("check_quot_conditions requires N proper in G")
+        raise NotProper(f"the quotient conditions require N proper in G; N is G (order {G.order})")
 
     gminus_set = g_minus(G)
     eta_g = eta(G).eta
@@ -251,7 +251,7 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     equal = eta_g == eta_q
     witnesses: dict[str, tuple[str, ...]] = {}
 
-    cond_a = _inside(normal_mask(G, N), class_mask(G, gminus_set))
+    cond_a = _inside(inside, class_mask(G, gminus_set))
     if not cond_a:
         witnesses["cond_a"] = tuple(x.cycle_string() for x in sorted(N.elements - gminus_set)[:3])
 
@@ -405,11 +405,9 @@ def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
     that commuted with one of order p would make one of order pq.  The
     trivial group counts, vacuously, as a 2-group of exponent 2.
     """
-    if not is_normal(G, N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal in G")
+    inside, powers = normal_mask(G, N), _class_powers(G)
     index = G.order // N.order
     primes = prime_factors(index)
-    inside, powers = normal_mask(G, N), _class_powers(G)
     if powers.prime_modulo(inside) != powers.every:
         return PrimeOrderClass("not_all_prime_order")
     if len(primes) <= 1:
@@ -477,8 +475,6 @@ def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     order and the quotient has prime element orders; plus the prime-index
     and exponent-p refinements, all read on class masks, the quotient
     orders by :meth:`_ClassPowers.prime_modulo`, with no coset table."""
-    if not is_normal(G, N):
-        raise NotNormal("check_gminus_containment requires N normal")
     inside, powers = normal_mask(G, N), _class_powers(G)
     outside = powers.every & ~inside
     contained = _inside(class_mask(G, g_minus(G)), inside)
@@ -640,13 +636,12 @@ def check_centre_bounds(G: Group, N: Group) -> list[Check]:
     """eta(G) >= eta*(N); the central and index-k refinements.  eta(N) and
     eta*(N) are read off G's own index by
     :func:`maxcyc.cyclic.subgroup_invariants`."""
-    if not is_normal(G, N):
-        raise NotNormal("check_centre_bounds requires N normal")
+    inside = normal_mask(G, N)
     e_g = eta(G).eta
     e_star = eta_star(G, N)
     checks = [Check("star_bound", e_g >= e_star, f"eta(G) >= {e_star}", e_g)]
     e_n = subgroup_invariants(G, N).eta
-    if _inside(normal_mask(G, N), class_mask(G, center(G).elements)):
+    if _inside(inside, normal_mask(G, center(G))):
         checks.append(Check("central_case", e_g >= e_n, f"eta(G) >= {e_n}", e_g))
     k = G.order // N.order
     checks.append(Check("index_k_case", k * e_g >= e_n, f"{k}*eta(G) >= {e_n}", k * e_g))
@@ -658,7 +653,7 @@ def check_centre_bounds(G: Group, N: Group) -> list[Check]:
 # ---------------------------------------------------------------------------
 
 def _derived_mask(G: Group) -> int:
-    return class_mask(G, derived_subgroup(G).elements)
+    return normal_mask(G, derived_subgroup(G))
 
 
 def noncyclic_sylows_of_abelianization(G: Group) -> bool:
@@ -679,8 +674,7 @@ def in_derived(G: Group, N: Group) -> bool:
 def check_derived_criterion(G: Group, N: Group) -> list[Check]:
     """When eta survives G -> G/N and no Sylow subgroup of G/G' is cyclic,
     N must lie inside the derived subgroup."""
-    if not is_normal(G, N):
-        raise NotNormal("check_derived_criterion requires N normal")
+    normal_mask(G, N)  # the guard: N is normal in G
     e_g = eta(G).eta
     e_q = quotient_eta(G, N)
     if e_q != e_g:
@@ -713,13 +707,11 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
     every normal M satisfies N <= M or M <= G^-; a normal maximal cyclic
     subgroup, when present, must contain N."""
     _require_noncyclic_p_group(G, "the either-or law")
+    n, m = normal_mask(G, N), normal_mask(G, M)
     if N.order == 1:
         raise HypothesisFailed("N must be nontrivial")
-    if not is_normal(G, N) or not is_normal(G, M):
-        raise NotNormal("N and M must be normal")
     if quotient_eta(G, N) != eta(G).eta:
         raise HypothesisFailed("eta(G/N) != eta(G)")
-    n, m = normal_mask(G, N), normal_mask(G, M)
     n_in_m, m_in_gminus = _inside(n, m), _inside(m, class_mask(G, g_minus(G)))
     checks = [
         Check("dichotomy", n_in_m or m_in_gminus, "N <= M or M <= G^-",
@@ -737,13 +729,11 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
 
 def check_quotient_join(G: Group, N: Group, M: Group) -> list[Check]:
     """For a noncyclic p-group, two eta-preserving normal subgroups have an
-    eta-preserving join."""
+    eta-preserving join.  The join is taken first: it guards N and M."""
     _require_noncyclic_p_group(G, "the join law")
+    joined = join(G, (N, M))
     e_g = eta(G).eta
-    for s in (N, M):
-        if not is_normal(G, s):
-            raise NotNormal("N and M must be normal")
-        if quotient_eta(G, s) != e_g:
-            raise HypothesisFailed("eta(G/N) = eta(G/M) = eta(G) required")
-    e_join = quotient_eta(G, join(G, (N, M)))
+    if quotient_eta(G, N) != e_g or quotient_eta(G, M) != e_g:
+        raise HypothesisFailed("eta(G/N) = eta(G/M) = eta(G) required")
+    e_join = quotient_eta(G, joined)
     return [Check("join_preserves_eta", e_join == e_g, e_g, e_join)]

@@ -149,6 +149,34 @@ def test_a_product_over_a_cap_is_refused_as_one_group(tmp_path, capsys, spec):
         assert err == f"maxcyc: error: {where}{PRODUCT_CAP_ERRORS[spec]}\n"
 
 
+# A product of many factors is a long chain of product nodes, read in a
+# loop: it is refused at the degree cap, or realized within a larger one.
+DEEP_PRODUCT = " x ".join(["C(1)"] * 1200)
+
+
+def test_a_deep_product_is_refused_at_the_cap_and_realized_within_one(tmp_path, capsys):
+    corpus = tmp_path / "deep.corpus"
+    corpus.write_text(f"{DEEP_PRODUCT}\n", encoding="utf-8")
+    message = "degree 1200 exceeds degree cap 128"
+    assert run(capsys, "eta", DEEP_PRODUCT) == (2, "", f"maxcyc: error: {message}\n")
+    assert run(capsys, "verify", "--corpus", str(corpus)) == (
+        2, "", f"maxcyc: error: corpus line 1: {message}\n")
+    code, out, err = run(capsys, "eta", DEEP_PRODUCT, "--degree-cap", "1200")
+    assert (code, err) == (0, "")
+    assert "\norder: 1\n" in out
+
+
+def test_the_quotient_by_G_itself_is_refused_naming_the_law(tmp_path, capsys):
+    message = "the quotient conditions require N proper in G; N is G (order 6)"
+    assert run(capsys, "quot", "S(3)", "--order", "6") == (2, "", f"maxcyc: error: {message}\n")
+    # a second entry gives --jobs 2 a pool of two workers
+    corpus = tmp_path / "whole.corpus"
+    corpus.write_text("S(3) ; quot_eta[6,0]=1\nC(2)\n", encoding="utf-8")
+    for jobs in ("1", "2"):
+        assert run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs) == (
+            2, "", f"maxcyc: error: corpus line 1: quot_eta[6,0]: {message}\n")
+
+
 # Atoms whose degree is far above the degree cap, with that degree.
 OVERSIZED = {
     "C(1000000000)": 1_000_000_000,

@@ -93,6 +93,15 @@ def test_render_parse_roundtrip(text):
     assert parse_spec(render(spec)) == spec
 
 
+def test_a_deep_product_is_walked_in_a_loop():
+    # the parser nests a product to the left once per factor; degree,
+    # generators and render walk the chain without recursion
+    text = " x ".join(["C(1)"] * 1200)
+    spec = parse_spec(text)
+    assert render(spec) == text
+    assert (spec.degree, spec.generators()) == (1200, [])
+
+
 def test_specs_are_frozen_records():
     assert Cyclic(3) == Cyclic(3) and hash(Cyclic(3)) == hash(Cyclic(3))
     assert Cyclic(3) != Cyclic(4)

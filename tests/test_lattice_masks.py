@@ -3,6 +3,7 @@ element-set routes of ``oracles.py``; and the coset tables a full verify
 builds."""
 
 from collections import Counter
+from functools import partial
 
 import pytest
 from hypothesis import assume, given
@@ -18,14 +19,16 @@ from maxcyc.core import (
     coset_table,
     derived_subgroup,
     join,
-    labelled_normals,
+    named_normal,
     normal_lattice,
     normal_mask,
     normal_subgroups,
 )
-from maxcyc.constructors import named_normal, realize_text
+from maxcyc.constructors import realize_text
 from maxcyc.cyclic import g_minus, power_classes
+from maxcyc.errors import NotNormal, NotSubgroup
 from maxcyc.numutil import is_prime
+from maxcyc.perm import Permutation
 from maxcyc.theorems import _class_powers, check_gminus_containment, classify_prime_order_group
 
 from oracles import (
@@ -52,7 +55,6 @@ def assert_record_is_consistent(G: Group) -> None:
         assert (order, index) == (N.order, counts[N.order])
         counts[N.order] += 1
         assert named_normal(G, order, index) is N
-    assert labelled_normals(G) == [(o, i, N) for (o, i), N in lattice.named.items()]
     for N, mask in lattice.mask.items():
         assert lattice.member[mask] is N
         assert frozenset(class_members(G, mask)) == N.elements
@@ -163,3 +165,48 @@ def test_verify_builds_one_coset_table_per_quotient_read(monkeypatch):
         for value in H.derived.values():
             held = value if isinstance(value, tuple) else (value,)
             assert not any(isinstance(v, CosetTable) for v in held)
+
+
+# Every function that takes a normal subgroup reads it first through
+# core.normal_mask, the one guard, or, for a quotient, through
+# core.coset_table, so each refuses a subgroup that is not normal.
+ON_S3 = {
+    "normal_mask": core.normal_mask,
+    "join": lambda G, H: core.join(G, [H]),
+    "in_derived": theorems.in_derived,
+    "subgroup_invariants": cyclic.subgroup_invariants,
+    "eta_star": cyclic.eta_star,
+    "quotient_invariants": cyclic.quotient_invariants,
+    "coset_table": core.coset_table,
+    "check_quot_conditions": theorems.check_quot_conditions,
+    "classify_prime_order_group": theorems.classify_prime_order_group,
+    "check_gminus_containment": theorems.check_gminus_containment,
+    "check_centre_bounds": theorems.check_centre_bounds,
+    "check_derived_criterion": theorems.check_derived_criterion,
+}
+
+# The laws of a noncyclic p-group, on D(8) with a reflection subgroup R,
+# which is not normal, and the centre Z, which is.
+ON_D8 = {
+    "check_eitheror(R, Z)": lambda G, R, Z: theorems.check_eitheror(G, R, Z),
+    "check_eitheror(Z, R)": lambda G, R, Z: theorems.check_eitheror(G, Z, R),
+    "check_quotient_join(Z, R)": lambda G, R, Z: theorems.check_quotient_join(G, Z, R),
+}
+
+
+@pytest.mark.parametrize("name", list(ON_S3) + list(ON_D8))
+def test_a_subgroup_that_is_not_normal_is_refused(name):
+    if name in ON_S3:
+        G = realize_text("S(3)")
+        call = partial(ON_S3[name], G, core.subgroup_generated(G, [Permutation((1, 0, 2))]))
+    else:
+        G = realize_text("D(8)")
+        R = core.subgroup_generated(G, [Permutation((0, 3, 2, 1))])
+        call = partial(ON_D8[name], G, R, named_normal(G, 2, 0))
+    with pytest.raises(NotNormal, match=r"^subgroup of order 2 is not normal in G$"):
+        call()
+
+
+def test_normal_mask_refuses_a_group_outside_G():
+    with pytest.raises(NotSubgroup):
+        core.normal_mask(realize_text("S(3)"), realize_text("S(4)"))
