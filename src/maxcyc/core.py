@@ -94,7 +94,8 @@ def memo(fn: Callable) -> Callable:
     The key is the positional arguments, and the wrapper takes no keyword
     arguments, so every argument that can change the result is part of
     the key.  ``record(G, *args, result=r)`` holds r as the result, for a
-    caller that has computed or proved it."""
+    caller that has computed or proved it, and ``held(G, *args)`` says
+    whether a result is held."""
 
     @wraps(fn)
     def cached(G: Group, *args):
@@ -104,6 +105,7 @@ def memo(fn: Callable) -> Callable:
         return G.derived[key]
 
     cached.record = lambda G, *args, result: G.derived.__setitem__((fn, *args), result)
+    cached.held = lambda G, *args: (fn, *args) in G.derived
     return cached
 
 
@@ -622,12 +624,15 @@ def normal_subgroups(G: Group) -> tuple[Group, ...]:
 def normal_mask(G: Group, N: Group) -> int:
     """The class mask of N, normal in G: its member's in
     :func:`normal_lattice`, or :func:`class_mask` of another Group's once
-    :func:`is_normal` has accepted it.  Every function that takes a normal
-    subgroup reads it here first, so this is the one guard: it raises
-    NotSubgroup unless N lies in G, and NotNormal unless N is normal."""
-    mask = normal_lattice(G).mask.get(N)
-    if mask is not None:
-        return mask
+    :func:`is_normal` has accepted it.  Only the lattice makes members, so
+    one that is not yet built is not built here.  Every function that takes
+    a normal subgroup reads it here first, so this is the one guard: it
+    raises NotSubgroup unless N lies in G, and NotNormal unless N is
+    normal."""
+    if normal_lattice.held(G):
+        mask = normal_lattice(G).mask.get(N)
+        if mask is not None:
+            return mask
     if not is_normal(G, N):
         raise NotNormal(f"subgroup of order {N.order} is not normal in G")
     return class_mask(G, N.elements)

@@ -18,6 +18,7 @@ passes its suite exactly when the Frobenius verification rejects it.
 
 from __future__ import annotations
 
+import os
 import re
 from functools import partial
 from typing import Callable, Iterable, NamedTuple
@@ -447,6 +448,75 @@ def _run_entry(task: tuple[list[str], CorpusEntry, int, int]) -> list[VerifyRepo
         raise CorpusError(entry.line_no, str(exc)) from exc
 
 
+def _run_share(tasks: list, k: int, workers: int) -> tuple[list, CorpusError | None]:
+    """Worker k's share of the tasks: tasks k, k + workers, k + 2 * workers,
+    ..., run in order up to the first that fails.  Returns the results before
+    it and its error, or every result and None."""
+    results = []
+    for task in tasks[k::workers]:
+        try:
+            results.append(_run_entry(task))
+        except CorpusError as exc:
+            return results, exc
+    return results, None
+
+
+def _forked_shares(tasks: list, workers: int) -> list[list[VerifyReport | None]]:
+    """Every task's result, in task order, from `workers` shares of the tasks
+    (:func:`_run_share`).  The parent runs share 0 and forks one child for
+    each other share, which inherits the tasks and replies through its own
+    pipe with one pickle of its share, and always leaves by ``os._exit``: it
+    flushes no inherited stdio, runs no atexit handler and never returns to
+    the caller.  Every share ran in order up to its own first error, so the
+    error of the lowest-numbered task that failed is the one a serial run
+    raises.  A child that exits nonzero is an error naming its status; if
+    anything interrupts the parent, it kills and reaps the children left.
+    """
+    import pickle
+    import signal
+
+    children = []  # (share, pid, reply) of each child not yet reaped
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child
+                status = 1
+                try:
+                    os.close(r)
+                    with open(w, "wb") as reply:
+                        pickle.dump(_run_share(tasks, k, workers), reply)
+                    status = 0
+                except Exception:
+                    import traceback
+
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((k, pid, open(r, "rb")))
+        shares = [_run_share(tasks, 0, workers)]
+        while children:
+            k, pid, reply = children[0]
+            with reply:
+                data = reply.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if status != 0:
+                raise MaxcycError(f"verify worker {k} exited with status {status}")
+            shares.append(pickle.loads(data))
+    finally:
+        for _, pid, reply in children:
+            reply.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failed = {k + workers * len(results): error
+              for k, (results, error) in enumerate(shares) if error is not None}
+    if failed:
+        raise failed[min(failed)]
+    return [shares[i % workers][0][i // workers] for i in range(len(tasks))]
+
+
 def run_suites(
     suite_names: list[str],
     entries: list[CorpusEntry],
@@ -457,9 +527,10 @@ def run_suites(
 ) -> list[VerifyReport]:
     """Run the named suites over the corpus, reports in (suite, entry) order;
     a suite named twice runs once, where it is first named.  Each entry is
-    one task that realizes its group once and runs every suite on it, in a
-    pool of at most one process per entry when jobs > 1; transposing the
-    per-entry results makes the output identical either way.
+    one task that realizes its group once and runs every suite on it.  When
+    jobs > 1, the tasks run in at most one forked worker per entry
+    (:func:`_forked_shares`), or serially where ``os.fork`` does not exist;
+    transposing the per-entry results makes the output identical either way.
     """
     suite_names = list(dict.fromkeys(suite_names))
     for name in suite_names:
@@ -467,13 +538,8 @@ def run_suites(
             raise MaxcycError(f"unknown suite {name!r}")
     tasks = [(suite_names, entry, order_cap, degree_cap) for entry in entries]
     workers = min(jobs, len(tasks))
-    if workers > 1:
-        # Imported here: only --jobs needs it, and every CLI process would
-        # pay for the import.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            per_entry = list(pool.map(_run_entry, tasks))
+    if workers > 1 and hasattr(os, "fork"):
+        per_entry = _forked_shares(tasks, workers)
     else:
         per_entry = list(map(_run_entry, tasks))
     return [r for per_suite in zip(*per_entry) for r in per_suite if r is not None]

@@ -18,6 +18,7 @@ violate a hypothesis).
 from __future__ import annotations
 
 import math
+from heapq import nsmallest
 from itertools import islice
 from typing import Any, Iterator, NamedTuple
 
@@ -71,6 +72,7 @@ from .errors import (
     NotSubgroup,
 )
 from .numutil import is_prime, p_part, prime_factors
+from .perm import Permutation
 
 
 def _prime_power(n: int) -> bool:
@@ -214,6 +216,21 @@ class QuotCheckReport(NamedTuple):
 # Quotient conditions
 # ---------------------------------------------------------------------------
 
+class _CycleStrings(dict):
+    """Each element's cycle notation, formatted on its first read."""
+
+    def __missing__(self, x: Permutation) -> str:
+        self[x] = text = x.cycle_string()
+        return text
+
+
+@memo
+def _cycle_strings(G: Group) -> dict[Permutation, str]:
+    """The cycle notation of G's elements, each formatted at most once per
+    group, for the witnesses of :func:`check_quot_conditions`."""
+    return _CycleStrings()
+
+
 @memo
 def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     """Evaluate when eta survives the quotient by N.
@@ -235,7 +252,8 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     coset that meets G \\ G^- has one label.  As G^- lies in G^-N, the two
     are equal when they have the same size.  The witnesses are the first
     three failing pairs ``x ~ y``, x in ``element_list`` order and y = x*n
-    in ``N.element_list`` order; only the cosets that fail are walked.  The
+    in ``N.element_list`` order; only the cosets that fail are walked, and
+    each element is formatted once per group (:func:`_cycle_strings`).  The
     quotient's invariants are read on the same coset table.
     """
     inside = normal_mask(G, N)
@@ -251,9 +269,10 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     equal = eta_g == eta_q
     witnesses: dict[str, tuple[str, ...]] = {}
 
+    text = _cycle_strings(G)
     cond_a = _inside(inside, class_mask(G, gminus_set))
     if not cond_a:
-        witnesses["cond_a"] = tuple(x.cycle_string() for x in sorted(N.elements - gminus_set)[:3])
+        witnesses["cond_a"] = tuple(text[x] for x in nsmallest(3, N.elements - gminus_set))
 
     label = _cyclic_labels(G)
     minus = {label[x] for x in gminus_set}  # the labels of G^-
@@ -282,7 +301,7 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
             for move in movers:
                 y = move(x)
                 if label[y] != label[x] and not (outside_only and y in gminus_set):
-                    yield f"{x.cycle_string()} ~ {y.cycle_string()}"
+                    yield f"{text[x]} ~ {text[y]}"
 
     # a failing coset has a failing pair for each of its x outside G^-
     if fail_c:

@@ -1,4 +1,3 @@
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -341,34 +340,82 @@ def test_verify_runs_a_repeated_suite_once(tmp_path, capsys):
 
 
 def test_verify_jobs_starts_no_more_workers_than_entries(tmp_path, capsys, monkeypatch):
-    # a fake pool that records its size and maps in this process, so that no
-    # worker is started
-    asked = []
+    # the parent is one worker and forks one child for each other share, so
+    # the forks are counted; each share holds at least one entry
+    forks = []
+    real_fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+    def counted_fork():
+        forks.append(os.getpid())
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     corpus = tmp_path / "small.corpus"
-    for text, want in (("C(2) ; eta=1\nS(3) ; eta=2\n", [2]), ("C(2) ; eta=1\n", []), ("", [])):
-        asked.clear()
+    two, three = "C(2) ; eta=1\nS(3) ; eta=2\n", "C(2) ; eta=1\nS(3) ; eta=2\nC(3) ; eta=1\n"
+    cases = [(two, "64", 1), ("C(2) ; eta=1\n", "64", 0), ("", "64", 0),
+             (three, "64", 2), (three, "2", 1)]
+    for text, jobs, want in cases:
+        forks.clear()
         corpus.write_text(text, encoding="utf-8")
         code, out, _ = run(capsys, "verify", "--corpus", str(corpus), "--suite", "values",
-                           "--jobs", "64")
+                           "--jobs", jobs)
         assert code == 0
-        assert asked == want
+        assert len(forks) == want
         n = text.count("\n")
         assert out.endswith(f"{n}/{n} reports passed\n")
+
+
+def test_verify_jobs_raises_the_first_error_of_any_share(tmp_path, capsys):
+    # lines 2 and 3 both fail; with --jobs 2 line 3 is the parent's and line
+    # 2 the child's, and with --jobs 3 each is a child's
+    corpus = tmp_path / "two-errors.corpus"
+    corpus.write_text("C(2) ; eta=1\nC(100000)\nD(30) ; quot_eta[7,0]=2\n", encoding="utf-8")
+    serial = run(capsys, "verify", "--corpus", str(corpus))
+    assert serial[:2] == (2, "")
+    assert serial[2].startswith("maxcyc: error: corpus line 2: ")
+    for jobs in ("2", "3"):
+        assert run(capsys, "verify", "--corpus", str(corpus), "--jobs", jobs) == serial
+
+
+def test_a_dying_worker_fails_the_run_and_is_reaped(tmp_path, capsys, monkeypatch):
+    parent = os.getpid()
+    real_run_entry = corpus_module._run_entry
+
+    def dies_on_line_2(task):
+        if task[1].line_no == 2 and os.getpid() != parent:
+            os._exit(3)
+        return real_run_entry(task)
+
+    monkeypatch.setattr(corpus_module, "_run_entry", dies_on_line_2)
+    corpus = tmp_path / "dying.corpus"
+    corpus.write_text("C(2) ; eta=1\nS(3) ; eta=2\n", encoding="utf-8")
+    code, out, err = run(capsys, "verify", "--corpus", str(corpus), "--jobs", "2")
+    assert (code, out) == (2, "")
+    assert err == "maxcyc: error: verify worker 1 exited with status 3\n"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_interrupted_parent_kills_and_reaps_its_workers(monkeypatch):
+    # the child would sleep for a minute; the parent's share is interrupted
+    parent = os.getpid()
+    real_run_entry = corpus_module._run_entry
+
+    def interrupted(task):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif task[1].line_no == 1:
+            raise KeyboardInterrupt
+        return real_run_entry(task)
+
+    monkeypatch.setattr(corpus_module, "_run_entry", interrupted)
+    entries = parse_corpus("C(2) ; eta=1\nS(3) ; eta=2\n")
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_suites(["values"], entries, jobs=2)
+    assert time.monotonic() - start < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_unresolvable_selector_exits_2(tmp_path, capsys):
@@ -615,13 +662,20 @@ def test_bundled_corpus_uses_exactly_the_key_vocabulary():
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
-    # only `verify --jobs N` needs the pool, so the import waits for it
-    code = "import sys, maxcyc.cli; print('concurrent.futures.process' in sys.modules)"
+    # `verify --jobs N` forks its workers, so neither the import nor the run
+    # loads a process pool; each worker leaves by os._exit, so the code after
+    # main runs once
+    pools = "[m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules]"
+    code = (f"import sys, maxcyc.cli; print({pools}); "
+            f"maxcyc.cli.main(sys.argv[1:]); print({pools})")
     env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, "verify", "--suite", "values", "--jobs", "2"],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.startswith("[]\n")
+    assert proc.stdout.count("reports passed") == 1
+    assert proc.stdout.endswith("reports passed\n[]\n")
 
 
 # A child's peak RSS counts the process it was forked from, so the command
@@ -813,9 +867,10 @@ VERIFY_PINS = [
 
 @pytest.mark.parametrize("argv, digest", VERIFY_PINS, ids=[" ".join(a) for a, _ in VERIFY_PINS])
 def test_verify_output_is_pinned(capsys, argv, digest):
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    for jobs in ("1", "3"):
+        code, out, _ = run(capsys, *argv, "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_output_does_not_depend_on_the_hash_seed():

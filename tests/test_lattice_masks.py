@@ -210,3 +210,16 @@ def test_a_subgroup_that_is_not_normal_is_refused(name):
 def test_normal_mask_refuses_a_group_outside_G():
     with pytest.raises(NotSubgroup):
         core.normal_mask(realize_text("S(3)"), realize_text("S(4)"))
+
+
+def test_a_normal_that_is_no_member_is_read_without_the_lattice():
+    # only the lattice makes members, so while it is not built, N is read by
+    # is_normal and class_mask alone; EA(2,7) has 29212 normal subgroups
+    G = realize_text("EA(2,7)")
+    Z = center(G)
+    assert cyclic.eta_star(G, Z) == 127
+    inv = cyclic.subgroup_invariants(G, Z)
+    assert (inv.eta, inv.l_value, inv.gminus_size) == (127, 128, 1)
+    assert sorted(s.order for s in inv.maximal) == [2] * 127
+    assert normal_mask(G, Z) == class_mask(G, Z.elements)
+    assert not normal_lattice.held(G)
