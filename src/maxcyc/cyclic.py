@@ -14,15 +14,16 @@ and conjugates of G's elements go through :func:`maxcyc.core.base_index`,
 which reads the images of a short base and looks the result up among G's
 own elements.
 
-Maximality is computed twice, by independent routes: a containment scan
-of the index, and the prime-power characterization
+Maximality has one route, the prime-power characterization
 ``G^- = {g**q : q prime, q | order(g)}``, taken once per conjugacy class
-(:func:`power_classes`).  The two must agree on every call, or
-InternalCheckError is raised, so the identity is a permanent self-test,
-of the class walk too.  The invariants of a quotient G/N
-(:func:`quotient_invariants`) and of a normal subgroup N
-(:func:`subgroup_invariants`) come from the same index, through the coset
-map or restricted to N, and neither is given an index of its own.  Each
+(:func:`power_classes`): an element generates a maximal cyclic subgroup
+exactly when it lies outside G^-.  The paper's lemma that this is G^- by
+its definition is checked by :func:`maxcyc.theorems.check_pgrp_lemma`,
+against a containment scan of the index.  The invariants of a quotient
+G/N (:func:`quotient_invariants`) and of a normal subgroup N
+(:func:`subgroup_invariants`) come from the same index and the same
+power route, through the coset map or restricted to N, and neither is
+given an index of its own.  Each
 reads N first through :func:`maxcyc.core.coset_table` or
 :func:`maxcyc.core.normal_mask`, which refuse a subgroup that is not normal.
 """
@@ -30,7 +31,7 @@ reads N first through :func:`maxcyc.core.coset_table` or
 from __future__ import annotations
 
 import math
-from typing import Any, Collection, Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .core import (
     CosetTable,
@@ -174,59 +175,21 @@ def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
     return frozenset(class_members(G, _powers_mask(G, (1 << len(conjugacy_classes(G))) - 1)))
 
 
-def _maximal(
-    subs: Collection[CyclicSubgroup],
-    sub_of: Mapping[Any, CyclicSubgroup],
-    minus: Collection,
-    orders: Mapping[Any, int],
-) -> list[CyclicSubgroup]:
-    """The maximal members of `subs`, every cyclic subgroup of a group.
-
-    A containment scan: s is maximal when no subgroup containing
-    ``s.canonical_generator`` is larger than s.  `sub_of` maps each element
-    to the subgroup it generates.  The power route, given as `minus` and
-    element `orders` keyed like `sub_of`, must agree: `minus` is exactly
-    the elements whose subgroup is not maximal, and each subgroup has the
-    order of its generators.  Any disagreement raises InternalCheckError.
-    """
-    largest: dict[Any, int] = {}
-    for t in subs:
-        for x in t.elements:
-            if largest.get(x, 0) < t.order:
-                largest[x] = t.order
-    maximal = [s for s in subs if largest[s.canonical_generator] == s.order]
-    keys = {s.elements for s in maximal}
-    scan_minus = {x for x, s in sub_of.items() if s.elements not in keys}
-    if scan_minus != minus:
-        raise InternalCheckError(
-            "maximal-cyclic routes disagree: containment scan found "
-            f"{len(scan_minus)} non-generators, power formula {len(minus)}"
-        )
-    if any(s.order != orders[x] for x, s in sub_of.items()) or any(
-        s.order != orders[s.canonical_generator] for s in subs
-    ):
-        raise InternalCheckError("element orders disagree with the cyclic index")
-    return maximal
-
-
 @memo
 def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
-    """The inclusion-maximal cyclic subgroups of G, by the containment scan
-    of :func:`_maximal`, cross-checked against :func:`g_minus_via_powers`
-    (an element generates a maximal cyclic subgroup exactly when it is not
-    a proper prime-index power)."""
-    subs, sub_of = _cyclic_index(G)
-    maximal = _maximal(subs.values(), sub_of, g_minus_via_powers(G), element_orders(G))
-    return tuple(sorted(maximal, key=CyclicSubgroup.sort_key))
+    """The inclusion-maximal cyclic subgroups of G: the members of
+    :func:`maximal_cyclic_classes`, sorted by
+    :meth:`CyclicSubgroup.sort_key`."""
+    members = (s for c in maximal_cyclic_classes(G) for s in c)
+    return tuple(sorted(members, key=CyclicSubgroup.sort_key))
 
 
 def g_minus(G: Group) -> frozenset[Permutation]:
     """Elements whose generated subgroup is not maximal cyclic:
-    :func:`g_minus_via_powers`, once :func:`maximal_cyclic_subgroups` has
-    checked that the containment scan finds the same set.  It holds the
-    identity of a nontrivial group, and is empty for the trivial group.
+    :func:`g_minus_via_powers`, as an element generates a maximal cyclic
+    subgroup exactly when it is not a proper prime-index power.  It holds
+    the identity of a nontrivial group, and is empty for the trivial group.
     """
-    maximal_cyclic_subgroups(G)
     return g_minus_via_powers(G)
 
 
@@ -275,11 +238,11 @@ class EtaReport(NamedTuple):
 @memo
 def maximal_cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
     """The conjugacy classes of the maximal cyclic subgroups of G: the
-    classes of :func:`cyclic_classes` whose first member is maximal, as
-    conjugates of a maximal subgroup are maximal, ordered by their least
-    member."""
-    maximal = set(maximal_cyclic_subgroups(G))
-    found = [c for c in cyclic_classes(G) if c[0] in maximal]
+    classes of :func:`cyclic_classes` whose first member's canonical
+    generator lies outside :func:`g_minus`, as conjugates of a maximal
+    subgroup are maximal, ordered by their least member."""
+    minus = g_minus(G)
+    found = [c for c in cyclic_classes(G) if c[0].canonical_generator not in minus]
     return tuple(sorted(found, key=lambda c: min(map(CyclicSubgroup.sort_key, c))))
 
 
@@ -325,10 +288,11 @@ def read_quotient(G: Group, table: CosetTable) -> QuotientInvariants:
     ``quotient_invariants.record``.
 
     <xN> is the image of <x>, so the cyclic subgroups of G/N are the images
-    of those the coset representatives generate.  The maximal ones come
-    from the containment scan, cross-checked against the power route on the
-    cosets, and their classes are the :func:`maxcyc.core.orbits` under the
-    generators outside the centre.  No permutation of degree |G:N| is built.
+    of those the coset representatives generate.  The maximal ones are the
+    images of the points outside (G/N)^-, which the power route gives on
+    the cosets, and their classes are the :func:`maxcyc.core.orbits` under
+    the generators outside the centre.  No permutation of degree |G:N| is
+    built.
     """
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
@@ -341,9 +305,8 @@ def read_quotient(G: Group, table: CosetTable) -> QuotientInvariants:
             points = frozenset(map(point_of.__getitem__, s.elements))
             images[s] = CyclicSubgroup(points, len(points), c)
         image_of[c] = images[s]
-    subs = {s.elements: s for s in images.values()}.values()
     minus, orders = _power_route(G, table)
-    maximal = _maximal(subs, image_of, minus, orders)
+    maximal = [image_of[c] for c in range(len(reps)) if c not in minus]
     maps = [
         lambda s, conjugate=conjugate: image_of[point_of[conjugate(reps[s.canonical_generator])]]
         for conjugate in conjugators
@@ -386,7 +349,8 @@ def eta_p(K: Group, p: int) -> int:
 
 class SubgroupInvariants(NamedTuple):
     """eta, l and |N^-| of a normal subgroup N, the values N has as a
-    group of its own, and the maximal cyclic subgroups of N."""
+    group of its own, and the maximal cyclic subgroups of N, in the order
+    of N's classes."""
 
     eta: int
     l_value: int
@@ -398,20 +362,19 @@ class SubgroupInvariants(NamedTuple):
 def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     """The invariants of N, for N normal in G, read off G's cyclic index.
 
-    The cyclic subgroups of N are the <x> of G's index for x in N.  The
-    N-maximal ones come from the containment scan of :func:`_maximal`,
-    cross-checked against N^-, :func:`_powers_mask` on N's class mask.  The
+    The cyclic subgroups of N are the <x> of G's index for x in N, walked
+    in the order of N's classes.  N^- is :func:`_powers_mask` on N's class
+    mask, and the N-maximal ones are the <x> for x in N outside N^-.  The
     N-classes of cyclic subgroups are the :func:`maxcyc.core.orbits` under
     N's generators outside the centre of G, and those of the maximal ones
     the orbits that start at a maximal one.  N is never given a base, an
     index or classes of its own; its class mask, read first, is its guard.
     """
     mask = normal_mask(G, N)
+    minus = _powers_mask(G, mask)
     _, sub_of = _cyclic_index(G)
-    in_n = {x: sub_of[x] for x in N.elements}
-    subs = {s.elements: s for s in in_n.values()}.values()
-    minus = frozenset(class_members(G, _powers_mask(G, mask)))
-    maximal = _maximal(subs, in_n, minus, element_orders(G))
+    subs = dict.fromkeys(map(sub_of.__getitem__, class_members(G, mask)))
+    maximal = tuple(dict.fromkeys(map(sub_of.__getitem__, class_members(G, mask & ~minus))))
     conjugator = base_index(G).conjugator
     maps = [
         lambda s, conjugate=conjugator(n): sub_of[conjugate(s.canonical_generator)]
@@ -422,8 +385,8 @@ def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     return SubgroupInvariants(
         eta=sum(orbit[0] in starts for orbit in n_classes),
         l_value=len(n_classes),
-        gminus_size=len(minus),
-        maximal=tuple(maximal),
+        gminus_size=sum(1 for _ in class_members(G, minus)),
+        maximal=maximal,
     )
 
 

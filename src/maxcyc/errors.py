@@ -52,7 +52,8 @@ class ClassificationFailed(MaxcycError):
 
 
 class InternalCheckError(MaxcycError):
-    """A redundant internal cross-check disagreed; indicates a bug."""
+    """A precondition that an internal algorithm relies on does not hold;
+    indicates a bug."""
 
 
 class ArityError(MaxcycError):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -33,9 +37,10 @@ from maxcyc.core import (
 )
 from maxcyc.cyclic import maximal_cyclic_classes
 from maxcyc.numutil import prime_factors
-from maxcyc.theorems import gk_graph
+from maxcyc.theorems import check_pgrp_lemma, gk_graph
 
 from oracles import perm_order, relabelled
+from test_properties import assert_quotients_match_the_regular_realization
 
 
 def trivial_group():
@@ -219,24 +224,26 @@ def test_eta_star_cross_check_fires(monkeypatch):
 
     def merged(G):
         trivial = next(s for s in cyclic_subgroups(G) if s.order == 1)
-        target = maximal_cyclic_subgroups(N)[0]
         return tuple(c + [trivial] if target in c else c for c in real(G))
 
     sg = realize_text("SG72_50")
     N = named_normal(sg, 9, 0)
     assert eta_star(sg, N) == 2
+    # taken before the patch, which the maximal subgroups of N would read
+    target = maximal_cyclic_subgroups(N)[0]
     monkeypatch.setattr(maxcyc.cyclic, "cyclic_classes", merged)
     with pytest.raises(InternalCheckError):
         eta_star(sg, N)
 
 
 def test_maximality_cross_check_fires(monkeypatch):
+    # the power route loses the identity, which the pgrp-lemma scan finds
     real = maxcyc.cyclic.g_minus_via_powers
     monkeypatch.setattr(
         maxcyc.cyclic, "g_minus_via_powers", lambda G: real(G) - {G.identity}
     )
-    with pytest.raises(InternalCheckError):
-        maximal_cyclic_subgroups(realize_text("S(3)"))
+    lemma = check_pgrp_lemma(realize_text("S(3)"))[0]
+    assert (lemma.name, lemma.passed, lemma.actual) == ("gminus_equals_power_set", False, 1)
 
 
 @pytest.mark.parametrize("text", ["AGL1(127,126)", "W(5)"])
@@ -295,7 +302,9 @@ def test_eta_and_gkgraph_build_no_class_index(text):
 @pytest.mark.parametrize("text", ["S(4)", "AGL1(7,6)", "W(3)"])
 def test_a_merged_class_walk_is_caught(monkeypatch, text):
     # merge the first nontrivial class with the first later class of another
-    # order: the merged class takes one order, which the scan contradicts
+    # order: the merged class takes one order, which the element orders
+    # contradict; on AGL1(7,6) the power route's G^- is also 7 elements off
+    # the one the pgrp-lemma scan finds
     real = maxcyc.core.conjugacy_classes
 
     def merged(G):
@@ -308,8 +317,12 @@ def test_a_merged_class_walk_is_caught(monkeypatch, text):
 
     monkeypatch.setattr(maxcyc.core, "conjugacy_classes", merged)
     monkeypatch.setattr(maxcyc.cyclic, "conjugacy_classes", merged)
-    with pytest.raises(InternalCheckError):
-        maximal_cyclic_subgroups(realize_text(text))
+    G = realize_text(text)
+    orders = element_orders(G)
+    assert any(orders[x] != perm_order(x) for x in G)
+    if text == "AGL1(7,6)":
+        lemma = check_pgrp_lemma(G)[0]
+        assert (lemma.name, lemma.passed, lemma.actual) == ("gminus_equals_power_set", False, 7)
 
 
 def test_quotient_cross_check_fires(monkeypatch):
@@ -323,9 +336,8 @@ def test_quotient_cross_check_fires(monkeypatch):
         return minus - {0}, orders
 
     monkeypatch.setattr(maxcyc.cyclic, "_power_route", drop_point_zero)
-    fresh = realize_text("D(30)")
-    with pytest.raises(InternalCheckError):
-        quotient_invariants(fresh, named_normal(fresh, 5, 0))
+    with pytest.raises(AssertionError):
+        assert_quotients_match_the_regular_realization(realize_text("D(30)"))
 
 
 def test_quotient_order_cross_check_fires(monkeypatch):
@@ -336,9 +348,27 @@ def test_quotient_order_cross_check_fires(monkeypatch):
         return minus, (orders[0] + 1, *orders[1:])
 
     monkeypatch.setattr(maxcyc.cyclic, "_power_route", wrong_orders)
-    G = realize_text("D(30)")
-    with pytest.raises(InternalCheckError):
-        quotient_invariants(G, named_normal(G, 5, 0))
+    with pytest.raises(AssertionError):
+        assert_quotients_match_the_regular_realization(realize_text("D(30)"))
+
+
+def test_subgroup_maximal_order_does_not_depend_on_the_hash_seed():
+    # element hashes are salted per process, so only fresh processes can vary it
+    code = (
+        "from maxcyc import realize_text, subgroup_invariants\n"
+        "from maxcyc.core import center\n"
+        "G = realize_text('EA(2,5)')\n"
+        "for s in subgroup_invariants(G, center(G)).maximal:\n"
+        "    print(s.canonical_generator.cycle_string())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(maxcyc.__file__).parents[1])}
+    first, second = (
+        subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONHASHSEED": seed},
+                       capture_output=True, text=True, check=True, timeout=120).stdout
+        for seed in ("1", "2")
+    )
+    assert len(first.splitlines()) == 31
+    assert first == second
 
 
 # (eta, l, |G^-|, {(subgroup order, class size): number of classes}),

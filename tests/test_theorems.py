@@ -25,7 +25,9 @@ from maxcyc.core import (
     class_mask, coset_table, derived_subgroup, is_cyclic, is_nilpotent, normal_lattice,
     point_stabilizer,
 )
-from maxcyc.cyclic import eta_preserving_normals, quotient_invariants, read_quotient
+from maxcyc.cyclic import (
+    eta_preserving_normals, g_minus_via_powers, quotient_invariants, read_quotient,
+)
 from maxcyc.theorems import (
     check_centre_bounds,
     check_derived_criterion,
@@ -37,8 +39,10 @@ from maxcyc.theorems import (
     check_gminus_containment,
     check_gminus_subgroup_lemma,
     check_l_relation,
+    check_pgrp_lemma,
     check_quot_conditions,
     check_quotient_join,
+    check_xsub,
     classify_prime_order_group,
     compute_X,
     gk_graph,
@@ -161,6 +165,30 @@ def test_compute_X_requires_its_join_in_the_lattice(monkeypatch):
     monkeypatch.delitem(normal_lattice(G).member, class_mask(G, x_elements))
     with pytest.raises(InternalCheckError):
         compute_X(G)
+
+
+# Negative controls: a value planted with `record` on a fresh realization
+# breaks the law, and its check must fail with the values it reports.
+
+def test_a_planted_power_route_fails_the_pgrp_lemma():
+    G = realize_text("S(3)")
+    real = g_minus_via_powers(realize_text("S(3)"))
+    g_minus_via_powers.record(G, result=real - {G.identity})
+    assert [(c.name, c.passed, c.expected, c.actual) for c in check_pgrp_lemma(G)] == [
+        ("gminus_equals_power_set", False, "G^- == {g^q : q | o(g)}", 1),
+    ]
+
+
+# The trivial member keeps eta but leaves out the other qualifying normals;
+# G itself is no proper normal, and eta(G/G) = 1.
+@pytest.mark.parametrize("member, eta_x", [(0, 3), (-1, 1)], ids=["trivial", "G"])
+def test_a_planted_X_fails_the_xsub_laws(member, eta_x):
+    G = realize_text("Q(16)")
+    compute_X.record(G, result=normal_subgroups(G)[member])
+    assert {c.name: (c.passed, c.expected, c.actual) for c in check_xsub(G)} == {
+        "eta_preserved": (eta_x == 3, 3, eta_x),
+        "maximality_scan": (False, "M qualifies <=> M <= X", False),
+    }
 
 
 def test_compute_X_is_maximal():
