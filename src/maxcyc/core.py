@@ -565,11 +565,11 @@ def normal_lattice(G: Group) -> NormalLattice:
     # reaches the first class of a known atom holding C_a has found that atom.
     atoms: dict[int, int] = {}
     covered = {0}
-    orders = element_orders(G)
+    orders = class_orders(G)
     for a, r in enumerate(reps):
         if a in covered:
             continue
-        n = orders[r]
+        n = orders[a]
         x, times_r = r, base.times(r)
         for m in range(1, n):
             if math.gcd(m, n) == 1:
@@ -673,27 +673,32 @@ def point_stabilizer(G: Group, point: int) -> Group:
 
 
 @memo
-def element_orders(G: Group) -> dict[Permutation, int]:
-    """The order of each element of G, in ``element_list`` order.
-
-    Conjugate elements have equal orders, so the order is taken once per
-    class of :func:`conjugacy_classes`, from its first member, by
+def class_orders(G: Group) -> tuple[int, ...]:
+    """The order of the elements of each class of :func:`conjugacy_classes`,
+    which conjugate elements share, taken from its first member by
     :meth:`BaseIndex.order`."""
     order = base_index(G).order
+    return tuple(order(c[0]) for c in conjugacy_classes(G))
+
+
+@memo
+def element_orders(G: Group) -> dict[Permutation, int]:
+    """The order of each element of G, in ``element_list`` order: the view
+    of :func:`class_orders` for code that reads elements."""
     orders: dict[Permutation, int] = dict.fromkeys(G.element_list)
-    for c in conjugacy_classes(G):
-        orders.update(zip(c, repeat(order(c[0]))))
+    for c, n in zip(conjugacy_classes(G), class_orders(G)):
+        orders.update(zip(c, repeat(n)))
     return orders
 
 
 @memo
 def exponent(G: Group) -> int:
     """lcm of the element orders."""
-    return math.lcm(*element_orders(G).values())
+    return math.lcm(*class_orders(G))
 
 
 def is_cyclic(G: Group) -> bool:
-    return G.order in element_orders(G).values()
+    return G.order in class_orders(G)
 
 
 def is_p_group(G: Group) -> int | None:
@@ -705,8 +710,8 @@ def is_nilpotent(G: Group) -> bool:
     """Whether G has exactly |G|_p elements of p-power order for each prime
     p: the p-elements are the union of the Sylow p-subgroups, so the count
     is |G|_p exactly when the Sylow p-subgroup is unique, that is normal."""
-    orders = element_orders(G).values()
-    return all(sum(p_part(n, p) == n for n in orders) == p_part(G.order, p)
+    sized = list(zip(map(len, conjugacy_classes(G)), class_orders(G)))
+    return all(sum(k for k, n in sized if p_part(n, p) == n) == p_part(G.order, p)
                for p in prime_factors(G.order))
 
 

@@ -6,24 +6,30 @@ element sets G^- (non-generators of maximal cyclic subgroups) and G^{p}
 (p-th powers).
 
 All of it reads one index per group (:func:`_cyclic_index`): every cyclic
-subgroup, built once from a power list, and the map from each element to
-the subgroup it generates.  The classes of cyclic subgroups come from one
-orbit walk per group (:func:`cyclic_classes`), and the callers that map
-elements to them number them (:func:`_cyclic_labels`).  Products, powers
+subgroup, held as the power list it was built from, and the map from each
+element to the subgroup it generates.  The classes of cyclic subgroups
+come from one orbit walk per group (:func:`cyclic_classes`), and the
+callers that map elements to them number them (:func:`_cyclic_labels`).  Products, powers
 and conjugates of G's elements go through :func:`maxcyc.core.base_index`,
 which reads the images of a short base and looks the result up among G's
 own elements.
 
+G^- and the element orders are class functions, so each is held once per
+conjugacy class: G^- as the class mask :func:`g_minus_mask`, and the orders
+as :func:`maxcyc.core.class_orders`.  :func:`g_minus` and
+:func:`maxcyc.core.element_orders` are their per-element views, built only
+for code that reads elements.
+
 Maximality has one route, the prime-power characterization
 ``G^- = {g**q : q prime, q | order(g)}``, taken once per conjugacy class
 (:func:`power_classes`): an element generates a maximal cyclic subgroup
-exactly when it lies outside G^-.  The paper's lemma that this is G^- by
-its definition is checked by :func:`maxcyc.theorems.check_pgrp_lemma`,
-against a containment scan of the index.  The invariants of a quotient
-G/N (:func:`quotient_invariants`) and of a normal subgroup N
-(:func:`subgroup_invariants`) come from the same index and the same
-power route, through the coset map or restricted to N, and neither is
-given an index of its own.  Each
+exactly when its class lies outside G^-.  The paper's lemma that this is
+G^- by its definition is checked by
+:func:`maxcyc.theorems.check_pgrp_lemma`, against a containment scan of
+the index.  The invariants of a quotient G/N (:func:`quotient_invariants`)
+are read off the power lists of the index through the coset map, and those
+of a normal subgroup N (:func:`subgroup_invariants`) off the index and the
+power route restricted to N; neither is given an index of its own.  Each
 reads N first through :func:`maxcyc.core.coset_table` or
 :func:`maxcyc.core.normal_mask`, which refuse a subgroup that is not normal.
 """
@@ -31,6 +37,7 @@ reads N first through :func:`maxcyc.core.coset_table` or
 from __future__ import annotations
 
 import math
+from itertools import takewhile
 from typing import NamedTuple, Sequence
 
 from .core import (
@@ -39,11 +46,10 @@ from .core import (
     _bits,
     base_index,
     class_index,
-    class_mask,
     class_members,
+    class_orders,
     conjugacy_classes,
     coset_table,
-    element_orders,
     memo,
     normal_lattice,
     normal_mask,
@@ -55,50 +61,51 @@ from .perm import Permutation
 
 
 class CyclicSubgroup:
-    """A cyclic subgroup, identified by its element set, with its
-    lexicographically smallest generator as ``canonical_generator``.  The
-    cyclic subgroups of a quotient, in :func:`quotient_invariants`, hold
-    coset points instead, and a generating point; they are never sorted.
+    """A cyclic subgroup <g>, held as ``powers``, the power list g**0, ...,
+    g**(n-1) of the element g it was built from, with its lexicographically
+    smallest generator as ``canonical_generator``.  Each is one object of
+    its group's index, so it is compared and hashed by identity, and
+    ``elements`` builds its element set when read.  The cyclic subgroups of
+    a quotient, in :func:`read_quotient`, hold the power list of a coset as
+    points instead, and a generating point; they are never sorted.
     """
 
-    __slots__ = ("elements", "order", "canonical_generator", "_sort_key")
+    __slots__ = ("powers", "canonical_generator", "_sort_key")
 
-    def __init__(self, elements: frozenset[Permutation], order: int, canonical_generator: Permutation):
-        self.elements = elements
-        self.order = order
+    def __init__(self, powers: tuple, canonical_generator: Permutation | int):
+        self.powers = powers
         self.canonical_generator = canonical_generator
         self._sort_key: tuple | None = None
 
+    @property
+    def order(self) -> int:
+        return len(self.powers)
+
+    @property
+    def elements(self) -> frozenset:
+        return frozenset(self.powers)
+
     def sort_key(self) -> tuple:
         if self._sort_key is None:
-            self._sort_key = (self.order, tuple(sorted(p.word for p in self.elements)))
+            self._sort_key = (self.order, tuple(sorted(p.word for p in self.powers)))
         return self._sort_key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, CyclicSubgroup) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
 
     def __repr__(self) -> str:
         return f"<cyclic order={self.order} gen={self.canonical_generator.cycle_string()}>"
 
 
 @memo
-def _cyclic_index(G: Group) -> tuple[
-    dict[frozenset[Permutation], CyclicSubgroup],
-    dict[Permutation, CyclicSubgroup],
-]:
-    """All cyclic subgroups of G, plus the map from element to <element>.
-    Each subgroup is built from the power list, of base-index products, of
-    the first element met that generates no subgroup seen so far; its
-    generators are the powers g**k with gcd(k, n) = 1.  A power list
-    longer than |G| raises InternalCheckError.
+def _cyclic_index(G: Group) -> tuple[list[CyclicSubgroup], dict[Permutation, CyclicSubgroup]]:
+    """All cyclic subgroups of G, in the order built, plus the map from
+    element to <element>.  Each subgroup holds the power list, of
+    base-index products, of the first element met that generates no
+    subgroup seen so far; its generators are the powers g**k with
+    gcd(k, n) = 1.  A power list longer than |G| raises InternalCheckError.
     """
     base = base_index(G)
     ident = base.element_of[base.read_at]  # the identity fixes the base
     limit = G.order
-    subs: dict[frozenset[Permutation], CyclicSubgroup] = {}
+    subs: list[CyclicSubgroup] = []
     sub_of: dict[Permutation, CyclicSubgroup] = {}
     for g in G.element_list:
         if g in sub_of:
@@ -113,8 +120,8 @@ def _cyclic_index(G: Group) -> tuple[
             x = times(x)
         n = len(powers)
         gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1]
-        cs = CyclicSubgroup(frozenset(powers), n, min(gens))
-        subs[cs.elements] = cs
+        cs = CyclicSubgroup(tuple(powers), min(gens))
+        subs.append(cs)
         for x in gens:
             sub_of[x] = cs
     return subs, sub_of
@@ -123,28 +130,7 @@ def _cyclic_index(G: Group) -> tuple[
 def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     """Every subgroup <g> for g in G, the trivial subgroup included."""
     subs, _ = _cyclic_index(G)
-    return tuple(sorted(subs.values(), key=CyclicSubgroup.sort_key))
-
-
-def _power_route(G: Group, table: CosetTable) -> tuple[frozenset[int], tuple[int, ...]]:
-    """(G/N)^- by its prime-power characterization, as the coset points of
-    `table` (that of a normal N), with the order of each coset: on one x
-    per coset, o(xN) is the least divisor d of o(x) with x**d in N, and
-    (xN)**q is the coset of x**q.  The cyclic index is never read.
-    """
-    orders = element_orders(G)
-    power = base_index(G).power
-    point_of = table.point_of
-    minus = set()
-    coset_orders = []
-    for x in table.representatives:
-        d = orders[x]
-        for p in prime_factors(d):
-            while d % p == 0 and point_of[power(x, d // p)] == 0:
-                d //= p
-        coset_orders.append(d)
-        minus.update(point_of[power(x, q)] for q in prime_factors(d))
-    return frozenset(minus), tuple(coset_orders)
+    return tuple(sorted(subs, key=CyclicSubgroup.sort_key))
 
 
 @memo
@@ -153,9 +139,9 @@ def power_classes(G: Group) -> tuple[dict[int, int], ...]:
     member r, the class of r**q for each prime q dividing the order of r.
     As (h r h^-1)**q = h r**q h^-1, these are the classes of the
     prime-index powers of every member of the class."""
-    classes, orders = conjugacy_classes(G), element_orders(G)
+    classes, orders = conjugacy_classes(G), class_orders(G)
     power = base_index(G).power
-    powers = [{q: power(c[0], q) for q in prime_factors(orders[c[0]])} for c in classes]
+    powers = [{q: power(c[0], q) for q in prime_factors(n)} for c, n in zip(classes, orders)]
     seeds = {x for p in powers for x in p.values()}
     class_of = {x: i for i, c in enumerate(classes) for x in c if x in seeds}
     return tuple({q: class_of[x] for q, x in p.items()} for p in powers)
@@ -169,10 +155,16 @@ def _powers_mask(G: Group, mask: int) -> int:
 
 
 @memo
+def g_minus_mask(G: Group) -> int:
+    """G^- as a class mask: { g**q : g in G, q a prime dividing the order
+    of g }, by :func:`_powers_mask` on all of G's conjugacy classes."""
+    return _powers_mask(G, (1 << len(conjugacy_classes(G))) - 1)
+
+
+@memo
 def g_minus_via_powers(G: Group) -> frozenset[Permutation]:
-    """{ g**q : g in G, q a prime dividing the order of g }, by
-    :func:`_powers_mask` on all of G's conjugacy classes."""
-    return frozenset(class_members(G, _powers_mask(G, (1 << len(conjugacy_classes(G))) - 1)))
+    """The elements of the classes in :func:`g_minus_mask`."""
+    return frozenset(class_members(G, g_minus_mask(G)))
 
 
 @memo
@@ -185,10 +177,12 @@ def maximal_cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
 
 
 def g_minus(G: Group) -> frozenset[Permutation]:
-    """Elements whose generated subgroup is not maximal cyclic:
-    :func:`g_minus_via_powers`, as an element generates a maximal cyclic
-    subgroup exactly when it is not a proper prime-index power.  It holds
-    the identity of a nontrivial group, and is empty for the trivial group.
+    """Elements whose generated subgroup is not maximal cyclic, as an
+    element generates a maximal cyclic subgroup exactly when it is not a
+    proper prime-index power: :func:`g_minus_via_powers`, the per-element
+    view of :func:`g_minus_mask`, built only for code that reads elements.
+    It holds the identity of a nontrivial group, and is empty for the
+    trivial group.
     """
     return g_minus_via_powers(G)
 
@@ -213,7 +207,7 @@ def cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
         lambda s, conjugate=base_index(G).conjugator(g): sub_of[conjugate(s.canonical_generator)]
         for g in G.generators
     ]
-    return tuple(orbits(subs.values(), maps))
+    return tuple(orbits(subs, maps))
 
 
 @memo
@@ -238,11 +232,14 @@ class EtaReport(NamedTuple):
 @memo
 def maximal_cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
     """The conjugacy classes of the maximal cyclic subgroups of G: the
-    classes of :func:`cyclic_classes` whose first member's canonical
-    generator lies outside :func:`g_minus`, as conjugates of a maximal
+    classes of :func:`cyclic_classes` that hold <r> for the first member r
+    of a conjugacy class outside :func:`g_minus_mask`, as conjugate
+    elements generate conjugate subgroups and conjugates of a maximal
     subgroup are maximal, ordered by their least member."""
-    minus = g_minus(G)
-    found = [c for c in cyclic_classes(G) if c[0].canonical_generator not in minus]
+    _, sub_of = _cyclic_index(G)
+    minus = g_minus_mask(G)
+    maximal = {sub_of[c[0]] for i, c in enumerate(conjugacy_classes(G)) if not minus >> i & 1}
+    found = [c for c in cyclic_classes(G) if not maximal.isdisjoint(c)]
     return tuple(sorted(found, key=lambda c: min(map(CyclicSubgroup.sort_key, c))))
 
 
@@ -251,11 +248,12 @@ def eta(G: Group) -> EtaReport:
     """Count conjugacy classes of maximal cyclic subgroups (and of all
     cyclic subgroups, as l_value)."""
     max_classes = maximal_cyclic_classes(G)
+    classes = conjugacy_classes(G)
     return EtaReport(
         eta=len(max_classes),
         class_reps=tuple((c[0].order, len(c)) for c in max_classes),
         l_value=len(cyclic_classes(G)),
-        gminus_size=len(g_minus(G)),
+        gminus_size=sum(len(classes[i]) for i in _bits(g_minus_mask(G))),
     )
 
 
@@ -288,30 +286,42 @@ def read_quotient(G: Group, table: CosetTable) -> QuotientInvariants:
     ``quotient_invariants.record``.
 
     <xN> is the image of <x>, so the cyclic subgroups of G/N are the images
-    of those the coset representatives generate.  The maximal ones are the
-    images of the points outside (G/N)^-, which the power route gives on
-    the cosets, and their classes are the :func:`maxcyc.core.orbits` under
-    the generators outside the centre.  No permutation of degree |G:N| is
+    <gN> of the <g> in G's index that the coset representatives generate,
+    and each point generates exactly one of them.  So an image is read
+    once, from the first representative that generates it, off the power
+    list of its <g>: its order d is the least k >= 1 with g**k in N, its
+    generators are the points of the g**k with gcd(k, d) = 1, and its
+    non-generators, those with gcd(k, d) > 1, make up (G/N)^- by its
+    definition.  The maximal images are those generated outside (G/N)^-,
+    and their classes are the :func:`maxcyc.core.orbits` under the
+    generators outside the centre.  No permutation of degree |G:N| is
     built.
     """
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
     conjugators = [base_index(G).conjugator(g) for g in _moving(G, G.generators)]
-    images: dict[CyclicSubgroup, CyclicSubgroup] = {}
+    images: list[CyclicSubgroup] = []
     image_of: dict[int, CyclicSubgroup] = {}
+    orders = [0] * len(reps)
+    minus: set[int] = set()
     for c, r in enumerate(reps):
-        s = sub_of[r]
-        if s not in images:
-            points = frozenset(map(point_of.__getitem__, s.elements))
-            images[s] = CyclicSubgroup(points, len(points), c)
-        image_of[c] = images[s]
-    minus, orders = _power_route(G, table)
-    maximal = [image_of[c] for c in range(len(reps)) if c not in minus]
+        if c in image_of:
+            continue
+        # the points of g**0, ..., g**(d-1): g**d is the first power in N, at point 0
+        points = [0, *takewhile(bool, map(point_of.__getitem__, sub_of[r].powers[1:]))]
+        d = len(points)
+        images.append(image := CyclicSubgroup(tuple(points), c))
+        for k, point in enumerate(points):
+            if math.gcd(k, d) == 1:
+                image_of[point], orders[point] = image, d
+            else:
+                minus.add(point)
+    maximal = [s for s in images if s.canonical_generator not in minus]
     maps = [
         lambda s, conjugate=conjugate: image_of[point_of[conjugate(reps[s.canonical_generator])]]
         for conjugate in conjugators
     ]
-    return QuotientInvariants(len(orbits(maximal, maps)), minus, orders)
+    return QuotientInvariants(len(orbits(maximal, maps)), frozenset(minus), tuple(orders))
 
 
 def quotient_eta(G: Group, N: Group) -> int:
@@ -333,7 +343,7 @@ def eta_preserving_normals(G: Group) -> tuple[Group, ...]:
     eta(G/N) <= eta(G) - 1.
     """
     target = eta(G).eta
-    minus = class_mask(G, g_minus(G))
+    minus = g_minus_mask(G)
     return tuple(
         N for N, mask in normal_lattice(G).mask.items()
         if N.order < G.order and not mask & ~minus and quotient_eta(G, N) == target

@@ -51,7 +51,7 @@ class Permutation:
     minimum under that order (the identity is the global minimum).
     """
 
-    __slots__ = ("word", "_hash")
+    __slots__ = ("word",)
 
     def __init__(self, images: Iterable[int]):
         imgs = tuple(images)
@@ -61,13 +61,11 @@ class Permutation:
                 raise ValueError(f"not a permutation of 0..{len(imgs) - 1}: {imgs!r}")
             seen[v] = True
         self.word = bytes(imgs) if len(imgs) <= PACKED_DEGREE else imgs
-        self._hash = hash(self.word)
 
     @classmethod
     def _unchecked(cls, word: bytes | tuple[int, ...]) -> "Permutation":
         p = object.__new__(cls)
         p.word = word
-        p._hash = hash(word)
         return p
 
     @classmethod
@@ -179,7 +177,7 @@ class Permutation:
         return isinstance(other, Permutation) and self.word == other.word
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.word)  # a bytes word caches its own hash
 
     def __lt__(self, other: "Permutation") -> bool:
         return self.word < other.word
@@ -188,7 +186,6 @@ class Permutation:
         return self.word <= other.word
 
     def __reduce__(self):
-        # the hash of bytes is salted per process, so it is not pickled
         return Permutation._unchecked, (self.word,)
 
     def __repr__(self) -> str:

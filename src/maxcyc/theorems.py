@@ -27,11 +27,10 @@ from .core import (
     _bits,
     base_index,
     center,
-    class_mask,
-    conjugacy_classes,
+    class_members,
+    class_orders,
     coset_table,
     derived_subgroup,
-    element_orders,
     exponent,
     is_cyclic,
     is_nilpotent,
@@ -52,6 +51,7 @@ from .cyclic import (
     eta_preserving_normals,
     eta_star,
     g_minus,
+    g_minus_mask,
     g_power_set,
     maximal_cyclic_classes,
     power_classes,
@@ -80,7 +80,7 @@ def _prime_power(n: int) -> bool:
 
 def all_prime_power_orders(G: Group) -> bool:
     """Whether every element order of G is a prime power (or 1)."""
-    return all(map(_prime_power, element_orders(G).values()))
+    return all(map(_prime_power, class_orders(G)))
 
 
 def is_noncyclic_p_group(G: Group) -> bool:
@@ -118,7 +118,7 @@ class _ClassPowers(NamedTuple):
     power, and, for each class j, the mask of the classes with a
     prime-index power in class j (:func:`maxcyc.cyclic.power_classes`)."""
 
-    orders: list[int]
+    orders: tuple[int, ...]
     every: int
     composite: int
     roots: list[int]
@@ -135,7 +135,7 @@ class _ClassPowers(NamedTuple):
 
 @memo
 def _class_powers(G: Group) -> _ClassPowers:
-    orders = [element_orders(G)[c[0]] for c in conjugacy_classes(G)]
+    orders = class_orders(G)
     roots = [0] * len(orders)
     for i, powers in enumerate(power_classes(G)):
         for j in powers.values():
@@ -259,7 +259,7 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     if N.order == G.order:
         raise NotProper(f"the quotient conditions require N proper in G; N is G (order {G.order})")
 
-    gminus_set = g_minus(G)
+    gm = g_minus_mask(G)
     eta_g = eta(G).eta
     table = coset_table(G, N)
     quotient = read_quotient(G, table)
@@ -269,12 +269,13 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     witnesses: dict[str, tuple[str, ...]] = {}
 
     text = _cycle_strings(G)
-    cond_a = _inside(inside, class_mask(G, gminus_set))
-    if not cond_a:
-        witnesses["cond_a"] = tuple(text[x] for x in nsmallest(3, N.elements - gminus_set))
-
     label = _cyclic_labels(G)
-    minus = {label[x] for x in gminus_set}  # the labels of G^-
+    minus = {label[x] for x in class_members(G, gm)}  # the labels of G^-
+    cond_a = _inside(inside, gm)
+    if not cond_a:
+        outside = (x for x in N.elements if label[x] not in minus)
+        witnesses["cond_a"] = tuple(text[x] for x in nsmallest(3, outside))
+
     labels: list[set[int]] = [set() for _ in table.representatives]
     for x, i in table.point_of.items():
         labels[i].add(label[x])
@@ -295,11 +296,11 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         point_of, times = table.point_of, base_index(G).times
         movers = [times(n) for n in N.element_list]  # x -> x*n
         for x in G.element_list:
-            if x in gminus_set or point_of[x] not in failing:
+            if label[x] in minus or point_of[x] not in failing:
                 continue
             for move in movers:
                 y = move(x)
-                if label[y] != label[x] and not (outside_only and y in gminus_set):
+                if label[y] != label[x] and not (outside_only and label[y] in minus):
                     yield f"{text[x]} ~ {text[y]}"
 
     # a failing coset has a failing pair for each of its x outside G^-
@@ -314,7 +315,7 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     quotient_gminus_matches: bool | None = None
     if equal and coset_union:
         # G^-N, the union of the cosets that meet G^-, contains G^-
-        gminus_n_stable = len(gminus_points) * N.order == len(gminus_set)
+        gminus_n_stable = len(gminus_points) * N.order == eta(G).gminus_size
         quotient_gminus_matches = gminus_points == quotient_gminus_points
 
     return QuotCheckReport(
@@ -442,7 +443,7 @@ def check_first_main(G: Group) -> list[Check]:
     a Frobenius group with prime-order complement, or the simple group of
     order 60.  The quotient is classified on G's classes by
     :func:`classify_prime_order_group` and never realized as a group."""
-    H = subgroup_generated(G, g_minus(G))
+    H = subgroup_generated(G, class_members(G, g_minus_mask(G)))
     normal = is_normal(G, H)
     checks = [Check("gminus_closure_normal", normal, True, normal)]
     if H.order == G.order:
@@ -468,13 +469,13 @@ def check_pgrp_lemma(G: Group) -> list[Check]:
     difference.
 
     By definition, x is in G^- when some cyclic subgroup holding x is
-    larger than <x>: one pass over the element sets of G's cyclic
+    larger than <x>: one pass over the power lists of G's cyclic
     subgroups records, for each element, the largest order of one that
     holds it."""
     subs, sub_of = _cyclic_index(G)
     largest: dict[Permutation, int] = {}
-    for t in subs.values():
-        for x in t.elements:
+    for t in subs:
+        for x in t.powers:
             if largest.get(x, 0) < t.order:
                 largest[x] = t.order
     gm = frozenset(x for x, s in sub_of.items() if largest[x] > s.order)
@@ -496,7 +497,7 @@ def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     orders by :meth:`_ClassPowers.prime_modulo`, with no coset table."""
     inside, powers = normal_mask(G, N), _class_powers(G)
     outside = powers.every & ~inside
-    contained = _inside(class_mask(G, g_minus(G)), inside)
+    contained = _inside(g_minus_mask(G), inside)
     outside_ppo = not outside & powers.composite
     q_prime = powers.prime_modulo(inside) == powers.every
     checks = [
@@ -524,7 +525,7 @@ def check_gminus_subgroup_lemma(G: Group) -> list[Check]:
     prime power; vacuous when G^- is not a subgroup.  G^- is a union of
     classes, so it is closed exactly when its class mask is a lattice
     member."""
-    closed = class_mask(G, g_minus(G)) in normal_lattice(G).member
+    closed = g_minus_mask(G) in normal_lattice(G).member
     checks = [Check("gminus_is_subgroup", True, None, closed)]
     if closed:
         all_ppo = all_prime_power_orders(G)
@@ -540,7 +541,7 @@ def gk_graph(G: Group) -> GKGraph:
     divisible by pq.  Each distinct element order is factored once."""
     vertices = tuple(prime_factors(G.order))
     edges: set[tuple[int, int]] = set()
-    for n in set(element_orders(G).values()):
+    for n in set(class_orders(G)):
         ps = prime_factors(n)
         for i, a in enumerate(ps):
             for b in ps[i + 1:]:
@@ -573,7 +574,7 @@ def check_l_relation(G: Group) -> list[Check]:
         raise HypothesisFailed("the l relation requires a nontrivial group")
     rep = eta(G)
     lhs = rep.eta == rep.l_value - 1
-    rhs = all(is_prime(n) for n in element_orders(G).values() if n > 1)
+    rhs = all(is_prime(n) for n in class_orders(G) if n > 1)
     return [
         Check("eta_le_l_minus_1", rep.eta <= rep.l_value - 1,
               "eta <= l - 1", (rep.eta, rep.l_value)),
@@ -731,7 +732,7 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
         raise HypothesisFailed("N must be nontrivial")
     if quotient_eta(G, N) != eta(G).eta:
         raise HypothesisFailed("eta(G/N) != eta(G)")
-    n_in_m, m_in_gminus = _inside(n, m), _inside(m, class_mask(G, g_minus(G)))
+    n_in_m, m_in_gminus = _inside(n, m), _inside(m, g_minus_mask(G))
     checks = [
         Check("dichotomy", n_in_m or m_in_gminus, "N <= M or M <= G^-",
               {"N_in_M": n_in_m, "M_in_gminus": m_in_gminus})
@@ -739,7 +740,7 @@ def check_eitheror(G: Group, N: Group, M: Group) -> list[Check]:
     # a maximal cyclic subgroup is normal exactly when it is its own class
     for cls in maximal_cyclic_classes(G):
         if len(cls) == 1:
-            inside = N.elements <= cls[0].elements
+            inside = N.elements.issubset(cls[0].powers)
             checks.append(
                 Check(f"normal_maximal_cyclic_order_{cls[0].order}_contains_N", inside, True, inside)
             )

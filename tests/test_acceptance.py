@@ -17,8 +17,6 @@ from maxcyc import (
     eta,
     eta_star,
     g_minus,
-    g_minus_via_powers,
-    g_power_set,
     named_normal,
     normal_subgroups,
     quotient_group,
@@ -29,15 +27,17 @@ from maxcyc import (
 from maxcyc.constructors import Cyclic, DirectProductSpec, parse_spec
 from maxcyc.core import exponent, is_cyclic, is_p_group, point_stabilizer
 from maxcyc.corpus import default_corpus_text, parse_corpus
+from maxcyc.cyclic import g_minus_mask
 from maxcyc.theorems import (
     check_centre_bounds,
     check_dirproduct_laws,
+    check_pgrp_lemma,
     check_quot_conditions,
     classify_prime_order_group,
     compute_X,
 )
 
-from oracles import normal_subgroup_element_sets, passed
+from oracles import g_minus_oracle, normal_subgroup_element_sets, passed
 
 
 ENTRIES = parse_corpus(default_corpus_text())
@@ -111,17 +111,32 @@ def test_criterion_01_exact_pinned_values(groups):
     record(1, "exact pinned values", ok, "; ".join(detail))
 
 
-def test_criterion_02_gminus_power_identity(groups):
+def gminus_mismatches(groups) -> list[str]:
+    """Criterion 2's failures: each group whose G^- is not the oracle's
+    element-by-element prime powers, and each failing check of the
+    pgrp-lemma, which compares G^- with its definition and, in a p-group,
+    with the p-th powers."""
     mismatches = []
-    for e in ENTRIES:
-        G = groups[e.spec_text]
-        if g_minus(G) != g_minus_via_powers(G):
-            mismatches.append(e.spec_text)
-        p = is_p_group(G)
-        if p is not None and g_minus(G) != g_power_set(G, p):
-            mismatches.append(f"{e.spec_text} (p-th powers)")
+    for text, G in groups.items():
+        if g_minus(G) != g_minus_oracle(G):
+            mismatches.append(text)
+        mismatches += [f"{text} ({c.name})" for c in check_pgrp_lemma(G) if not c.passed]
+    return mismatches
+
+
+def test_criterion_02_gminus_power_identity(groups):
+    mismatches = gminus_mismatches(groups)
     record(2, "G^- equals the prime-power characterization on every entry",
            not mismatches, ", ".join(mismatches))
+
+
+def test_criterion_02_fails_on_a_planted_gminus():
+    # class 0 is the identity's, which G^- of a nontrivial group holds
+    G = realize_text("S(3)")
+    g_minus_mask.record(G, result=g_minus_mask(realize_text("S(3)")) & ~1)
+    assert gminus_mismatches({"S(3)": G}) == ["S(3)", "S(3) (gminus_equals_power_set)"]
+    with pytest.raises(AssertionError, match="criterion 2 failed"):
+        test_criterion_02_gminus_power_identity({"S(3)": G})
 
 
 def test_criterion_03_quotient_biconditional(groups):

@@ -224,13 +224,14 @@ def test_eta_star_cross_check_fires(monkeypatch):
 
     def merged(G):
         trivial = next(s for s in cyclic_subgroups(G) if s.order == 1)
-        return tuple(c + [trivial] if target in c else c for c in real(G))
+        return tuple(c + [trivial] if any(s.elements == target for s in c) else c for c in real(G))
 
     sg = realize_text("SG72_50")
     N = named_normal(sg, 9, 0)
     assert eta_star(sg, N) == 2
-    # taken before the patch, which the maximal subgroups of N would read
-    target = maximal_cyclic_subgroups(N)[0]
+    # taken before the patch, which the maximal subgroups of N would read;
+    # each index holds its own subgroup objects, so G's is found by its elements
+    target = maximal_cyclic_subgroups(N)[0].elements
     monkeypatch.setattr(maxcyc.cyclic, "cyclic_classes", merged)
     with pytest.raises(InternalCheckError):
         eta_star(sg, N)
@@ -267,6 +268,30 @@ def test_orders_and_powers_are_taken_once_per_class(monkeypatch, text):
     assert calls == {"order": len(classes)}
     g_minus_via_powers(G)
     assert calls["power"] <= sum(len(prime_factors(orders[min(c)])) for c in classes)
+
+
+@pytest.mark.parametrize("text", ["AGL1(13,4)", "W(3)"])
+def test_eta_reads_gminus_and_orders_per_class(text):
+    # eta builds neither per-element view, and each cyclic subgroup holds
+    # the power list it was built from
+    G = realize_text(text)
+    eta(G)
+    assert not g_minus_via_powers.held(G) and not element_orders.held(G)
+    subs, _ = maxcyc.cyclic._cyclic_index(G)
+    for s in subs:
+        assert s.powers[0] == G.identity and len(s.powers) == s.order
+        g = s.powers[1] if s.order > 1 else G.identity
+        assert all(x == g ** k for k, x in enumerate(s.powers))
+        assert s.elements == frozenset(s.powers)
+
+
+def test_quotients_are_read_without_base_walks(monkeypatch):
+    G = realize_text("EA(2,2) x S(3)")
+    normals = normal_subgroups(G)
+    eta(G)
+    monkeypatch.setattr(BaseIndex, "power", lambda *args: pytest.fail("a base walk"))
+    for N in normals:
+        quotient_invariants(G, N)
 
 
 def test_central_generators_give_no_conjugator(monkeypatch):
@@ -326,28 +351,30 @@ def test_a_merged_class_walk_is_caught(monkeypatch, text):
 
 
 def test_quotient_cross_check_fires(monkeypatch):
+    # a quotient read that loses the identity coset from (G/N)^- is caught
+    # by the regular realization scored by the oracle
     G = realize_text("D(30)")
     N = named_normal(G, 5, 0)
     assert quotient_invariants(G, N).g_minus == {0}
-    real = maxcyc.cyclic._power_route
+    real = maxcyc.cyclic.read_quotient
 
     def drop_point_zero(G, table):
-        minus, orders = real(G, table)
-        return minus - {0}, orders
+        got = real(G, table)
+        return got._replace(g_minus=got.g_minus - {0})
 
-    monkeypatch.setattr(maxcyc.cyclic, "_power_route", drop_point_zero)
+    monkeypatch.setattr(maxcyc.cyclic, "read_quotient", drop_point_zero)
     with pytest.raises(AssertionError):
         assert_quotients_match_the_regular_realization(realize_text("D(30)"))
 
 
 def test_quotient_order_cross_check_fires(monkeypatch):
-    real = maxcyc.cyclic._power_route
+    real = maxcyc.cyclic.read_quotient
 
     def wrong_orders(G, table):
-        minus, orders = real(G, table)
-        return minus, (orders[0] + 1, *orders[1:])
+        got = real(G, table)
+        return got._replace(orders=(got.orders[0] + 1, *got.orders[1:]))
 
-    monkeypatch.setattr(maxcyc.cyclic, "_power_route", wrong_orders)
+    monkeypatch.setattr(maxcyc.cyclic, "read_quotient", wrong_orders)
     with pytest.raises(AssertionError):
         assert_quotients_match_the_regular_realization(realize_text("D(30)"))
 

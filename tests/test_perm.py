@@ -158,3 +158,15 @@ def test_words_agree_with_image_tuples(degree):
     by_word = sorted(perms, key=lambda p: p.word)
     assert [p.images for p in by_word] == sorted(p.images for p in perms)
     assert by_word == sorted(perms)
+
+
+def test_a_tuple_word_is_hashed_and_pickled_as_its_word():
+    # a permutation holds its word alone: above 256 points a tuple, whose
+    # hash is taken on each call
+    a = Permutation.from_cycles(300, [(0, 299, 150), (1, 2)])
+    twin = Permutation(a.images)
+    assert Permutation.__slots__ == ("word",) and type(a.word) is tuple
+    assert twin is not a and twin == a and hash(twin) == hash(a) == hash(a.word)
+    assert twin in {a} and a in frozenset([twin]) and len({a, twin}) == 1
+    thawed = pickle.loads(pickle.dumps(a))
+    assert thawed == a and hash(thawed) == hash(a) and thawed in {a}

@@ -27,7 +27,7 @@ from maxcyc import (
     subgroup_invariants,
 )
 from maxcyc.constructors import DirectProductSpec
-from maxcyc.core import is_cyclic, is_nilpotent, is_p_group
+from maxcyc.core import class_orders, is_cyclic, is_nilpotent, is_p_group
 from maxcyc.corpus import default_corpus_text, parse_corpus
 from maxcyc.cyclic import eta_preserving_normals, maximal_cyclic_classes
 from maxcyc.theorems import check_eitheror, check_quot_conditions, classify_prime_order_group
@@ -123,6 +123,15 @@ def test_named_element_classes_match_the_oracle(text):
 @group_settings
 def test_gminus_power_characterization(G):
     assert g_minus(G) == g_minus_oracle(G)
+
+
+@given(small_groups())
+@group_settings
+def test_class_orders_match_the_oracle(G):
+    classes = conjugacy_classes(G)
+    orders = class_orders(G)
+    assert len(orders) == len(classes)
+    assert all(perm_order(x) == n for c, n in zip(classes, orders) for x in c)
 
 
 @given(small_groups(), st.integers(min_value=0, max_value=2**16))
