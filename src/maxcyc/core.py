@@ -4,8 +4,8 @@ Every group here carries its full element table, so each predicate used by
 the verification layer (normality, conjugacy, coset structure) is decided by
 direct enumeration.  Operations are pure; :func:`memo` keeps derived data
 in the group it describes and never changes observable results.  A normal
-subgroup argument is checked in one place, :func:`normal_mask`, and
-:func:`coset_table`, which must not build the lattice, checks its own.
+subgroup argument is checked in one place, :func:`normal_mask`, which
+builds no lattice that is not already held.
 """
 
 from __future__ import annotations
@@ -311,6 +311,17 @@ def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
     return _group_of_words(G.degree, gens, _close(G.degree, gens, G.order))
 
 
+def moving(G: Group, gens: Iterable[Permutation]) -> list[Permutation]:
+    """The members of `gens` outside G's centre, for gens in G: a generator
+    of G, or of a normal subgroup, is central exactly when it commutes with
+    every generator of G, and a central conjugator moves nothing.  Decided
+    on words, as in :func:`_close`."""
+    table = table_of(G.degree)
+    return [g for g in gens if any(
+        right_multiplier(h)(table(g.word)) != right_multiplier(g)(table(h.word))
+        for h in G.generators)]
+
+
 def orbits(items: Iterable, maps: Sequence[Callable]) -> list[list]:
     """The orbits met from each of `items` in turn under the maps, which
     permute a finite set: each orbit lists its members in the order met,
@@ -338,12 +349,10 @@ def conjugacy_classes(G: Group) -> tuple[list[Permutation], ...]:
     from its minimum in the order met under conjugation by the generators:
     the one conjugation walk per group.  It runs on words
     (:func:`maxcyc.perm.word_conjugator`), each conjugate's word popped
-    from those of the elements not yet met, and leaves out a generator
-    that commutes with every generator, which is central and moves nothing.
+    from those of the elements not yet met, under the generators that
+    :func:`moving` keeps.
     """
-    gens, table = G.generators, table_of(G.degree)
-    conjugators = [word_conjugator(g) for g in gens if any(
-        right_multiplier(h)(table(g.word)) != right_multiplier(g)(table(h.word)) for h in gens)]
+    conjugators = list(map(word_conjugator, moving(G, G.generators)))
     ordered = sorted(G.element_list, key=_word)
     unmet = {x.word: x for x in ordered}
     found = []
@@ -412,11 +421,9 @@ def coset_table(G: Group, N: Group) -> CosetTable:
     """The cosets of a normal subgroup N of G, built on the base images of
     :func:`base_index`: the coset of x holds x*n for each n in N, each
     named by its base images (x*n)(b) = x(n(b)) and listed as G's own
-    element.  Raises NotNormal unless N is normal in G: it checks N itself,
-    not through :func:`normal_mask`, as it serves :func:`quotient_group`
-    and library calls on groups whose lattice cannot be listed."""
-    if not is_normal(G, N):
-        raise NotNormal(f"subgroup of order {N.order} is not normal in G")
+    element.  N is read first through :func:`normal_mask`, the one guard
+    that N is normal in G."""
+    normal_mask(G, N)
     base = base_index(G)
     read, own = base.read, base.element_of
     movers = list(map(base.key_times, N.elements))

@@ -7,12 +7,14 @@ element sets G^- (non-generators of maximal cyclic subgroups) and G^{p}
 
 All of it reads one index per group (:func:`_cyclic_index`): every cyclic
 subgroup, held as the power list it was built from, and the map from each
-element to the subgroup it generates.  The classes of cyclic subgroups
-come from one orbit walk per group (:func:`cyclic_classes`), and the
-callers that map elements to them number them (:func:`_cyclic_labels`).  Products, powers
-and conjugates of G's elements go through :func:`maxcyc.core.base_index`,
-which reads the images of a short base and looks the result up among G's
-own elements.
+element to the subgroup it generates.  The index is walked class by class,
+so each subgroup is labelled with the least conjugacy class that holds a
+generator of it.  <x> and <y> are conjugate exactly when y is conjugate to
+a generator of <x>, so the label names the class of a cyclic subgroup
+(:func:`cyclic_classes`) and of each element that generates it.  Products,
+powers and conjugates of G's elements go through
+:func:`maxcyc.core.base_index`, which reads the images of a short base and
+looks the result up among G's own elements.
 
 G^- and the element orders are class functions, so each is held once per
 conjugacy class: G^- as the class mask :func:`g_minus_mask`, and the orders
@@ -28,29 +30,29 @@ G^- by its definition is checked by
 :func:`maxcyc.theorems.check_pgrp_lemma`, against a containment scan of
 the index.  The invariants of a quotient G/N (:func:`quotient_invariants`)
 are read off the power lists of the index through the coset map, and those
-of a normal subgroup N (:func:`subgroup_invariants`) off the index and the
-power route restricted to N; neither is given an index of its own.  Each
-reads N first through :func:`maxcyc.core.coset_table` or
-:func:`maxcyc.core.normal_mask`, which refuse a subgroup that is not normal.
+of a normal subgroup N (:func:`subgroup_invariants`) off the labels of the
+index and the power route restricted to N; neither is given an index of
+its own.  Each reads N first through :func:`maxcyc.core.normal_mask`, which
+refuses a subgroup that is not normal.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import takewhile
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .core import (
     CosetTable,
     Group,
     _bits,
     base_index,
-    class_index,
     class_members,
     class_orders,
     conjugacy_classes,
     coset_table,
     memo,
+    moving,
     normal_lattice,
     normal_mask,
     orbits,
@@ -61,20 +63,23 @@ from .perm import Permutation
 
 
 class CyclicSubgroup:
-    """A cyclic subgroup <g>, held as ``powers``, the power list g**0, ...,
-    g**(n-1) of the element g it was built from, with its lexicographically
-    smallest generator as ``canonical_generator``.  Each is one object of
-    its group's index, so it is compared and hashed by identity, and
-    ``elements`` builds its element set when read.  The cyclic subgroups of
-    a quotient, in :func:`read_quotient`, hold the power list of a coset as
-    points instead, and a generating point; they are never sorted.
+    """A cyclic subgroup <g> of G, held as ``powers``, the power list g**0,
+    ..., g**(n-1) of the element g it was built from, with its
+    lexicographically smallest generator as ``canonical_generator`` and, as
+    ``label``, the number of the least class of
+    :func:`maxcyc.core.conjugacy_classes` that holds a generator of it: two
+    cyclic subgroups of G are conjugate exactly when their labels are
+    equal.  Each is one object of its group's index, built only by
+    :func:`_cyclic_index`, so it is compared and hashed by identity, and
+    ``elements`` builds its element set when read.
     """
 
-    __slots__ = ("powers", "canonical_generator", "_sort_key")
+    __slots__ = ("powers", "canonical_generator", "label", "_sort_key")
 
-    def __init__(self, powers: tuple, canonical_generator: Permutation | int):
+    def __init__(self, powers: tuple, canonical_generator: Permutation, label: int):
         self.powers = powers
         self.canonical_generator = canonical_generator
+        self.label = label
         self._sort_key: tuple | None = None
 
     @property
@@ -97,33 +102,38 @@ class CyclicSubgroup:
 @memo
 def _cyclic_index(G: Group) -> tuple[list[CyclicSubgroup], dict[Permutation, CyclicSubgroup]]:
     """All cyclic subgroups of G, in the order built, plus the map from
-    element to <element>.  Each subgroup holds the power list, of
-    base-index products, of the first element met that generates no
-    subgroup seen so far; its generators are the powers g**k with
-    gcd(k, n) = 1.  A power list longer than |G| raises InternalCheckError.
+    element to <element>.  The elements are walked class by class, in the
+    order of :func:`maxcyc.core.conjugacy_classes` and each class in its
+    own order.  Each subgroup holds the power list, of base-index products,
+    of the first element met that generates no subgroup seen so far, and
+    the number of its class as its label; its generators are the powers
+    g**k with gcd(k, n) = 1.  A generator in an earlier class would have
+    built it earlier, so its label is the least class holding a generator.
+    A power list longer than |G| raises InternalCheckError.
     """
     base = base_index(G)
     ident = base.element_of[base.read_at]  # the identity fixes the base
     limit = G.order
     subs: list[CyclicSubgroup] = []
     sub_of: dict[Permutation, CyclicSubgroup] = {}
-    for g in G.element_list:
-        if g in sub_of:
-            continue
-        times = base.times(g)
-        powers = [ident]
-        x = g
-        while x is not ident:
-            if len(powers) == limit:
-                raise InternalCheckError("a power list does not return to the identity")
-            powers.append(x)
-            x = times(x)
-        n = len(powers)
-        gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1]
-        cs = CyclicSubgroup(tuple(powers), min(gens))
-        subs.append(cs)
-        for x in gens:
-            sub_of[x] = cs
+    for label, c in enumerate(conjugacy_classes(G)):
+        for g in c:
+            if g in sub_of:
+                continue
+            times = base.times(g)
+            powers = [ident]
+            x = g
+            while x is not ident:
+                if len(powers) == limit:
+                    raise InternalCheckError("a power list does not return to the identity")
+                powers.append(x)
+                x = times(x)
+            n = len(powers)
+            gens = [powers[k] for k in range(n) if math.gcd(k, n) == 1]
+            cs = CyclicSubgroup(tuple(powers), min(gens), label)
+            subs.append(cs)
+            for x in gens:
+                sub_of[x] = cs
     return subs, sub_of
 
 
@@ -197,27 +207,13 @@ def g_power_set(G: Group, p: int) -> frozenset[Permutation]:
 
 @memo
 def cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
-    """The conjugacy classes of the cyclic subgroups of G: the
-    :func:`maxcyc.core.orbits` of the cyclic index, in its order, under
-    conjugation by G's generators.  The conjugate of a subgroup is the
-    subgroup that the conjugate of its canonical generator generates,
-    looked up in the index."""
-    subs, sub_of = _cyclic_index(G)
-    maps = [
-        lambda s, conjugate=base_index(G).conjugator(g): sub_of[conjugate(s.canonical_generator)]
-        for g in G.generators
-    ]
-    return tuple(orbits(subs, maps))
-
-
-@memo
-def _cyclic_labels(G: Group) -> dict[Permutation, int]:
-    """The label of each element x of G: the number of the class of <x> in
-    :func:`cyclic_classes`.  y is conjugate to a generator of <x> exactly
-    when y and x have the same label."""
-    number = {s: i for i, c in enumerate(cyclic_classes(G)) for s in c}
-    _, sub_of = _cyclic_index(G)
-    return {x: number[s] for x, s in sub_of.items()}
+    """The conjugacy classes of the cyclic subgroups of G: the cyclic
+    index grouped by label, each class in index order.  The index is built
+    class by class, so the classes come in the order of their labels."""
+    classes: dict[int, list[CyclicSubgroup]] = {}
+    for s in _cyclic_index(G)[0]:
+        classes.setdefault(s.label, []).append(s)
+    return tuple(classes.values())
 
 
 class EtaReport(NamedTuple):
@@ -232,14 +228,11 @@ class EtaReport(NamedTuple):
 @memo
 def maximal_cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
     """The conjugacy classes of the maximal cyclic subgroups of G: the
-    classes of :func:`cyclic_classes` that hold <r> for the first member r
-    of a conjugacy class outside :func:`g_minus_mask`, as conjugate
-    elements generate conjugate subgroups and conjugates of a maximal
-    subgroup are maximal, ordered by their least member."""
-    _, sub_of = _cyclic_index(G)
+    classes of :func:`cyclic_classes` whose label lies outside
+    :func:`g_minus_mask`, as a subgroup is maximal exactly when its
+    generators lie outside G^-, ordered by their least member."""
     minus = g_minus_mask(G)
-    maximal = {sub_of[c[0]] for i, c in enumerate(conjugacy_classes(G)) if not minus >> i & 1}
-    found = [c for c in cyclic_classes(G) if not maximal.isdisjoint(c)]
+    found = [c for c in cyclic_classes(G) if not minus >> c[0].label & 1]
     return tuple(sorted(found, key=lambda c: min(map(CyclicSubgroup.sort_key, c))))
 
 
@@ -266,12 +259,6 @@ class QuotientInvariants(NamedTuple):
     orders: tuple[int, ...]
 
 
-def _moving(G: Group, gens: Sequence[Permutation]) -> list[Permutation]:
-    """The members of `gens` outside G's centre: a central conjugator moves nothing."""
-    classes, index_of = conjugacy_classes(G), class_index(G)
-    return [g for g in gens if len(classes[index_of[g]]) > 1]
-
-
 @memo
 def quotient_invariants(G: Group, N: Group) -> QuotientInvariants:
     """The invariants of G/N for N normal in G: :func:`read_quotient` on
@@ -289,19 +276,20 @@ def read_quotient(G: Group, table: CosetTable) -> QuotientInvariants:
     <gN> of the <g> in G's index that the coset representatives generate,
     and each point generates exactly one of them.  So an image is read
     once, from the first representative that generates it, off the power
-    list of its <g>: its order d is the least k >= 1 with g**k in N, its
-    generators are the points of the g**k with gcd(k, d) = 1, and its
-    non-generators, those with gcd(k, d) > 1, make up (G/N)^- by its
-    definition.  The maximal images are those generated outside (G/N)^-,
-    and their classes are the :func:`maxcyc.core.orbits` under the
-    generators outside the centre.  No permutation of degree |G:N| is
+    list of its <g>, and named by that representative's point: its order d
+    is the least k >= 1 with g**k in N, its generators are the points of
+    the g**k with gcd(k, d) = 1, and its non-generators, those with
+    gcd(k, d) > 1, make up (G/N)^- by its definition.  The maximal images
+    are those generated outside (G/N)^-, and their classes are the
+    :func:`maxcyc.core.orbits` under the generators that
+    :func:`maxcyc.core.moving` keeps.  No permutation of degree |G:N| is
     built.
     """
     point_of, reps = table.point_of, table.representatives
     _, sub_of = _cyclic_index(G)
-    conjugators = [base_index(G).conjugator(g) for g in _moving(G, G.generators)]
-    images: list[CyclicSubgroup] = []
-    image_of: dict[int, CyclicSubgroup] = {}
+    conjugators = list(map(base_index(G).conjugator, moving(G, G.generators)))
+    images: list[int] = []
+    image_of: dict[int, int] = {}  # point -> the point that names the image it generates
     orders = [0] * len(reps)
     minus: set[int] = set()
     for c, r in enumerate(reps):
@@ -310,15 +298,15 @@ def read_quotient(G: Group, table: CosetTable) -> QuotientInvariants:
         # the points of g**0, ..., g**(d-1): g**d is the first power in N, at point 0
         points = [0, *takewhile(bool, map(point_of.__getitem__, sub_of[r].powers[1:]))]
         d = len(points)
-        images.append(image := CyclicSubgroup(tuple(points), c))
+        images.append(c)
         for k, point in enumerate(points):
             if math.gcd(k, d) == 1:
-                image_of[point], orders[point] = image, d
+                image_of[point], orders[point] = c, d
             else:
                 minus.add(point)
-    maximal = [s for s in images if s.canonical_generator not in minus]
+    maximal = [c for c in images if c not in minus]
     maps = [
-        lambda s, conjugate=conjugate: image_of[point_of[conjugate(reps[s.canonical_generator])]]
+        lambda c, conjugate=conjugate: image_of[point_of[conjugate(reps[c])]]
         for conjugate in conjugators
     ]
     return QuotientInvariants(len(orbits(maximal, maps)), frozenset(minus), tuple(orders))
@@ -372,46 +360,48 @@ class SubgroupInvariants(NamedTuple):
 def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     """The invariants of N, for N normal in G, read off G's cyclic index.
 
-    The cyclic subgroups of N are the <x> of G's index for x in N, walked
-    in the order of N's classes.  N^- is :func:`_powers_mask` on N's class
-    mask, and the N-maximal ones are the <x> for x in N outside N^-.  The
-    N-classes of cyclic subgroups are the :func:`maxcyc.core.orbits` under
-    N's generators outside the centre of G, and those of the maximal ones
+    N is a union of classes, so the cyclic subgroups of N are the
+    subgroups of G's index whose label lies in N's class mask, in index
+    order.  N^- is :func:`_powers_mask` on that mask, and the N-maximal
+    ones are those whose label lies outside N^-, as a subgroup's
+    generators all lie in N^- or all outside it.  The N-classes of cyclic
+    subgroups are the :func:`maxcyc.core.orbits` under the generators of N
+    that :func:`maxcyc.core.moving` keeps, and those of the maximal ones
     the orbits that start at a maximal one.  N is never given a base, an
     index or classes of its own; its class mask, read first, is its guard.
     """
     mask = normal_mask(G, N)
     minus = _powers_mask(G, mask)
-    _, sub_of = _cyclic_index(G)
-    subs = dict.fromkeys(map(sub_of.__getitem__, class_members(G, mask)))
-    maximal = tuple(dict.fromkeys(map(sub_of.__getitem__, class_members(G, mask & ~minus))))
+    index, sub_of = _cyclic_index(G)
+    subs = [s for s in index if mask >> s.label & 1]
+    maximal = tuple(s for s in subs if not minus >> s.label & 1)
     conjugator = base_index(G).conjugator
     maps = [
         lambda s, conjugate=conjugator(n): sub_of[conjugate(s.canonical_generator)]
-        for n in _moving(G, N.generators)
+        for n in moving(G, N.generators)
     ]
     n_classes = orbits(subs, maps)
     starts = set(maximal)
+    classes = conjugacy_classes(G)
     return SubgroupInvariants(
         eta=sum(orbit[0] in starts for orbit in n_classes),
         l_value=len(n_classes),
-        gminus_size=sum(1 for _ in class_members(G, minus)),
+        gminus_size=sum(len(classes[i]) for i in _bits(minus)),
         maximal=maximal,
     )
 
 
 def eta_star(G: Group, N: Group) -> int:
     """G-orbits on the N-conjugacy classes of maximal cyclic subgroups of N:
-    the number of G-classes of cyclic subgroups, in :func:`cyclic_classes`,
-    that the maximal cyclic subgroups of N, from
-    :func:`subgroup_invariants`, fall in.  As N is normal, such a class
-    holds N-maximal subgroups only, so the classes met hold exactly as many
+    the number of labels, that is of G-classes of cyclic subgroups, that
+    the maximal cyclic subgroups of N, from :func:`subgroup_invariants`,
+    carry.  As N is normal, such a class of :func:`cyclic_classes` holds
+    N-maximal subgroups only, so the classes met hold exactly as many
     subgroups as N has maximal ones; if they hold more, InternalCheckError
     is raised.  :func:`subgroup_invariants`, read first, guards N."""
     n_maximal = subgroup_invariants(G, N).maximal
-    label = _cyclic_labels(G)
-    met = {label[s.canonical_generator] for s in n_maximal}
-    classes = cyclic_classes(G)
-    if sum(len(classes[c]) for c in met) != len(n_maximal):
+    met = {s.label for s in n_maximal}
+    size = {c[0].label: len(c) for c in cyclic_classes(G)}
+    if sum(size[label] for label in met) != len(n_maximal):
         raise InternalCheckError("a G-class of N-maximal cyclic subgroups holds another subgroup")
     return len(met)

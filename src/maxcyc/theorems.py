@@ -45,7 +45,6 @@ from .core import (
 )
 from .cyclic import (
     _cyclic_index,
-    _cyclic_labels,
     eta,
     eta_p,
     eta_preserving_normals,
@@ -240,20 +239,22 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     generator of <x>.  The strong condition asks (c) of every element of
     xN.
 
-    Both are decided on the label of each element, the class of the
-    cyclic subgroup it generates (:func:`maxcyc.cyclic._cyclic_labels`),
-    since y is conjugate to a generator of <x> exactly when <y> is
-    conjugate to <x>.  Maximality is a property of that class, so G^- is a
-    union of labels, and one pass over the coset table collects the labels
-    of each coset.  A coset lies inside G^- when its labels are labels of
-    G^-, and meets G^- when some are; (c) holds when, in each coset, the
-    labels outside G^- are at most one, and the strong condition when each
-    coset that meets G \\ G^- has one label.  As G^- lies in G^-N, the two
-    are equal when they have the same size.  The witnesses are the first
-    three failing pairs ``x ~ y``, x in ``element_list`` order and y = x*n
-    in ``N.element_list`` order; only the cosets that fail are walked, and
-    each element is formatted once per group (:func:`_cycle_strings`).  The
-    quotient's invariants are read on the same coset table.
+    Both are decided on the label of each element x: the label of <x> in
+    the cyclic index (:class:`maxcyc.cyclic.CyclicSubgroup`), which names
+    the class of <x>, since y is conjugate to a generator of <x> exactly
+    when <y> is conjugate to <x>.  The label is a class of generators of
+    <x>, and these lie in G^- all or none, so a label is in G^- when its
+    bit of :func:`maxcyc.cyclic.g_minus_mask` is set.  One pass over the
+    coset table collects the labels of each coset.  A coset lies inside
+    G^- when its labels are in G^-, and meets G^- when some are; (c) holds
+    when, in each coset, the labels outside G^- are at most one, and the
+    strong condition when each coset that meets G \\ G^- has one label.
+    As G^- lies in G^-N, the two are equal when they have the same size.
+    The witnesses are the first three failing pairs ``x ~ y``, x in
+    ``element_list`` order and y = x*n in ``N.element_list`` order; only
+    the cosets that fail are walked, and each element is formatted once
+    per group (:func:`_cycle_strings`).  The quotient's invariants are
+    read on the same coset table.
     """
     inside = normal_mask(G, N)
     if N.order == G.order:
@@ -269,16 +270,16 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
     witnesses: dict[str, tuple[str, ...]] = {}
 
     text = _cycle_strings(G)
-    label = _cyclic_labels(G)
-    minus = {label[x] for x in class_members(G, gm)}  # the labels of G^-
+    _, sub_of = _cyclic_index(G)
+    minus = set(_bits(gm))  # the classes of G^-: a label is in G^- when it is one of them
     cond_a = _inside(inside, gm)
     if not cond_a:
-        outside = (x for x in N.elements if label[x] not in minus)
+        outside = (x for x in N.elements if sub_of[x].label not in minus)
         witnesses["cond_a"] = tuple(text[x] for x in nsmallest(3, outside))
 
     labels: list[set[int]] = [set() for _ in table.representatives]
     for x, i in table.point_of.items():
-        labels[i].add(label[x])
+        labels[i].add(sub_of[x].label)
     covered_points = {i for i, met in enumerate(labels) if met <= minus}  # inside G^-
     gminus_points = {i for i, met in enumerate(labels) if not met.isdisjoint(minus)}
     fail_c = {i for i, met in enumerate(labels) if len(met - minus) > 1}
@@ -296,11 +297,12 @@ def check_quot_conditions(G: Group, N: Group) -> QuotCheckReport:
         point_of, times = table.point_of, base_index(G).times
         movers = [times(n) for n in N.element_list]  # x -> x*n
         for x in G.element_list:
-            if label[x] in minus or point_of[x] not in failing:
+            label = sub_of[x].label
+            if label in minus or point_of[x] not in failing:
                 continue
             for move in movers:
                 y = move(x)
-                if label[y] != label[x] and not (outside_only and label[y] in minus):
+                if (other := sub_of[y].label) != label and not (outside_only and other in minus):
                     yield f"{text[x]} ~ {text[y]}"
 
     # a failing coset has a failing pair for each of its x outside G^-

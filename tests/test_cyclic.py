@@ -39,7 +39,7 @@ from maxcyc.cyclic import maximal_cyclic_classes
 from maxcyc.numutil import prime_factors
 from maxcyc.theorems import check_pgrp_lemma, gk_graph
 
-from oracles import perm_order, relabelled
+from oracles import eta_oracle, perm_order, relabelled
 from test_properties import assert_quotients_match_the_regular_realization
 
 
@@ -311,17 +311,49 @@ def test_central_generators_give_no_conjugator(monkeypatch):
     assert set(G.generators[:3]) <= center(G).elements
 
 
+@pytest.mark.parametrize("text", ["S(4) x C(2)", "AGL1(7,6) x C(2)", "Q(16)"])
+def test_the_centre_invariants_build_no_class_index(text):
+    # a generator is central when it commutes with every generator of G,
+    # which core.moving decides on words, without the element -> class map
+    G = realize_text(text)
+    Z = center(G)
+    quotient_invariants(G, Z)
+    subgroup_invariants(G, Z)
+    assert not class_index.held(G)
+
+
+def test_a_wrong_label_is_caught():
+    # <(0 1)(2 3)> labelled as a transposition class joins the class of
+    # maximal subgroups of order 2, which the oracle counts as six
+    G = realize_text("S(4)")
+    subs, _ = maxcyc.cyclic._cyclic_index(G)
+    twos = [s for s in subs if s.order == 2]
+    moved = next(s for s in twos if s.label != twos[0].label)
+    moved.label = twos[0].label
+    got = eta(G)
+    assert (got.eta, got.class_reps, got.l_value, got.gminus_size) != eta_oracle(G)[:4]
+
+
+def test_cyclic_classes_take_no_conjugator(monkeypatch):
+    # the classes of cyclic subgroups are read off the labels of the index
+    G = realize_text("W(3)")
+    requested = []
+    conjugator = BaseIndex.conjugator
+    monkeypatch.setattr(BaseIndex, "conjugator",
+                        lambda base, g: requested.append(g) or conjugator(base, g))
+    assert len(cyclic_classes(G)) == 9
+    assert requested == []
+
+
 @pytest.mark.parametrize("text", ["AGL1(7,6)", "S(4) x C(2)"])
 def test_eta_and_gkgraph_build_no_class_index(text):
-    # the element -> class maps have |G| entries, which eta does not need,
-    # for the element classes and for the classes of cyclic subgroups
+    # the element -> class map has |G| entries, which eta does not need
     G = realize_text(text)
     eta(G)
     gk_graph(G)
     assert (conjugacy_classes.__wrapped__,) in G.derived
     assert (class_index.__wrapped__,) not in G.derived
     assert (cyclic_classes.__wrapped__,) in G.derived
-    assert (maxcyc.cyclic._cyclic_labels.__wrapped__,) not in G.derived
 
 
 @pytest.mark.parametrize("text", ["S(4)", "AGL1(7,6)", "W(3)"])

@@ -222,4 +222,7 @@ def test_a_normal_that_is_no_member_is_read_without_the_lattice():
     assert (inv.eta, inv.l_value, inv.gminus_size) == (127, 128, 1)
     assert sorted(s.order for s in inv.maximal) == [2] * 127
     assert normal_mask(G, Z) == class_mask(G, Z.elements)
+    # the coset table reads Z through normal_mask too; EA(2,7) is abelian,
+    # so Z is G and the quotient is trivial
+    assert cyclic.quotient_invariants(G, Z) == (1, frozenset(), (1,))
     assert not normal_lattice.held(G)

@@ -29,7 +29,7 @@ from maxcyc import (
 from maxcyc.constructors import DirectProductSpec
 from maxcyc.core import class_orders, is_cyclic, is_nilpotent, is_p_group
 from maxcyc.corpus import default_corpus_text, parse_corpus
-from maxcyc.cyclic import eta_preserving_normals, maximal_cyclic_classes
+from maxcyc.cyclic import _cyclic_index, eta_preserving_normals, maximal_cyclic_classes
 from maxcyc.theorems import check_eitheror, check_quot_conditions, classify_prime_order_group
 
 from oracles import (
@@ -406,6 +406,31 @@ def test_subgroup_invariants_match_standalone(G):
 @pytest.mark.parametrize("text", CORPUS_SPECS)
 def test_corpus_subgroup_invariants_match_standalone(text):
     assert_subgroup_invariants_match_standalone(realize_text(text))
+
+
+def assert_labels_name_the_classes(G):
+    """Each subgroup of the cyclic index is labelled with the least class
+    of conjugacy_classes that holds one of its generators, and two share a
+    label exactly when the oracle's classes make them conjugate."""
+    classes = conjugacy_classes(G)
+    subs, _ = _cyclic_index(G)
+    for s in subs:
+        gens = {x for x in s.elements if perm_order(x) == s.order}
+        assert s.label == next(i for i, c in enumerate(classes) if not gens.isdisjoint(c))
+    labels = {s.label for s in subs}
+    by_label = {frozenset(s.elements for s in subs if s.label == label) for label in labels}
+    assert by_label == eta_oracle(G)[5]
+
+
+@given(small_groups())
+@group_settings
+def test_labels_name_the_classes_of_cyclic_subgroups(G):
+    assert_labels_name_the_classes(G)
+
+
+@pytest.mark.parametrize("text", CORPUS_SPECS)
+def test_corpus_labels_name_the_classes_of_cyclic_subgroups(text):
+    assert_labels_name_the_classes(realize_text(text))
 
 
 @given(small_groups())
