@@ -12,11 +12,9 @@ from .core import (
     CosetTable,
     Group,
     center,
-    class_index,
     conjugacy_classes,
     coset_table,
     derived_subgroup,
-    element_orders,
     enumerate_elements,
     is_normal,
     named_normal,

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import wraps
-from itertools import groupby, repeat
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -311,15 +311,21 @@ def subgroup_generated(G: Group, seed: Iterable[Permutation]) -> Group:
     return _group_of_words(G.degree, gens, _close(G.degree, gens, G.order))
 
 
+@memo
+def _central(G: Group, g: Permutation) -> bool:
+    """Whether g, in G, commutes with every generator of G, decided on
+    words, as in :func:`_close`: once per element and group."""
+    table = table_of(G.degree)
+    t = table(g.word)
+    return all(right_multiplier(h)(t) == right_multiplier(g)(table(h.word)) for h in G.generators)
+
+
 def moving(G: Group, gens: Iterable[Permutation]) -> list[Permutation]:
     """The members of `gens` outside G's centre, for gens in G: a generator
     of G, or of a normal subgroup, is central exactly when it commutes with
-    every generator of G, and a central conjugator moves nothing.  Decided
-    on words, as in :func:`_close`."""
-    table = table_of(G.degree)
-    return [g for g in gens if any(
-        right_multiplier(h)(table(g.word)) != right_multiplier(g)(table(h.word))
-        for h in G.generators)]
+    every generator of G (:func:`_central`), and a central conjugator moves
+    nothing."""
+    return [g for g in gens if not _central(G, g)]
 
 
 def orbits(items: Iterable, maps: Sequence[Callable]) -> list[list]:
@@ -369,12 +375,6 @@ def conjugacy_classes(G: Group) -> tuple[list[Permutation], ...]:
 
 
 @memo
-def class_index(G: Group) -> dict[Permutation, int]:
-    """The number of each element's class in :func:`conjugacy_classes`."""
-    return {x: i for i, c in enumerate(conjugacy_classes(G)) for x in c}
-
-
-@memo
 def is_normal(G: Group, H: Group) -> bool:
     """Whether gHg^-1 = H for every generator g of G.  Raises NotSubgroup,
     on every call, unless H lies in G."""
@@ -387,14 +387,14 @@ def is_normal(G: Group, H: Group) -> bool:
 
 def normal_closure(G: Group, seed: Iterable[Permutation]) -> Group:
     """Smallest normal subgroup of G containing the seed: the subgroup
-    generated by the union of the seed's conjugacy classes, with the greedy
-    generators of that sorted union as its generators."""
-    classes, index_of = conjugacy_classes(G), class_index(G)
-    try:
-        met = {index_of[x] for x in seed}
-    except KeyError:
-        raise ValueError("seed element is not in the parent group") from None
-    return subgroup_generated(G, (x for i in met for x in classes[i]))
+    generated by the union of the seed's conjugacy classes, found by one
+    scan of the classes, with the greedy generators of that sorted union as
+    its generators."""
+    seed = set(seed)
+    if not seed <= G.elements:
+        raise ValueError("seed element is not in the parent group")
+    met = (c for c in conjugacy_classes(G) if not seed.isdisjoint(c))
+    return subgroup_generated(G, (x for c in met for x in c))
 
 
 class CosetTable:
@@ -503,13 +503,12 @@ def class_mask(G: Group, members: frozenset[Permutation]) -> int:
 
 class NormalLattice(NamedTuple):
     """The normal subgroups of G (:func:`normal_lattice`), sorted by order,
-    then canonical key: as ``groups``; as ``named``, by ``[order,index]``
-    label, the index counting the members of that order; and as ``mask``,
-    with the bitmask of class indices of :func:`conjugacy_classes` of each,
-    which ``member`` maps back.  ``close(mask, a)``, the class step, closes
-    a set of classes under multiplication by class a: N becomes N<C_a>."""
+    then canonical key: as ``mask``, with the bitmask of class indices of
+    :func:`conjugacy_classes` of each, which ``member`` maps back; and as
+    ``named``, by ``[order,index]`` label, the index counting the members of
+    that order.  ``close(mask, a)``, the class step, closes a set of
+    classes under multiplication by class a: N becomes N<C_a>."""
 
-    groups: tuple[Group, ...]
     named: dict[tuple[int, int], Group]
     mask: dict[Group, int]
     member: dict[int, Group]
@@ -538,10 +537,10 @@ def normal_lattice(G: Group) -> NormalLattice:
     too, so it skips j without a closure.  The members become Groups only
     at the end, by :func:`group_from_elements`.
     """
-    classes, index_of = conjugacy_classes(G), class_index(G)
+    classes = conjugacy_classes(G)
     reps = [c[0] for c in classes]  # each class's minimum
     base = base_index(G)
-    class_at = {key: index_of[x] for key, x in base.element_of.items()}
+    class_at = {base.read(x.word): i for i, c in enumerate(classes) for x in c}
     bit = [1 << i for i in range(len(classes))]
     rows: dict[int, dict[int, int]] = {}
 
@@ -580,7 +579,7 @@ def normal_lattice(G: Group) -> NormalLattice:
         x, times_r = r, base.times(r)
         for m in range(1, n):
             if math.gcd(m, n) == 1:
-                covered.add(index_of[x])
+                covered.add(class_at[base.read(x.word)])
             x = times_r(x)
         holders = sum(1 << first for amask, first in atoms.items() if amask >> a & 1)
         amask = close(1, a, holders)
@@ -615,17 +614,15 @@ def normal_lattice(G: Group) -> NormalLattice:
 
     member = {m: group_from_elements(G.degree, class_members(G, m)) for m in found}
     mask_of = {H: m for m, H in sorted(member.items(), key=lambda mH: (mH[1].order, mH[1].key()))}
-    for H in mask_of:  # each is normal by construction
-        is_normal.record(G, H, result=True)
     named = {(o, i): H for o, same in groupby(mask_of, attrgetter("order"))
              for i, H in enumerate(same)}
-    return NormalLattice(tuple(mask_of), named, mask_of, member, close)
+    return NormalLattice(named, mask_of, member, close)
 
 
 def normal_subgroups(G: Group) -> tuple[Group, ...]:
     """Every normal subgroup of G, sorted by order then canonical key: the
     members of :func:`normal_lattice`."""
-    return normal_lattice(G).groups
+    return tuple(normal_lattice(G).mask)
 
 
 def normal_mask(G: Group, N: Group) -> int:
@@ -686,16 +683,6 @@ def class_orders(G: Group) -> tuple[int, ...]:
     :meth:`BaseIndex.order`."""
     order = base_index(G).order
     return tuple(order(c[0]) for c in conjugacy_classes(G))
-
-
-@memo
-def element_orders(G: Group) -> dict[Permutation, int]:
-    """The order of each element of G, in ``element_list`` order: the view
-    of :func:`class_orders` for code that reads elements."""
-    orders: dict[Permutation, int] = dict.fromkeys(G.element_list)
-    for c, n in zip(conjugacy_classes(G), class_orders(G)):
-        orders.update(zip(c, repeat(n)))
-    return orders
 
 
 @memo

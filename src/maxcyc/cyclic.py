@@ -18,22 +18,23 @@ looks the result up among G's own elements.
 
 G^- and the element orders are class functions, so each is held once per
 conjugacy class: G^- as the class mask :func:`g_minus_mask`, and the orders
-as :func:`maxcyc.core.class_orders`.  :func:`g_minus` and
-:func:`maxcyc.core.element_orders` are their per-element views, built only
-for code that reads elements.
+as :func:`maxcyc.core.class_orders`.  :func:`g_minus` is the per-element
+view of G^-, built only for code that reads elements.
 
 Maximality has one route, the prime-power characterization
 ``G^- = {g**q : q prime, q | order(g)}``, taken once per conjugacy class
-(:func:`power_classes`): an element generates a maximal cyclic subgroup
-exactly when its class lies outside G^-.  The paper's lemma that this is
-G^- by its definition is checked by
-:func:`maxcyc.theorems.check_pgrp_lemma`, against a containment scan of
-the index.  The invariants of a quotient G/N (:func:`quotient_invariants`)
-are read off the power lists of the index through the coset map, and those
-of a normal subgroup N (:func:`subgroup_invariants`) off the labels of the
-index and the power route restricted to N; neither is given an index of
-its own.  Each reads N first through :func:`maxcyc.core.normal_mask`, which
-refuses a subgroup that is not normal.
+(:func:`power_classes`, the one power table of the group, which the laws on
+class masks in :mod:`maxcyc.theorems` read too): an element generates a
+maximal cyclic subgroup exactly when its class lies outside G^-.  The
+paper's lemma that this is G^- by its definition is checked by
+:func:`maxcyc.theorems.check_pgrp_lemma`, against a containment scan of the
+index.  The invariants of a quotient G/N (:func:`quotient_invariants`) are
+read off the power lists of the index through the coset map, and those of a
+normal subgroup N (:func:`subgroup_invariants`) off the classes of
+:func:`cyclic_classes` that N's class mask names and the power table
+restricted to N; neither is given an index of its own.  Each reads N first
+through :func:`maxcyc.core.normal_mask`, which refuses a subgroup that is
+not normal.
 """
 
 from __future__ import annotations
@@ -143,32 +144,62 @@ def cyclic_subgroups(G: Group) -> tuple[CyclicSubgroup, ...]:
     return tuple(sorted(subs, key=CyclicSubgroup.sort_key))
 
 
+class PowerClasses(NamedTuple):
+    """The power relation on G's conjugacy classes (:func:`power_classes`):
+    ``powers[i]`` maps each prime q dividing the order of class i to the
+    class of its q-th powers, ``roots[j]`` is the mask of the classes with
+    a prime-index power in class j, ``composite`` the mask of the classes
+    whose order is not a prime power, and ``every`` the mask of all."""
+
+    powers: tuple[dict[int, int], ...]
+    roots: tuple[int, ...]
+    composite: int
+    every: int
+
+    def image(self, mask: int) -> int:
+        """The non-generators of the subgroup that the classes in `mask`
+        make up, as a class mask: the classes that their prime-index powers
+        meet."""
+        return sum(1 << j for j in {j for i in _bits(mask) for j in self.powers[i].values()})
+
+    def prime_modulo(self, inside: int) -> int:
+        """The classes whose cosets xN have order 1 or a prime, for N given
+        by its class mask.  For x outside N, o(xN) divides o(x), so it is a
+        prime q exactly when x**q lies in N, as it does for the whole
+        class when it does for one member."""
+        for j in _bits(inside):
+            inside |= self.roots[j]
+        return inside
+
+
 @memo
-def power_classes(G: Group) -> tuple[dict[int, int], ...]:
-    """For each class of :func:`maxcyc.core.conjugacy_classes`, with first
-    member r, the class of r**q for each prime q dividing the order of r.
-    As (h r h^-1)**q = h r**q h^-1, these are the classes of the
-    prime-index powers of every member of the class."""
+def power_classes(G: Group) -> PowerClasses:
+    """The one power table of G, as :class:`PowerClasses`: for each class
+    of :func:`maxcyc.core.conjugacy_classes`, with first member r, the
+    class of r**q for each prime q dividing the order of r.  As
+    (h r h^-1)**q = h r**q h^-1, these are the classes of the prime-index
+    powers of every member of the class.  The classes of the powers are
+    looked up in one scan of the classes."""
     classes, orders = conjugacy_classes(G), class_orders(G)
     power = base_index(G).power
     powers = [{q: power(c[0], q) for q in prime_factors(n)} for c, n in zip(classes, orders)]
     seeds = {x for p in powers for x in p.values()}
     class_of = {x: i for i, c in enumerate(classes) for x in c if x in seeds}
-    return tuple({q: class_of[x] for q, x in p.items()} for p in powers)
-
-
-def _powers_mask(G: Group, mask: int) -> int:
-    """The non-generators of the subgroup that the classes in `mask` make
-    up, as a class mask: the classes that their prime-index powers meet."""
-    powers = power_classes(G)
-    return sum(1 << j for j in {j for i in _bits(mask) for j in powers[i].values()})
+    rows = tuple({q: class_of[x] for q, x in p.items()} for p in powers)
+    roots = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in row.values():
+            roots[j] |= 1 << i
+    composite = sum(1 << i for i, row in enumerate(rows) if len(row) > 1)
+    return PowerClasses(rows, tuple(roots), composite, (1 << len(rows)) - 1)
 
 
 @memo
 def g_minus_mask(G: Group) -> int:
     """G^- as a class mask: { g**q : g in G, q a prime dividing the order
-    of g }, by :func:`_powers_mask` on all of G's conjugacy classes."""
-    return _powers_mask(G, (1 << len(conjugacy_classes(G))) - 1)
+    of g }, the :meth:`PowerClasses.image` of all of G's classes."""
+    powers = power_classes(G)
+    return powers.image(powers.every)
 
 
 @memo
@@ -206,14 +237,15 @@ def g_power_set(G: Group, p: int) -> frozenset[Permutation]:
 
 
 @memo
-def cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
-    """The conjugacy classes of the cyclic subgroups of G: the cyclic
-    index grouped by label, each class in index order.  The index is built
-    class by class, so the classes come in the order of their labels."""
+def cyclic_classes(G: Group) -> dict[int, list[CyclicSubgroup]]:
+    """The conjugacy classes of the cyclic subgroups of G, by label: the
+    cyclic index grouped by label, each class in index order.  The index
+    is built class by class, so the labels ascend along it, and the classes
+    come in the order of their labels."""
     classes: dict[int, list[CyclicSubgroup]] = {}
     for s in _cyclic_index(G)[0]:
         classes.setdefault(s.label, []).append(s)
-    return tuple(classes.values())
+    return classes
 
 
 class EtaReport(NamedTuple):
@@ -232,7 +264,7 @@ def maximal_cyclic_classes(G: Group) -> tuple[list[CyclicSubgroup], ...]:
     :func:`g_minus_mask`, as a subgroup is maximal exactly when its
     generators lie outside G^-, ordered by their least member."""
     minus = g_minus_mask(G)
-    found = [c for c in cyclic_classes(G) if not minus >> c[0].label & 1]
+    found = [c for label, c in cyclic_classes(G).items() if not minus >> label & 1]
     return tuple(sorted(found, key=lambda c: min(map(CyclicSubgroup.sort_key, c))))
 
 
@@ -360,20 +392,22 @@ class SubgroupInvariants(NamedTuple):
 def subgroup_invariants(G: Group, N: Group) -> SubgroupInvariants:
     """The invariants of N, for N normal in G, read off G's cyclic index.
 
-    N is a union of classes, so the cyclic subgroups of N are the
-    subgroups of G's index whose label lies in N's class mask, in index
-    order.  N^- is :func:`_powers_mask` on that mask, and the N-maximal
-    ones are those whose label lies outside N^-, as a subgroup's
-    generators all lie in N^- or all outside it.  The N-classes of cyclic
+    N is a union of classes, so the cyclic subgroups of N are the classes
+    of :func:`cyclic_classes` whose label lies in N's class mask, read in
+    the order of the mask's bits, which is index order.  N^- is the
+    :meth:`PowerClasses.image` of that mask, and the N-maximal ones are
+    those whose label lies outside N^-, as a subgroup's generators all lie
+    in N^- or all outside it.  The N-classes of cyclic
     subgroups are the :func:`maxcyc.core.orbits` under the generators of N
     that :func:`maxcyc.core.moving` keeps, and those of the maximal ones
     the orbits that start at a maximal one.  N is never given a base, an
     index or classes of its own; its class mask, read first, is its guard.
     """
     mask = normal_mask(G, N)
-    minus = _powers_mask(G, mask)
-    index, sub_of = _cyclic_index(G)
-    subs = [s for s in index if mask >> s.label & 1]
+    minus = power_classes(G).image(mask)
+    _, sub_of = _cyclic_index(G)
+    by_label = cyclic_classes(G)
+    subs = [s for i in _bits(mask) if i in by_label for s in by_label[i]]
     maximal = tuple(s for s in subs if not minus >> s.label & 1)
     conjugator = base_index(G).conjugator
     maps = [
@@ -401,7 +435,7 @@ def eta_star(G: Group, N: Group) -> int:
     is raised.  :func:`subgroup_invariants`, read first, guards N."""
     n_maximal = subgroup_invariants(G, N).maximal
     met = {s.label for s in n_maximal}
-    size = {c[0].label: len(c) for c in cyclic_classes(G)}
-    if sum(size[label] for label in met) != len(n_maximal):
+    classes = cyclic_classes(G)
+    if sum(len(classes[label]) for label in met) != len(n_maximal):
         raise InternalCheckError("a G-class of N-maximal cyclic subgroups holds another subgroup")
     return len(met)

@@ -73,13 +73,11 @@ from .numutil import is_prime, p_part, prime_factors
 from .perm import Permutation
 
 
-def _prime_power(n: int) -> bool:
-    return len(prime_factors(n)) <= 1
-
-
 def all_prime_power_orders(G: Group) -> bool:
-    """Whether every element order of G is a prime power (or 1)."""
-    return all(map(_prime_power, class_orders(G)))
+    """Whether every element order of G is a prime power (or 1): whether
+    no class is in the ``composite`` mask of
+    :func:`maxcyc.cyclic.power_classes`."""
+    return not power_classes(G).composite
 
 
 def is_noncyclic_p_group(G: Group) -> bool:
@@ -109,38 +107,6 @@ def _require_noncyclic_p_group(G: Group, law: str) -> None:
 def _inside(small: int, large: int) -> bool:
     """Whether the class set `small` lies in `large`, both class masks."""
     return not small & ~large
-
-
-class _ClassPowers(NamedTuple):
-    """G's classes as the laws on class masks read them: the order of each
-    class, the mask of every class and of those whose order is not a prime
-    power, and, for each class j, the mask of the classes with a
-    prime-index power in class j (:func:`maxcyc.cyclic.power_classes`)."""
-
-    orders: tuple[int, ...]
-    every: int
-    composite: int
-    roots: list[int]
-
-    def prime_modulo(self, inside: int) -> int:
-        """The classes whose cosets xN have order 1 or a prime, for N given
-        by its class mask.  For x outside N, o(xN) divides o(x), so it is a
-        prime q exactly when x**q lies in N, as it does for the whole
-        class when it does for one member."""
-        for j in _bits(inside):
-            inside |= self.roots[j]
-        return inside
-
-
-@memo
-def _class_powers(G: Group) -> _ClassPowers:
-    orders = class_orders(G)
-    roots = [0] * len(orders)
-    for i, powers in enumerate(power_classes(G)):
-        for j in powers.values():
-            roots[j] |= 1 << i
-    composite = sum(1 << i for i, n in enumerate(orders) if not _prime_power(n))
-    return _ClassPowers(orders, (1 << len(orders)) - 1, composite, roots)
 
 
 # ---------------------------------------------------------------------------
@@ -409,28 +375,29 @@ def classify_prime_order_group(G: Group, N: Group) -> PrimeOrderClass:
     Otherwise G/N is an exponent-p p-group, a Frobenius group with
     exponent-p kernel and complement of prime order q, or the simple group
     of order 60 (whose normals are the images of the normals of G that
-    contain N), verified on class masks (:meth:`_ClassPowers.prime_modulo`):
+    contain N), verified on class masks
+    (:meth:`maxcyc.cyclic.PowerClasses.prime_modulo`):
     the cosets of order p are those of the classes with a p-th power in N.
     A kernel K/N of prime index q is Frobenius, as an element of order q
     that commuted with one of order p would make one of order pq.  The
     trivial group counts, vacuously, as a 2-group of exponent 2.
     """
-    inside, powers = normal_mask(G, N), _class_powers(G)
+    inside, power_table = normal_mask(G, N), power_classes(G)
     index = G.order // N.order
     primes = prime_factors(index)
-    if powers.prime_modulo(inside) != powers.every:
+    if power_table.prime_modulo(inside) != power_table.every:
         return PrimeOrderClass("not_all_prime_order")
     if len(primes) <= 1:
         return PrimeOrderClass("exponent_p", p=primes[0] if primes else 2)
     lattice = normal_lattice(G)
     if index == 60 and sum(_inside(inside, m) for m in lattice.member) == 2:
         return PrimeOrderClass("a5")
-    power_of = power_classes(G)
     for kernel_p, comp_q in (primes, primes[::-1]) if len(primes) == 2 else ():
         # the kernel: N and the classes with a p-th power in N (a class whose
         # order p does not divide looks itself up), a normal subgroup, and so
         # a lattice member, exactly when it is closed
-        kernel = sum(1 << i for i, row in enumerate(power_of) if inside >> row.get(kernel_p, i) & 1)
+        kernel = sum(1 << i for i, row in enumerate(power_table.powers)
+                     if inside >> row.get(kernel_p, i) & 1)
         K = lattice.member.get(inside | kernel)
         if p_part(index, comp_q) == comp_q and K is not None and K.order * comp_q == G.order:
             return PrimeOrderClass("frobenius_pq", p=kernel_p, q=comp_q)
@@ -496,12 +463,13 @@ def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     """G^- lies in N exactly when everything outside N has prime power
     order and the quotient has prime element orders; plus the prime-index
     and exponent-p refinements, all read on class masks, the quotient
-    orders by :meth:`_ClassPowers.prime_modulo`, with no coset table."""
-    inside, powers = normal_mask(G, N), _class_powers(G)
-    outside = powers.every & ~inside
+    orders by :meth:`maxcyc.cyclic.PowerClasses.prime_modulo`, with no
+    coset table."""
+    inside, power_table = normal_mask(G, N), power_classes(G)
+    outside = power_table.every & ~inside
     contained = _inside(g_minus_mask(G), inside)
-    outside_ppo = not outside & powers.composite
-    q_prime = powers.prime_modulo(inside) == powers.every
+    outside_ppo = not outside & power_table.composite
+    q_prime = power_table.prime_modulo(inside) == power_table.every
     checks = [
         Check("part1", contained == (outside_ppo and q_prime),
               "G^- in N <=> (prime-power outside, prime orders in G/N)",
@@ -509,8 +477,8 @@ def check_gminus_containment(G: Group, N: Group) -> list[Check]:
     ]
     index = G.order // N.order
     if is_prime(index):
-        outside_p_power = all(p_part(powers.orders[i], index) == powers.orders[i]
-                              for i in _bits(outside))
+        orders = class_orders(G)
+        outside_p_power = all(p_part(orders[i], index) == orders[i] for i in _bits(outside))
         checks.append(Check("part2", contained == outside_p_power,
                             "index p: G^- in M <=> p-power orders outside M",
                             {"contained": contained, "outside_p_power": outside_p_power}))

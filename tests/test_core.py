@@ -17,7 +17,6 @@ from maxcyc import (
     conjugacy_classes,
     coset_table,
     derived_subgroup,
-    element_orders,
     enumerate_elements,
     eta,
     is_normal,
@@ -30,12 +29,15 @@ from maxcyc import (
 )
 from maxcyc.core import (
     base_index,
+    class_orders,
     exponent,
     group_from_elements,
     is_cyclic,
     is_nilpotent,
     is_p_group,
     is_solvable,
+    normal_lattice,
+    normal_mask,
     point_stabilizer,
 )
 
@@ -169,21 +171,23 @@ def test_is_normal():
 
 
 def test_lattice_members_are_known_normal(monkeypatch):
-    # normal_subgroups builds normal subgroups only, so is_normal conjugates
-    # nothing for its members, and still decides any other subgroup
+    # normal_subgroups builds normal subgroups only, so normal_mask, the one
+    # guard, answers for its members from the lattice and conjugates
+    # nothing, and still decides any other subgroup by is_normal
     G = realize_text("EA(2,3) x S(3)")
     normals = normal_subgroups(G)
     calls = []
     conjugate_by = Permutation.conjugate_by
     monkeypatch.setattr(Permutation, "conjugate_by",
                         lambda h, g: calls.append(g) or conjugate_by(h, g))
-    assert all(is_normal(G, N) for N in normals)
+    assert [normal_mask(G, N) for N in normals] == list(normal_lattice(G).mask.values())
     assert calls == []
     swap = next(x for x in G if perm_order(x) == 2 and x.images[:6] == (0, 1, 2, 3, 4, 5))
-    assert not is_normal(G, subgroup_generated(G, [swap]))
+    with pytest.raises(NotNormal):
+        normal_mask(G, subgroup_generated(G, [swap]))
     assert calls
     with pytest.raises(NotSubgroup):
-        is_normal(G, realize_text("S(4)"))
+        normal_mask(G, realize_text("S(4)"))
 
 
 def test_normal_closure():
@@ -263,12 +267,13 @@ def cap_groups() -> tuple[Group, ...]:
 
 
 def test_element_orders_are_cycle_length_lcms():
+    # each class's order, taken from its first member, is the order of
+    # every member
     G = realize_text("S(4) x C(3)")
-    orders = element_orders(G)
-    assert list(orders) == list(G.element_list)
-    assert sorted(set(orders.values())) == [1, 2, 3, 4, 6, 12]
+    assert sorted(set(class_orders(G))) == [1, 2, 3, 4, 6, 12]
     for H in (G, relabelled(G, 9), *cap_groups()):
-        assert element_orders(H) == {x: perm_order(x) for x in H}
+        for c, n in zip(conjugacy_classes(H), class_orders(H), strict=True):
+            assert all(perm_order(x) == n for x in c)
 
 
 def assert_base_kernel_matches(G: Group, sample: int | None = None) -> None:
@@ -286,9 +291,8 @@ def assert_base_kernel_matches(G: Group, sample: int | None = None) -> None:
         for x in xs:
             assert times(x) == x * g and id(times(x)) in own
             assert conjugate(x) == x.conjugate_by(g) and id(conjugate(x)) in own
-    orders = element_orders(G)
     for x in xs:
-        for n in range(orders[x] + 2):
+        for n in range(perm_order(x) + 2):
             assert base.power(x, n) == x ** n and id(base.power(x, n)) in own
 
 
@@ -320,7 +324,7 @@ def test_base_sizes():
 def test_a_wrong_base_image_is_caught(wrong):
     G = realize_text("AGL1(7,6)")
     base = base_index(G)
-    t = next(x for x in G if element_orders(G)[x] == 7)
+    t = next(x for x in G if perm_order(x) == 7)
     base.element_of[base.read((t ** 2).images)] = base.power(t, wrong)
     with pytest.raises(InternalCheckError):
         eta(G)

@@ -29,12 +29,13 @@ from maxcyc import (
 from maxcyc.core import (
     BaseIndex,
     center,
-    class_index,
+    class_orders,
     conjugacy_classes,
-    element_orders,
     enumerate_elements,
+    normal_lattice,
     normal_subgroups,
 )
+from maxcyc.corpus import parse_corpus, run_suites
 from maxcyc.cyclic import maximal_cyclic_classes
 from maxcyc.numutil import prime_factors
 from maxcyc.theorems import check_pgrp_lemma, gk_graph
@@ -109,7 +110,7 @@ def test_subgroup_class_partition():
 
     abelian = realize_text("EA(3,2)")
     assert all(len(c) == 1 for c in maximal_cyclic_classes(abelian))
-    assert all(len(c) == 1 for c in cyclic_classes(abelian))
+    assert all(len(c) == 1 for c in cyclic_classes(abelian).values())
 
 
 def test_eta_values_match_pinned_examples():
@@ -224,7 +225,8 @@ def test_eta_star_cross_check_fires(monkeypatch):
 
     def merged(G):
         trivial = next(s for s in cyclic_subgroups(G) if s.order == 1)
-        return tuple(c + [trivial] if any(s.elements == target for s in c) else c for c in real(G))
+        return {label: c + [trivial] if any(s.elements == target for s in c) else c
+                for label, c in real(G).items()}
 
     sg = realize_text("SG72_50")
     N = named_normal(sg, 9, 0)
@@ -263,20 +265,19 @@ def test_orders_and_powers_are_taken_once_per_class(monkeypatch, text):
     G = realize_text(text)
     for name in ("order", "power"):
         monkeypatch.setattr(BaseIndex, name, counted(name))
-    orders = element_orders(G)
-    classes = conjugacy_classes(G)
-    assert calls == {"order": len(classes)}
+    orders = class_orders(G)
+    assert calls == {"order": len(conjugacy_classes(G))}
     g_minus_via_powers(G)
-    assert calls["power"] <= sum(len(prime_factors(orders[min(c)])) for c in classes)
+    assert calls["power"] <= sum(len(prime_factors(n)) for n in orders)
 
 
 @pytest.mark.parametrize("text", ["AGL1(13,4)", "W(3)"])
 def test_eta_reads_gminus_and_orders_per_class(text):
-    # eta builds neither per-element view, and each cyclic subgroup holds
+    # eta builds no per-element view of G^-, and each cyclic subgroup holds
     # the power list it was built from
     G = realize_text(text)
     eta(G)
-    assert not g_minus_via_powers.held(G) and not element_orders.held(G)
+    assert not g_minus_via_powers.held(G)
     subs, _ = maxcyc.cyclic._cyclic_index(G)
     for s in subs:
         assert s.powers[0] == G.identity and len(s.powers) == s.order
@@ -315,11 +316,29 @@ def test_central_generators_give_no_conjugator(monkeypatch):
 def test_the_centre_invariants_build_no_class_index(text):
     # a generator is central when it commutes with every generator of G,
     # which core.moving decides on words, without the element -> class map
+    # that only the lattice builds
     G = realize_text(text)
     Z = center(G)
     quotient_invariants(G, Z)
     subgroup_invariants(G, Z)
-    assert not class_index.held(G)
+    assert not normal_lattice.held(G)
+
+
+def test_the_centre_suite_tests_each_generator_once(monkeypatch):
+    # core.moving's word test is memoized per element and group, so the
+    # centre suite on EA(2,6)'s 2825 normals makes one word test per
+    # distinct generator, of G or of a normal, and not one per normal
+    tests = Counter()
+    word_test = maxcyc.core._central.__wrapped__
+
+    def counted(G, g):
+        tests[id(G), g.word] += 1
+        return word_test(G, g)
+
+    monkeypatch.setattr(maxcyc.core, "_central", maxcyc.core.memo(counted))
+    reports = run_suites(["centre"], parse_corpus("EA(2,6)\n"))
+    assert len(reports) == 1 and reports[0].passed
+    assert tests and max(tests.values()) == 1
 
 
 def test_a_wrong_label_is_caught():
@@ -347,12 +366,13 @@ def test_cyclic_classes_take_no_conjugator(monkeypatch):
 
 @pytest.mark.parametrize("text", ["AGL1(7,6)", "S(4) x C(2)"])
 def test_eta_and_gkgraph_build_no_class_index(text):
-    # the element -> class map has |G| entries, which eta does not need
+    # the element -> class map, which only the lattice builds, has |G|
+    # entries, which eta does not need
     G = realize_text(text)
     eta(G)
     gk_graph(G)
     assert (conjugacy_classes.__wrapped__,) in G.derived
-    assert (class_index.__wrapped__,) not in G.derived
+    assert (normal_lattice.__wrapped__,) not in G.derived
     assert (cyclic_classes.__wrapped__,) in G.derived
 
 
@@ -375,8 +395,8 @@ def test_a_merged_class_walk_is_caught(monkeypatch, text):
     monkeypatch.setattr(maxcyc.core, "conjugacy_classes", merged)
     monkeypatch.setattr(maxcyc.cyclic, "conjugacy_classes", merged)
     G = realize_text(text)
-    orders = element_orders(G)
-    assert any(orders[x] != perm_order(x) for x in G)
+    merged_classes = maxcyc.core.conjugacy_classes(G)
+    assert any(perm_order(x) != n for c, n in zip(merged_classes, class_orders(G)) for x in c)
     if text == "AGL1(7,6)":
         lemma = check_pgrp_lemma(G)[0]
         assert (lemma.name, lemma.passed, lemma.actual) == ("gminus_equals_power_set", False, 7)

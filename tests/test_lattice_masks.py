@@ -29,7 +29,7 @@ from maxcyc.cyclic import g_minus, power_classes
 from maxcyc.errors import NotNormal, NotSubgroup
 from maxcyc.numutil import is_prime
 from maxcyc.perm import Permutation
-from maxcyc.theorems import _class_powers, check_gminus_containment, classify_prime_order_group
+from maxcyc.theorems import check_gminus_containment, classify_prime_order_group
 
 from oracles import (
     center_oracle,
@@ -48,8 +48,7 @@ def assert_record_is_consistent(G: Group) -> None:
     """Each member's mask holds exactly its elements' classes, each mask
     names its member, and the labels count the members of each order."""
     lattice = normal_lattice(G)
-    assert lattice.groups == normal_subgroups(G) == tuple(lattice.mask)
-    assert list(lattice.named.values()) == list(lattice.groups)
+    assert list(lattice.named.values()) == list(normal_subgroups(G)) == list(lattice.mask)
     counts = Counter()
     for (order, index), N in lattice.named.items():
         assert (order, index) == (N.order, counts[N.order])
@@ -86,10 +85,10 @@ def assert_class_coset_orders_match(G: Group) -> None:
     N, q exactly when the class's q-th power class lies in N, and a prime
     exactly when the class is in ``prime_modulo``.  The checks of the
     gminus-containment suite equal the element-set route's."""
-    classes, powers = conjugacy_classes(G), power_classes(G)
+    classes, power_table = conjugacy_classes(G), power_classes(G)
     for N in normal_subgroups(G):
         inside = normal_mask(G, N)
-        prime_modulo = _class_powers(G).prime_modulo(inside)
+        prime_modulo = power_table.prime_modulo(inside)
         by_oracle = coset_orders_oracle(G, N)
         table = coset_table(G, N)
         by_table = cyclic.read_quotient(G, table).orders
@@ -97,7 +96,7 @@ def assert_class_coset_orders_match(G: Group) -> None:
             (order,) = {by_oracle[x] for x in c}
             assert {by_table[table.point_of[x]] for x in c} == {order}
             assert (order == 1) == bool(inside >> i & 1)
-            for q, j in powers[i].items():
+            for q, j in power_table.powers[i].items():
                 assert (order in (1, q)) == bool(inside >> j & 1)
             assert (order == 1 or is_prime(order)) == bool(prime_modulo >> i & 1)
         assert check_gminus_containment(G, N) == gminus_containment_oracle(G, N)

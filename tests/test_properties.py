@@ -6,7 +6,6 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from maxcyc import (
     Permutation,
     center,
-    class_index,
     conjugacy_classes,
     cyclic_classes,
     enumerate_elements,
@@ -94,13 +93,12 @@ def test_conjugacy_classes_partition_the_group(G):
 def assert_element_classes_match_the_oracle(G):
     """The same partition as the oracle's, classes ordered by minimum and
     each listed from its minimum, which the lattice takes as the class's
-    representative, and the class number of every element."""
+    representative."""
     want = element_classes_oracle(G)
     classes = conjugacy_classes(G)
     assert [frozenset(c) for c in classes] == want
     assert [len(c) for c in classes] == [len(c) for c in want]
     assert [c[0] for c in classes] == [min(c) for c in want]
-    assert class_index(G) == {x: i for i, c in enumerate(want) for x in c}
 
 
 @given(small_groups())
@@ -259,7 +257,7 @@ def assert_eta_matches_oracle(G):
         eta_value, class_reps, l_value, gminus_size
     )
     assert {s.elements for s in maximal_cyclic_subgroups(G)} == maximal_sets
-    assert {frozenset(s.elements for s in c) for c in cyclic_classes(G)} == all_classes
+    assert {frozenset(s.elements for s in c) for c in cyclic_classes(G).values()} == all_classes
 
 
 @given(small_groups())

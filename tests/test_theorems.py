@@ -3,6 +3,7 @@ import pytest
 import maxcyc.core
 from maxcyc import (
     DEFAULT_DEGREE_CAP,
+    EtaReport,
     GroupIsCyclic,
     HypothesisFailed,
     InternalCheckError,
@@ -176,6 +177,25 @@ def test_a_planted_power_route_fails_the_pgrp_lemma():
     g_minus_via_powers.record(G, result=real - {G.identity})
     assert [(c.name, c.passed, c.expected, c.actual) for c in check_pgrp_lemma(G)] == [
         ("gminus_equals_power_set", False, "G^- == {g^q : q | o(g)}", 1),
+    ]
+
+
+def test_a_planted_eta_fails_the_star_bound():
+    # eta*(N) = 2 for the translation plane N of SG72_50
+    G = realize_text("SG72_50")
+    eta.record(G, result=EtaReport(0, (), 0, 0))
+    checks = {c.name: (c.passed, c.expected, c.actual)
+              for c in check_centre_bounds(G, named_normal(G, 9, 0))}
+    assert checks["star_bound"] == (False, "eta(G) >= 2", 0)
+
+
+def test_a_planted_eta_fails_the_frobenius_sum():
+    # AGL1(7,3) = C(7) : C(3), with eta*(C(7)) = 1 and eta(C(3)) = 1
+    G = realize_text("AGL1(7,3)")
+    eta.record(G, result=EtaReport(0, (), 0, 0))
+    checks = check_frobenius_eta(G, named_normal(G, 7, 0), point_stabilizer(G, 0))
+    assert [(c.name, c.passed, c.expected, c.actual) for c in checks] == [
+        ("frobenius_sum", False, "eta(G) == 1 + 1", 0),
     ]
 
 
